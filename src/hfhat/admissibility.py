@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .diagram import HeegaardDiagram
-from .domains import _integer_direction, periodic_lattice, recession_direction
-from .exactla import EQ, GE, LE, canonical_basis, hermite_solve, lp_optimize
+from .domains import _integer_direction, _weak_witness, periodic_lattice, recession_direction
+from .exactla import EQ, GE, LE, lp_optimize, vanishing_sublattice
 from .measures import chern_pairing
 from .spinc import SpincClass
 
@@ -50,22 +50,9 @@ def _chern_zero_basis(
 ) -> list[tuple[int, ...]]:
     """Basis of the sublattice of periodic domains with zero pairing."""
     basis = periodic_lattice(d).basis
-    if not basis:
-        return []
     x = c.members[0]
-    pairings = [[chern_pairing(d, x, vec) for vec in basis]]
-    solved = hermite_solve(pairings, [0])
-    assert solved is not None
-    _, combos = solved
-    n = len(basis[0])
-    vectors = []
-    for combo in combos:
-        vec = [0] * n
-        for coef, kvec in zip(combo, basis):
-            for i in range(n):
-                vec[i] += coef * kvec[i]
-        vectors.append(vec)
-    return [tuple(v) for v in canonical_basis(vectors)]
+    pairings = [chern_pairing(d, x, vec) for vec in basis]
+    return [tuple(v) for v in vanishing_sublattice(basis, pairings)]
 
 
 def weak_admissible(
@@ -77,8 +64,7 @@ def weak_admissible(
     admissibility for every Spin^c structure at once); with a class
     only the zero-pairing sublattice is.
     """
-    basis = _chern_zero_basis(d, c) if c is not None else list(periodic_lattice(d).basis)
-    witness = recession_direction(basis)
+    witness = _weak_witness(d) if c is None else recession_direction(_chern_zero_basis(d, c))
     if witness is None:
         return AdmissibilityReport("weak", True)
     return AdmissibilityReport("weak", False, witness=witness)

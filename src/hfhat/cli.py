@@ -260,7 +260,7 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="stable JSON output")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument("--threads", type=int, default=1, help="accepted and ignored; computation is serial")
 
     p = sub.add_parser("validate", help="check an HFD file")
     p.add_argument("file")

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from fractions import Fraction
-from typing import Iterable
+from functools import wraps
+from typing import Callable, Iterable, TypeVar
 
 from .exactla import matrix_rank
 
@@ -33,6 +33,8 @@ BETA = "b"
 # slots follow one another around the point.
 SLOT_ORDER = (("out", "out"), ("in", "out"), ("in", "in"), ("out", "in"))
 _SLOT_OF = {halves: s for s, halves in enumerate(SLOT_ORDER)}
+
+T = TypeVar("T")
 
 
 class HFDFormatError(ValueError):
@@ -74,6 +76,9 @@ class HeegaardDiagram:
     beta: tuple[tuple[str, ...], ...]
     regions: tuple[Region, ...]
     basepoint: int
+    # Results of ``derived`` functions, keyed by function.  Not part of
+    # the diagram's value: equal but distinct objects each keep their own.
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def points(self) -> tuple[str, ...]:
@@ -88,6 +93,24 @@ class HeegaardDiagram:
         """(tail, head) of the underlying arc, ignoring ``ref.dir``."""
         curve = self.curve(ref.curve, ref.index)
         return curve[ref.arc], curve[(ref.arc + 1) % len(curve)]
+
+
+def derived(build: Callable[[HeegaardDiagram], T]) -> Callable[[HeegaardDiagram], T]:
+    """Decorator: ``build(d)`` runs at most once per diagram object.
+
+    The result is stored on ``d`` and freed with it.  This is how the
+    validation report, quadrant map, factored boundary system, periodic
+    lattice and weak witness are kept.
+    """
+
+    @wraps(build)
+    def get(d: HeegaardDiagram) -> T:
+        store = d._derived
+        if build not in store:
+            store[build] = build(d)
+        return store[build]
+
+    return get
 
 
 @dataclass(frozen=True)
@@ -286,7 +309,7 @@ def _departure_half(ref: ArcRef) -> str:
     return "out" if ref.dir == 1 else "in"
 
 
-@lru_cache(maxsize=None)
+@derived
 def validate(d: HeegaardDiagram) -> ValidationReport:
     """Check every diagram invariant; collects all violations."""
     bad = _structural_violations(d)
@@ -398,7 +421,7 @@ def validate(d: HeegaardDiagram) -> ValidationReport:
         )
 
     # Homological independence of each curve family (rank g over Q).
-    for label, ok in (("alpha", _family_rank_ok(d, ALPHA)), ("beta", _family_rank_ok(d, BETA))):
+    for label, ok in zip(("alpha", "beta"), _family_ranks_ok(d)):
         if not ok:
             bad.append(
                 (
@@ -423,8 +446,8 @@ def _corner_slots(d: HeegaardDiagram) -> dict[str, list[tuple[int, int]]]:
     return out
 
 
-def _family_rank_ok(d: HeegaardDiagram, family: str) -> bool:
-    """Do the family's curve classes span rank g in H1 of the surface?
+def _family_ranks_ok(d: HeegaardDiagram) -> tuple[bool, bool]:
+    """Do the alpha and the beta curve classes each span rank g in H1?
 
     Graph classes in H1 of the closed surface form the cycle space of
     the 4-valent graph modulo the region boundary chains; handles
@@ -446,15 +469,16 @@ def _family_rank_ok(d: HeegaardDiagram, family: str) -> bool:
         boundary_rows.append(row)
     base_rank = matrix_rank(boundary_rows)
 
-    curve_rows = []
-    curves = d.alpha if family == ALPHA else d.beta
-    for i, curve in enumerate(curves):
-        row = [0] * n_arcs
-        for k in range(len(curve)):
-            row[arc_ids[(family, i, k)]] += 1
-        curve_rows.append(row)
-    total_rank = matrix_rank(boundary_rows + curve_rows)
-    return total_rank - base_rank == d.genus
+    def spans_genus(family: str, curves: tuple[tuple[str, ...], ...]) -> bool:
+        curve_rows = []
+        for i, curve in enumerate(curves):
+            row = [0] * n_arcs
+            for k in range(len(curve)):
+                row[arc_ids[(family, i, k)]] += 1
+            curve_rows.append(row)
+        return matrix_rank(boundary_rows + curve_rows) - base_rank == d.genus
+
+    return spans_genus(ALPHA, d.alpha), spans_genus(BETA, d.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -463,19 +487,9 @@ def _family_rank_ok(d: HeegaardDiagram, family: str) -> bool:
 
 
 @dataclass(frozen=True)
-class Arc:
-    curve: str
-    index: int
-    arc: int
-    tail: str
-    head: str
-
-
-@dataclass(frozen=True)
 class QuadrantStructure:
-    """Derived arcs and the 4-quadrant incidence map at each point."""
+    """The 4-quadrant incidence map at each point."""
 
-    arcs: tuple[Arc, ...]
     corners: dict[str, tuple[int, int, int, int]] = field(hash=False)
 
     def quadrant_regions(self, p: str) -> tuple[int, int, int, int]:
@@ -487,23 +501,18 @@ class QuadrantStructure:
         return Fraction(sum(coeffs[r] for r in self.corners[p]), 4)
 
 
-@lru_cache(maxsize=None)
+@derived
 def quadrants(d: HeegaardDiagram) -> QuadrantStructure:
     """Build the quadrant structure of a valid diagram."""
     report = validate(d)
     if not report.ok:
         raise ValueError(f"quadrants() requires a valid diagram:\n{report}")
-    arcs = []
-    for fam, curves in ((ALPHA, d.alpha), (BETA, d.beta)):
-        for i, curve in enumerate(curves):
-            for k in range(len(curve)):
-                arcs.append(Arc(fam, i, k, curve[k], curve[(k + 1) % len(curve)]))
     slots = _corner_slots(d)
     corners = {}
     for p, incidences in slots.items():
         by_slot = dict(incidences)
         corners[p] = tuple(by_slot[s] for s in range(4))
-    return QuadrantStructure(tuple(arcs), corners)
+    return QuadrantStructure(corners)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 A domain is an integer vector of region coefficients.  Its alpha
 boundary, pushed to a 0-chain on the intersection points, must equal
 ``to - from``; the beta boundary gives the mirror ``from - to``.  Both
-conditions form one integer linear system per diagram, solved exactly
-through the Hermite normal form.
+conditions form one integer linear system ``A n = b`` per diagram, with
+``A = [l_alpha; l_beta]``.  ``A`` is factored once per diagram object
+into its Hermite normal form ``A u = h``; every question about the
+system is then a back-substitution of ``b`` against ``h``, whose
+remainder is canonical modulo the column lattice of ``A``.
 
 The kernel of that system splits as (periodic lattice with n_z = 0)
 plus the fundamental class [Sigma] (all coefficients 1), split off by
@@ -20,12 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Optional, Sequence
 
-from .diagram import ALPHA, HeegaardDiagram, validate
-from .exactla import EQ, GE, canonical_basis, hermite_solve, lp_optimize
+from .diagram import ALPHA, HeegaardDiagram, derived, validate
+from .exactla import EQ, GE, hermite_normal_form, hermite_reduce, kernel_basis, lp_optimize
+from .exactla import mat_vec, vanishing_sublattice
 from .generators import Generator
 
 
@@ -89,7 +92,7 @@ class BoundarySystem:
     l_beta: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=None)
+@derived
 def boundary_system(d: HeegaardDiagram) -> BoundarySystem:
     report = validate(d)
     if not report.ok:
@@ -121,16 +124,24 @@ def _chain(points: Sequence[str], gen: Generator) -> list[int]:
     return chi
 
 
-def _stacked_system(d: HeegaardDiagram) -> list[list[int]]:
+@derived
+def _factored(d: HeegaardDiagram) -> tuple:
+    """``(a, h, u, pivots)``: the stacked system ``a = [l_alpha; l_beta]``
+    and its Hermite form ``a u = h``."""
     sys = boundary_system(d)
-    return [list(r) for r in sys.l_alpha] + [list(r) for r in sys.l_beta]
+    a = [list(r) for r in sys.l_alpha] + [list(r) for r in sys.l_beta]
+    return (a, *hermite_normal_form(a))
 
 
-def _stacked_rhs(d: HeegaardDiagram, x: Generator, y: Generator) -> list[int]:
-    sys = boundary_system(d)
-    cx = _chain(sys.points, x)
-    cy = _chain(sys.points, y)
-    return [b - a for a, b in zip(cx, cy)] + [a - b for a, b in zip(cx, cy)]
+def _stacked_chain(d: HeegaardDiagram, g: Generator) -> list[int]:
+    """``[chi_g; -chi_g]``, so that ``b(x, y)`` is y's minus x's."""
+    chi = _chain(boundary_system(d).points, g)
+    return chi + [-c for c in chi]
+
+
+def _connecting_rhs(d: HeegaardDiagram, x: Generator, y: Generator) -> list[int]:
+    """Right-hand side ``b(x, y)`` of ``A n = b`` for domains from x to y."""
+    return [b - a for a, b in zip(_stacked_chain(d, x), _stacked_chain(d, y))]
 
 
 def _assert_mirror(d: HeegaardDiagram, dom: Domain) -> None:
@@ -151,10 +162,11 @@ def connecting_domain(
     Solvability is exactly the vanishing of the epsilon obstruction, so
     absence here means x and y sit in different Spin^c classes.
     """
-    solved = hermite_solve(_stacked_system(d), _stacked_rhs(d, x, y))
-    if solved is None:
+    _, h, u, pivots = _factored(d)
+    quotient, remainder = hermite_reduce(h, pivots, _connecting_rhs(d, x, y))
+    if any(remainder):
         return None
-    particular, _ = solved
+    particular = mat_vec(u, quotient)
     nz = particular[d.basepoint]
     coeffs = tuple(c - nz for c in particular)
     dom = Domain(coeffs, x, y)
@@ -162,30 +174,15 @@ def connecting_domain(
     return dom
 
 
-@lru_cache(maxsize=None)
+@derived
 def periodic_lattice(d: HeegaardDiagram) -> PeriodicLattice:
     """Canonical basis of the n_z = 0 kernel, with [Sigma] split off."""
-    n = len(d.regions)
-    solved = hermite_solve(_stacked_system(d), [0] * (2 * len(d.points)))
-    assert solved is not None  # 0 always solves
-    _, kernel = solved
-    sigma = tuple([1] * n)
-    nz_row = [[vec[d.basepoint] for vec in kernel]]
-    if kernel:
-        sub = hermite_solve(nz_row, [0])
-        assert sub is not None
-        _, combos = sub
-        vectors = []
-        for combo in combos:
-            vec = [0] * n
-            for c, k in zip(combo, kernel):
-                for i in range(n):
-                    vec[i] += c * k[i]
-            vectors.append(vec)
-        basis = tuple(tuple(v) for v in canonical_basis(vectors))
-    else:
-        basis = ()
-    return PeriodicLattice(basis, sigma)
+    a, _, u, pivots = _factored(d)
+    kernel = kernel_basis(u, len(pivots))
+    for vec in kernel:
+        assert all(v == 0 for v in mat_vec(a, vec))
+    basis = vanishing_sublattice(kernel, [vec[d.basepoint] for vec in kernel])
+    return PeriodicLattice(tuple(tuple(v) for v in basis), tuple([1] * len(d.regions)))
 
 
 def _integer_direction(
@@ -224,26 +221,28 @@ def recession_direction(
     return witness
 
 
-@lru_cache(maxsize=None)
+@derived
+def _weak_witness(d: HeegaardDiagram) -> Optional[tuple[int, ...]]:
+    """Recession direction of the full periodic lattice, if any."""
+    return recession_direction(periodic_lattice(d).basis)
+
+
 def _positive_solutions(
     d: HeegaardDiagram, x: Generator, y: Generator, nz: int
 ) -> tuple[tuple[int, ...], ...]:
     """All nonnegative coefficient vectors connecting x to y at n_z."""
-    solved = hermite_solve(_stacked_system(d), _stacked_rhs(d, x, y))
-    if solved is None:
+    dom = connecting_domain(d, x, y)
+    if dom is None:
         return ()
-    particular, _ = solved
-    lattice = periodic_lattice(d)
-    shift = nz - particular[d.basepoint]
-    d0 = [c + shift for c in particular]
+    d0 = [c + nz for c in dom.coefficients]
 
-    basis = lattice.basis
+    basis = periodic_lattice(d).basis
     if not basis:
         if all(c >= 0 for c in d0):
             return (tuple(d0),)
         return ()
 
-    witness = recession_direction(basis)
+    witness = _weak_witness(d)
     if witness is not None:
         raise UnboundedEnumeration(witness)
 
@@ -324,9 +323,10 @@ def positive_domains(
     """All domains x -> y with coefficients >= 0, given n_z and index.
 
     Complete by the bounded-polytope argument: absence of a recession
-    direction (checked first, by exact LP) makes the positive polytope
-    compact, and per-coordinate LP bounds with depth-first re-tightening
-    sweep every integer point.  Raises UnboundedEnumeration otherwise.
+    direction (checked first, by one exact LP per diagram) makes the
+    positive polytope compact, and per-coordinate LP bounds with
+    depth-first re-tightening sweep every integer point.  Raises
+    UnboundedEnumeration otherwise.
     """
     from .measures import maslov_index
 

@@ -110,6 +110,36 @@ def _scale_col(h: list[list[int]], u: list[list[int]], j: int, s: int) -> None:
         row[j] *= s
 
 
+def hermite_reduce(
+    h: Sequence[Sequence[int]], pivots: Sequence[tuple[int, int]], b: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Floor-reduce ``b`` against the pivots of a Hermite form ``h``.
+
+    Returns ``(y, r)`` with ``b == h y + r`` and ``0 <= r[row] < pivot``
+    at every pivot row.  ``r`` depends only on the class of ``b`` modulo
+    the column lattice of ``h``, so ``b`` lies in that lattice exactly
+    when ``r`` is zero.
+    """
+    m = len(h)
+    r = list(b)
+    y = [0] * (len(h[0]) if m else 0)
+    for row, col in pivots:
+        q = y[col] = r[row] // h[row][col]
+        # Column echelon form: h[i][col] == 0 above the pivot row.
+        for i in range(row, m):
+            r[i] -= q * h[i][col]
+    return y, r
+
+
+def kernel_basis(u: Sequence[Sequence[int]], rank: int) -> list[list[int]]:
+    """Canonical kernel basis from the transform ``u`` of a Hermite form.
+
+    The columns of ``u`` past the ``rank`` pivot columns span the kernel.
+    """
+    n = len(u)
+    return canonical_basis([[u[i][j] for i in range(n)] for j in range(rank, n)])
+
+
 def hermite_solve(
     a: Sequence[Sequence[int]], b: Sequence[int]
 ) -> Optional[tuple[list[int], list[list[int]]]]:
@@ -120,34 +150,39 @@ def hermite_solve(
     canonical Hermite form so the output is deterministic.
     """
     m = len(a)
-    n = len(a[0]) if m else 0
     if len(b) != m:
         raise ValueError("dimension mismatch")
-    if n == 0:
-        if any(v != 0 for v in b):
-            return None
-        return [], []
     h, u, pivots = hermite_normal_form(a)
-    residual = list(b)
-    y = [0] * n
-    for row, col in pivots:
-        p = h[row][col]
-        if residual[row] % p != 0:
-            return None
-        y[col] = residual[row] // p
-        for i in range(m):
-            residual[i] -= y[col] * h[i][col]
-    if any(v != 0 for v in residual):
+    y, r = hermite_reduce(h, pivots, b)
+    if any(r):
         return None
     particular = mat_vec(u, y)
-    rank = len(pivots)
-    kernel_cols = [[u[i][j] for i in range(n)] for j in range(rank, n)]
-    kernel = canonical_basis(kernel_cols)
+    kernel = kernel_basis(u, len(pivots))
     # Sanity: the solve must be exact and the kernel genuine.
     assert mat_vec(a, particular) == list(b)
     for vec in kernel:
         assert all(v == 0 for v in mat_vec(a, vec))
     return particular, kernel
+
+
+def vanishing_sublattice(
+    basis: Sequence[Sequence[int]], values: Sequence[int]
+) -> list[list[int]]:
+    """Canonical basis of the sublattice of ``span(basis)`` where a functional vanishes.
+
+    ``values[j]`` is the functional evaluated on ``basis[j]``.
+    """
+    if not basis:
+        return []
+    solved = hermite_solve([list(values)], [0])
+    assert solved is not None  # 0 always solves
+    _, combos = solved
+    n = len(basis[0])
+    vectors = [
+        [sum(c * vec[i] for c, vec in zip(combo, basis)) for i in range(n)]
+        for combo in combos
+    ]
+    return canonical_basis(vectors)
 
 
 def canonical_basis(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -273,11 +308,10 @@ def _scale_row_snf(s, u, i, c):
 
 
 def matrix_rank(a: Sequence[Sequence[int]]) -> int:
-    """Rank over Q (equivalently over Z), read off the Smith form."""
+    """Rank over Q (equivalently over Z): the pivot count of the Hermite form."""
     if not a or not a[0]:
         return 0
-    _, s, _ = smith_normal_form(a)
-    return sum(1 for t in range(min(len(s), len(s[0]))) if s[t][t] != 0)
+    return len(hermite_normal_form(a)[2])
 
 
 # ---------------------------------------------------------------------------

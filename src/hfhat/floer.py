@@ -13,6 +13,7 @@ count the combinatorics cannot certify (annuli in particular).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 from .diagram import HeegaardDiagram, quadrants, validate
 from .domains import Domain, UnboundedEnumeration, positive_domains
@@ -158,31 +159,18 @@ def differential(
     Entry (y, x) counts the rigid index-1 positive n_z = 0 domains from
     x to y mod 2.  Raises NotCombinatorial when any such domain is not
     rigid, and propagates UnboundedEnumeration from the domain solver.
+    ``threads`` is accepted for compatibility and ignored: the work is
+    pure Python, so worker threads only added contention.
     """
     order = c.members
     idx = {g: i for i, g in enumerate(order)}
-    pairs = [(x, y) for x in order for y in order if x != y]
-
-    def entry(pair: tuple[Generator, Generator]):
-        x, y = pair
-        domains = positive_domains(d, x, y, 1, 0)
-        shapes = [classify_rigid(d, dom) for dom in domains]
-        return x, y, list(zip(domains, shapes))
-
-    if threads > 1 and len(pairs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            computed = list(pool.map(entry, pairs))
-    else:
-        computed = [entry(pair) for pair in pairs]
-
     counted_tags = (BIGON,) if strict_rectangles else (BIGON, RECTANGLE)
     matrix = [[0] * len(order) for _ in order]
     audit = []
     offenders = []
-    for x, y, found in computed:
-        for dom, shape in found:
+    for x, y in permutations(order, 2):
+        for dom in positive_domains(d, x, y, 1, 0):
+            shape = classify_rigid(d, dom)
             if shape.tag in counted_tags:
                 matrix[idx[y]][idx[x]] ^= 1
                 audit.append((x, y, dom, shape.tag))
@@ -247,7 +235,7 @@ class HomologyClassReport:
 def homology(
     d: HeegaardDiagram, strict_rectangles: bool = False, threads: int = 1
 ) -> list[HomologyClassReport]:
-    """Graded F2 homology ranks per Spin^c class."""
+    """Graded F2 homology ranks per Spin^c class (``threads`` is ignored)."""
     report = validate(d)
     if not report.ok:
         raise ValueError(f"homology() requires a valid diagram:\n{report}")

@@ -1,12 +1,16 @@
 """Spin^c decomposition of the generator set and relative gradings.
 
 Two generators lie in the same Spin^c class exactly when a connecting
-domain exists, so the partition is computed from integer solvability of
-the domain equation.  Gradings inside a class are relative: gr(x) -
-gr(y) is the Maslov index of any n_z = 0 domain from x to y, read mod
-the divisor gcd |<c_1, P>| over the periodic basis when that is
-nonzero.  An explicit epsilon obstruction (an abelian-group element
-that vanishes iff a connecting domain exists) is exposed for
+domain exists, that is when their stacked chains ``[chi_x; -chi_x]``
+differ by an element of the column lattice of the boundary system.
+That system is factored once per diagram; each generator's chain is
+reduced to its canonical remainder modulo the lattice, and the classes
+are the groups of equal remainders.  Gradings inside a class are
+relative: gr(x) - gr(y) is the Maslov index of any n_z = 0 domain from
+x to y, read mod the divisor gcd |<c_1, P>| over the periodic basis
+when that is nonzero.  An explicit epsilon obstruction (an
+abelian-group element that vanishes iff a connecting domain exists,
+computed independently through the Smith form) is exposed for
 diagnostics.
 """
 
@@ -16,8 +20,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from .diagram import HeegaardDiagram
-from .domains import _stacked_rhs, _stacked_system, connecting_domain, periodic_lattice
-from .exactla import mat_vec, smith_normal_form
+from .domains import _connecting_rhs, _factored, _stacked_chain, connecting_domain
+from .domains import periodic_lattice
+from .exactla import hermite_reduce, mat_vec, smith_normal_form
 from .generators import Generator, enumerate_generators
 from .measures import chern_pairing, maslov_index
 
@@ -28,14 +33,6 @@ class SpincClass:
     divisor: int
     gradings: tuple[tuple[Generator, int], ...]
 
-    @property
-    def key(self) -> Generator:
-        """Canonical representative: the minimum member id."""
-        return self.members[0]
-
-    def grading(self, x: Generator) -> int:
-        return dict(self.gradings)[x]
-
 
 def spinc_partition(d: HeegaardDiagram) -> list[SpincClass]:
     """Partition the generators by Spin^c structure.
@@ -43,25 +40,17 @@ def spinc_partition(d: HeegaardDiagram) -> list[SpincClass]:
     Classes are sorted by their canonical representative; each comes
     with its grading divisor and normalized relative gradings.
     """
-    gens = enumerate_generators(d)
-    groups: list[list[Generator]] = []
-    for g in gens:
-        for group in groups:
-            if connecting_domain(d, g, group[0]) is not None:
-                group.append(g)
-                break
-        else:
-            groups.append([g])
+    _, h, _, pivots = _factored(d)
+    groups: dict[tuple[int, ...], list[Generator]] = {}
+    for g in enumerate_generators(d):
+        remainder = hermite_reduce(h, pivots, _stacked_chain(d, g))[1]
+        groups.setdefault(tuple(remainder), []).append(g)
     classes = []
-    for group in sorted(groups, key=lambda grp: grp[0]):
+    for group in sorted(groups.values(), key=lambda grp: grp[0]):
         members = tuple(sorted(group))
         divisor = _divisor(d, members[0])
         gradings = _gradings(d, members, divisor)
         classes.append(SpincClass(members, divisor, gradings))
-    # Transitivity sanity check: members of distinct classes never connect.
-    for i, ca in enumerate(classes):
-        for cb in classes[i + 1 :]:
-            assert connecting_domain(d, ca.members[0], cb.members[0]) is None
     return classes
 
 
@@ -110,9 +99,8 @@ def epsilon_obstruction(d: HeegaardDiagram, x: Generator, y: Generator) -> tuple
     along an invariant factor (reduced mod the factor when finite).
     The zero tuple is returned exactly when a connecting domain exists.
     """
-    a = _stacked_system(d)
-    rhs = _stacked_rhs(d, x, y)
-    u, s, _ = smith_normal_form(a)
+    rhs = _connecting_rhs(d, x, y)
+    u, s, _ = smith_normal_form(_factored(d)[0])
     transformed = mat_vec(u, rhs)
     diag = min(len(s), len(s[0]) if s else 0)
     coords = []

@@ -13,6 +13,7 @@ from hfhat.exactla import (
     LE,
     canonical_basis,
     hermite_normal_form,
+    hermite_reduce,
     hermite_solve,
     identity_matrix,
     lp_optimize,
@@ -23,6 +24,8 @@ from hfhat.exactla import (
 )
 
 RNG = random.Random(20260824)
+# Draws for the back-substitution cases, kept apart so RNG's sequence is unchanged.
+REDUCE_RNG = random.Random(20261017)
 
 
 def random_matrix(rows, cols, lo=-4, hi=4):
@@ -46,6 +49,14 @@ def test_hnf_properties(shape):
             # entries left of a pivot are reduced mod the pivot
             for cc in range(c):
                 assert 0 <= h[r][cc] < h[r][c]
+        b = [REDUCE_RNG.randint(-9, 9) for _ in range(rows)]
+        y, rem = hermite_reduce(h, pivots, b)
+        assert [hy + r for hy, r in zip(mat_vec(h, y), rem)] == b
+        for r, c in pivots:
+            assert 0 <= rem[r] < h[r][c]
+        z = [REDUCE_RNG.randint(-3, 3) for _ in range(cols)]
+        shifted = [v + w for v, w in zip(b, mat_vec(a, z))]
+        assert hermite_reduce(h, pivots, shifted)[1] == rem
 
 
 def test_hermite_solve_constructed_solutions():
@@ -107,6 +118,8 @@ def test_hermite_solve_matches_snf_solvability():
         got = hermite_solve(a, b) is not None
         want = _sympy_solvable(a, b)
         assert got == want
+        h, _, pivots = hermite_normal_form(a)
+        assert (not any(hermite_reduce(h, pivots, b)[1])) == got
         if got:
             agree_solvable += 1
         else:

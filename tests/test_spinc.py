@@ -55,15 +55,16 @@ def test_partition_matches_connectivity(name, corpus_small):
             assert connected == (where[x] == where[y])
 
 
-@pytest.mark.parametrize("name", SMALL_NAMES)
-def test_epsilon_vanishes_iff_connected(name, corpus_small):
-    d = corpus_small[name]
+@pytest.mark.parametrize("name", SMALL_NAMES + ["lens(11,3)"])
+def test_epsilon_vanishes_iff_connected(name):
+    d = build(name)
+    where = {g: i for i, c in enumerate(spinc_partition(d)) for g in c.members}
     gens = enumerate_generators(d)
     for x in gens:
         for y in gens:
             eps = epsilon_obstruction(d, x, y)
             connected = connecting_domain(d, x, y) is not None
-            assert (eps == ()) == connected
+            assert (eps == ()) == connected == (where[x] == where[y])
 
 
 def test_divisors():
