@@ -66,6 +66,7 @@ from .floer import (
     homology,
 )
 from .corpus import build
+from .exactla import InternalError
 
 __all__ = [
     "ArcRef",
@@ -115,6 +116,7 @@ __all__ = [
     "differential",
     "homology",
     "build",
+    "InternalError",
 ]
 
 __version__ = "0.1.0"

@@ -164,6 +164,7 @@ def _pick_class(d: HeegaardDiagram, index: Optional[int]):
     if index is None:
         return classes, None
     if not 0 <= index < len(classes):
+        print(f"error: --class {index} is out of range 0..{len(classes) - 1}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     return classes, classes[index]
 
@@ -243,7 +244,11 @@ def _cmd_stabilize(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    d = corpus.build(args.name, p=args.p, q=args.q, g=args.g)
+    try:
+        d = corpus.build(args.name, p=args.p, q=args.q, g=args.g)
+    except ValueError as exc:  # unknown name or parameters out of range
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(serialize_hfd(d))
     _emit(

@@ -136,6 +136,11 @@ _REGION_KEYS = {"genus", "boundary"}
 _REF_KEYS = {"curve", "index", "arc", "dir"}
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer; ``true``/``false`` parse as ``bool``, a subclass of ``int``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_hfd(text: str) -> HeegaardDiagram:
     """Parse an HFD (JSON) document; rejects unknown fields."""
     try:
@@ -151,7 +156,7 @@ def parse_hfd(text: str) -> HeegaardDiagram:
     if missing:
         raise HFDFormatError(f"missing top-level fields: {sorted(missing)}")
     genus = doc["genus"]
-    if not isinstance(genus, int) or genus < 1:
+    if not _is_int(genus) or genus < 1:
         raise HFDFormatError("genus must be an integer >= 1")
     alpha = _parse_curves(doc["alpha"], "alpha")
     beta = _parse_curves(doc["beta"], "beta")
@@ -159,7 +164,7 @@ def parse_hfd(text: str) -> HeegaardDiagram:
         raise HFDFormatError("regions must be a list")
     regions = tuple(_parse_region(r, i) for i, r in enumerate(doc["regions"]))
     bp = doc["basepoint_region"]
-    if not isinstance(bp, int) or not (0 <= bp < len(regions)):
+    if not _is_int(bp) or not (0 <= bp < len(regions)):
         raise HFDFormatError("basepoint_region out of range")
     return HeegaardDiagram(genus, alpha, beta, regions, bp)
 
@@ -187,7 +192,7 @@ def _parse_region(raw: object, i: int) -> Region:
     if set(raw) != _REGION_KEYS:
         raise HFDFormatError(f"regions[{i}] must have fields genus and boundary")
     g = raw["genus"]
-    if not isinstance(g, int) or g < 0:
+    if not _is_int(g) or g < 0:
         raise HFDFormatError(f"regions[{i}].genus must be an integer >= 0")
     if not isinstance(raw["boundary"], list):
         raise HFDFormatError(f"regions[{i}].boundary must be a list of cycles")
@@ -204,9 +209,9 @@ def _parse_region(raw: object, i: int) -> Region:
                 )
             if ref["curve"] not in (ALPHA, BETA):
                 raise HFDFormatError(f"regions[{i}]: curve must be 'a' or 'b'")
-            if ref["dir"] not in (1, -1):
+            if not _is_int(ref["dir"]) or ref["dir"] not in (1, -1):
                 raise HFDFormatError(f"regions[{i}]: dir must be +1 or -1")
-            if not isinstance(ref["index"], int) or not isinstance(ref["arc"], int):
+            if not _is_int(ref["index"]) or not _is_int(ref["arc"]):
                 raise HFDFormatError(f"regions[{i}]: index and arc must be integers")
             refs.append(ArcRef(ref["curve"], ref["index"], ref["arc"], ref["dir"]))
         cycles.append(tuple(refs))

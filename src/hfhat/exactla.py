@@ -2,21 +2,28 @@
 
 Provides the arithmetic backbone for the rest of the package: Hermite
 and Smith normal forms over the integers (arbitrary precision), integer
-linear system solving with kernel bases, and an exact rational simplex
-for linear programs.  No floating point appears anywhere; rationals are
-``fractions.Fraction`` (always stored in lowest terms with positive
-denominator, which matches the Rational contract used throughout).
+linear system solving with kernel bases, and an exact simplex for
+linear programs with rational data.  No floating point appears
+anywhere; rationals are ``fractions.Fraction`` (always stored in lowest
+terms with positive denominator, which matches the Rational contract
+used throughout).
 
 Matrices are plain lists of rows of Python ints or Fractions.  All
 functions are pure and deterministic: the Hermite form is the canonical
 column-style one with nonnegative pivots, and the simplex uses Bland's
-rule so results are reproducible.
+rule so results are reproducible.  The simplex tableau is a matrix of
+Python ints over one common positive denominator, updated by
+fraction-free pivots (Bareiss, Math. Comp. 22 (1968), in the
+Gauss-Jordan form of Edmonds, J. Res. NBS 71B (1967)); every division
+in a pivot is checked to be exact.  Failed internal checks raise
+``InternalError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 
@@ -315,12 +322,21 @@ def matrix_rank(a: Sequence[Sequence[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational linear programming.
+# Exact linear programming on an integer tableau.
 # ---------------------------------------------------------------------------
 
 LE = "<="
 GE = ">="
 EQ = "=="
+
+
+class InternalError(Exception):
+    """A check that carries one of hfhat's guarantees failed.
+
+    Raised explicitly, so the check also runs under ``python -O``.  It
+    is not a ``ValueError``: it reports a fault in hfhat, never bad
+    input, so the command line does not turn it into an exit code.
+    """
 
 
 @dataclass(frozen=True)
@@ -336,6 +352,11 @@ class LpResult:
         return self.status == "optimal"
 
 
+def _scaled(values: Sequence[Fraction | int], scale: int) -> list[int]:
+    """``scale * v`` for each ``v``; ``scale`` is a multiple of every denominator."""
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
 def lp_optimize(
     objective: Sequence[Fraction | int],
     constraints: Sequence[tuple[Sequence[Fraction | int], str, Fraction | int]],
@@ -345,147 +366,173 @@ def lp_optimize(
     ``constraints`` is a list of ``(coefficients, relation, rhs)`` with
     relation one of ``"<="``, ``">="``, ``"=="``.  Two-phase primal
     simplex with Bland's rule (termination guaranteed with exact
-    arithmetic).  Returns Optimal(value, point), Unbounded or
-    Infeasible.
+    arithmetic).  Every constraint is multiplied by the lcm ``L`` of
+    all denominators in the data, so the tableau starts as integers;
+    it is then kept as integers ``N`` over one common denominator
+    ``d > 0`` (the tableau is ``N / d``).  Slack and artificial
+    variables are measured in units of ``1/L``, which changes no
+    pivot choice, so the vertices visited are those of the rational
+    tableau.  Returns Optimal(value, point), Unbounded or Infeasible;
+    an optimal point is verified against every constraint.
     """
     n = len(objective)
-    obj = [Fraction(c) for c in objective]
-    # Free variables are split x = u - w with u, w >= 0.
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    slack_signs: list[int] = []  # +1 for <=, -1 for >=, 0 for ==
+    scale = 1
     for coeffs, rel, b in constraints:
         if len(coeffs) != n:
             raise ValueError("constraint dimension mismatch")
-        row = [Fraction(c) for c in coeffs]
-        bb = Fraction(b)
-        if rel == GE:
-            row = [-c for c in row]
-            bb = -bb
-            rel = LE
-        if rel == LE:
-            slack_signs.append(1)
-        elif rel == EQ:
-            slack_signs.append(0)
-        else:
+        if rel not in (LE, GE, EQ):
             raise ValueError(f"unknown relation {rel!r}")
-        rows.append(row)
-        rhs.append(bb)
+        scale = lcm(scale, b.denominator, *(c.denominator for c in coeffs))
+    # The constraints times L, kept for the final verification.
+    system = [
+        (_scaled(coeffs, scale), rel, b.numerator * (scale // b.denominator))
+        for coeffs, rel, b in constraints
+    ]
 
-    m = len(rows)
-    num_slack = sum(1 for s in slack_signs if s != 0)
-    total = 2 * n + num_slack + m  # split vars, slacks, artificials
-    tableau: list[list[Fraction]] = []
-    slack_at = 2 * n
+    # Columns: x = u - w with u, w >= 0 (2n), one slack per inequality,
+    # one artificial per row, then the right-hand side.
+    m = len(system)
+    num_slack = sum(1 for _, rel, _ in system if rel != EQ)
     art_at = 2 * n + num_slack
-    basis: list[int] = []
-    si = 0
-    for i in range(m):
-        row = [Fraction(0)] * (total + 1)
-        for j in range(n):
-            row[j] = rows[i][j]
-            row[n + j] = -rows[i][j]
-        if slack_signs[i] != 0:
-            row[slack_at + si] = Fraction(1)
+    total = art_at + m
+    rows: list[list[int]] = []
+    si = 2 * n
+    for i, (coeffs, rel, b) in enumerate(system):
+        if rel == GE:
+            coeffs, b = [-c for c in coeffs], -b
+        row = coeffs + [-c for c in coeffs] + [0] * (num_slack + m) + [b]
+        if rel != EQ:
+            row[si] = 1
             si += 1
-        row[art_at + i] = Fraction(1)
-        row[total] = rhs[i]
-        if rhs[i] < 0:
+        if b < 0:
             row = [-c for c in row]
-            row[art_at + i] = Fraction(1)  # keep the artificial usable
-        tableau.append(row)
-        basis.append(art_at + i)
+        row[art_at + i] = 1
+        rows.append(row)
+    basis = list(range(art_at, total))
+    basic = [False] * art_at + [True] * m
+    d = 1
 
-    # Phase 1: minimize the sum of artificials.
-    cost1 = [Fraction(0)] * total
-    for i in range(m):
-        cost1[art_at + i] = Fraction(-1)  # maximize -(sum of artificials)
-    status = _simplex(tableau, basis, cost1, total)
-    assert status == "optimal"  # phase 1 is always bounded
-    phase1 = sum(tableau[i][total] for i in range(m) if basis[i] >= art_at)
-    if phase1 != 0:
+    # Phase 1: maximize -(sum of artificials).  The last row holds the
+    # reduced costs times d; at the artificial basis that is the column
+    # sums, less 1 in every artificial column.
+    phase1 = [sum(col) for col in zip(*rows)] if rows else [0] * (total + 1)
+    for j in range(art_at, total):
+        phase1[j] -= 1
+    rows.append(phase1)
+    status, d = _simplex(rows, basis, basic, d)
+    if status != "optimal":
+        raise InternalError("phase 1 of the simplex is unbounded")
+    if sum(rows[i][-1] for i in range(m) if basis[i] >= art_at) != 0:
         return LpResult("infeasible")
     # Pivot remaining artificials out of the basis where possible.
     for i in range(m):
         if basis[i] >= art_at:
-            for j in range(art_at):
-                if tableau[i][j] != 0:
-                    _pivot(tableau, basis, i, j)
-                    break
-    # Phase 2: the artificials are frozen at zero.
-    cost2 = [Fraction(0)] * total
-    for j in range(n):
-        cost2[j] = obj[j]
-        cost2[n + j] = -obj[j]
-    status = _simplex(tableau, basis, cost2, total, forbidden_from=art_at)
+            j = next((j for j in range(art_at) if rows[i][j] != 0), None)
+            if j is not None:
+                d = _pivot(rows, basis, basic, d, i, j)
+
+    # Phase 2: drop the artificial columns (they stay at zero) and the
+    # phase-1 cost row; the new cost row is d * c - c_B . N, with the
+    # objective c scaled to integers.
+    obj_scale = lcm(1, *(o.denominator for o in objective))
+    cost = _scaled(objective, obj_scale)
+    cost += [-c for c in cost] + [0] * num_slack
+    rows = [row[:art_at] + row[-1:] for row in rows[:m]]
+    phase2 = [d * c for c in cost] + [0]
+    for row, bj in zip(rows, basis):
+        cb = cost[bj] if bj < art_at else 0
+        if cb:
+            phase2 = [z - cb * a for z, a in zip(phase2, row)]
+    rows.append(phase2)
+    status, d = _simplex(rows, basis, basic, d)
     if status == "unbounded":
         return LpResult("unbounded")
-    solution = [Fraction(0)] * total
-    for i, bj in enumerate(basis):
-        solution[bj] = tableau[i][total]
-    point = tuple(solution[j] - solution[n + j] for j in range(n))
-    value = sum(o * p for o, p in zip(obj, point))
-    # Exactness check: the point satisfies every constraint.
-    for coeffs, rel, b in constraints:
-        lhs = sum(Fraction(c) * p for c, p in zip(coeffs, point))
-        bb = Fraction(b)
-        if rel == LE:
-            assert lhs <= bb
-        elif rel == GE:
-            assert lhs >= bb
-        else:
-            assert lhs == bb
-    return LpResult("optimal", value, point)
+
+    values = [0] * art_at
+    for row, bj in zip(rows, basis):
+        if bj < art_at:
+            values[bj] = row[-1]
+    x = [values[j] - values[n + j] for j in range(n)]
+    # Exactness check, in integers: (L a) . (d x) against (L b) d.
+    for coeffs, rel, b in system:
+        lhs = sum(c * v for c, v in zip(coeffs, x))
+        rhs = b * d
+        if not (lhs <= rhs if rel == LE else lhs >= rhs if rel == GE else lhs == rhs):
+            raise InternalError(f"simplex point violates a constraint {rel} {Fraction(b, scale)}")
+    value = Fraction(sum(c * v for c, v in zip(cost, x)), obj_scale * d)
+    return LpResult("optimal", value, tuple(Fraction(v, d) for v in x))
 
 
 def _simplex(
-    tableau: list[list[Fraction]],
-    basis: list[int],
-    cost: list[Fraction],
-    total: int,
-    forbidden_from: Optional[int] = None,
-) -> str:
-    """Primal simplex on a tableau in canonical form; Bland's rule."""
-    m = len(tableau)
+    rows: list[list[int]], basis: list[int], basic: list[bool], d: int
+) -> tuple[str, int]:
+    """Primal simplex with Bland's rule on an integer tableau over ``d``.
+
+    The last row is the reduced-cost row times ``d``; only its signs
+    are read.  Returns the status and the final common denominator.
+    """
+    m = len(rows) - 1
+    columns = len(rows[0]) - 1
     while True:
-        # Reduced costs.
-        reduced = list(cost)
-        shift = Fraction(0)
-        for i, bj in enumerate(basis):
-            cb = cost[bj]
-            if cb != 0:
-                for j in range(total):
-                    reduced[j] -= cb * tableau[i][j]
-                shift += cb * tableau[i][total]
-        entering = -1
-        for j in range(total):
-            if forbidden_from is not None and j >= forbidden_from:
-                continue
-            if j in basis:
-                continue
-            if reduced[j] > 0:
-                entering = j
-                break
+        reduced = rows[m]
+        entering = next(
+            (j for j in range(columns) if reduced[j] > 0 and not basic[j]), -1
+        )
         if entering < 0:
-            return "optimal"
+            return "optimal", d
+        # Ratio test by cross-multiplication (every compared entry is
+        # positive); ties go to the smaller basis index.
         leaving = -1
-        best = None
         for i in range(m):
-            if tableau[i][entering] > 0:
-                ratio = tableau[i][total] / tableau[i][entering]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
+            a = rows[i][entering]
+            if a > 0:
+                v = rows[i][-1]
+                if leaving < 0:
+                    leaving, best_v, best_a = i, v, a
+                    continue
+                lhs, rhs = v * best_a, best_v * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving, best_v, best_a = i, v, a
         if leaving < 0:
-            return "unbounded"
-        _pivot(tableau, basis, leaving, entering)
+            return "unbounded", d
+        d = _pivot(rows, basis, basic, d, leaving, entering)
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [c / piv for c in tableau[row]]
-    for i in range(len(tableau)):
-        if i != row and tableau[i][col] != 0:
-            f = tableau[i][col]
-            tableau[i] = [c - f * r for c, r in zip(tableau[i], tableau[row])]
+def _pivot(
+    rows: list[list[int]], basis: list[int], basic: list[bool], d: int, row: int, col: int
+) -> int:
+    """Fraction-free Gauss-Jordan pivot; returns the new denominator.
+
+    Every other row becomes ``(a * p - f * r) / d`` (Edmonds' form of
+    Bareiss elimination, exact because every entry is, up to sign, a
+    minor of the starting matrix), and the pivot entry ``p`` becomes
+    the common denominator.  A negative pivot negates its row first, so the
+    denominator stays positive.
+    """
+    pr = rows[row]
+    p = pr[col]
+    if p < 0:
+        pr = rows[row] = [-v for v in pr]
+        p = -p
+    pr_sum = sum(pr)
+    for i, r in enumerate(rows):
+        if i == row:
+            continue
+        f = r[col]
+        if f:
+            new = [(a * p - f * b) // d for a, b in zip(r, pr)]
+            expected = p * sum(r) - f * pr_sum
+        elif p != d:
+            new = [a * p // d for a in r]
+            expected = p * sum(r)
+        else:
+            continue
+        # Each floor division leaves a remainder in [0, d), so the sums
+        # agree exactly when every division was exact.
+        if d * sum(new) != expected:
+            raise InternalError("inexact division in a fraction-free pivot")
+        rows[i] = new
+    basic[basis[row]] = False
+    basic[col] = True
     basis[row] = col
+    return p

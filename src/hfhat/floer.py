@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .diagram import HeegaardDiagram, quadrants, validate
-from .domains import Domain, UnboundedEnumeration, positive_domains
+from .domains import Domain, UnboundedEnumeration, _weak_witness, positive_domains
+from .exactla import InternalError
 from .generators import Generator
 from .measures import maslov_index
 from .spinc import SpincClass, spinc_partition
@@ -157,18 +158,31 @@ def differential(
     """F2 boundary matrix of one Spin^c class with its audit trail.
 
     Entry (y, x) counts the rigid index-1 positive n_z = 0 domains from
-    x to y mod 2.  Raises NotCombinatorial when any such domain is not
-    rigid, and propagates UnboundedEnumeration from the domain solver.
+    x to y mod 2.  Only pairs with gr(x) - gr(y) = 1 (mod the divisor)
+    are enumerated: such a domain has index 1, and gradings are
+    relative Maslov indices, so every other pair has none.  Raises
+    NotCombinatorial when any such domain is not rigid.  A class with
+    two or more generators on a diagram that is not weakly admissible
+    raises UnboundedEnumeration with the periodic witness, before any
+    pair is enumerated.
     ``threads`` is accepted for compatibility and ignored: the work is
     pure Python, so worker threads only added contention.
     """
     order = c.members
     idx = {g: i for i, g in enumerate(order)}
+    gradings = dict(c.gradings)
     counted_tags = (BIGON,) if strict_rectangles else (BIGON, RECTANGLE)
     matrix = [[0] * len(order) for _ in order]
     audit = []
     offenders = []
+    if len(order) > 1:
+        witness = _weak_witness(d)
+        if witness is not None:
+            raise UnboundedEnumeration(witness)
     for x, y in permutations(order, 2):
+        drop = gradings[x] - gradings[y] - 1
+        if (drop % c.divisor if c.divisor > 0 else drop) != 0:
+            continue
         for dom in positive_domains(d, x, y, 1, 0):
             shape = classify_rigid(d, dom)
             if shape.tag in counted_tags:
@@ -178,14 +192,6 @@ def differential(
                 offenders.append((x, y, dom, shape))
     if offenders:
         raise NotCombinatorial(offenders)
-
-    gradings = dict(c.gradings)
-    for x, y, dom, _ in audit:
-        drop = gradings[x] - gradings[y]
-        if c.divisor > 0:
-            assert drop % c.divisor == 1 % c.divisor
-        else:
-            assert drop == 1
     mat = tuple(tuple(row) for row in matrix)
     _assert_d_squared_zero(mat)
     return GradedComplex(c, order, mat, tuple(audit))
@@ -198,7 +204,8 @@ def _assert_d_squared_zero(matrix: tuple[tuple[int, ...], ...]) -> None:
             acc = 0
             for k in range(n):
                 acc ^= matrix[i][k] & matrix[k][j]
-            assert acc == 0, "d^2 != 0 over F2"
+            if acc:
+                raise InternalError(f"d^2 != 0 over F2 at entry ({i}, {j})")
 
 
 def _gf2_rank(rows: list[list[int]]) -> int:

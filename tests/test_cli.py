@@ -140,11 +140,20 @@ def test_corpus_kwargs_flags(write_corpus, tmp_path):
     assert f.read_bytes() == write_corpus("lens(5,2)").read_bytes()
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path, capsys):
     assert run(["frobnicate"]) == 4
     assert run([]) == 4
     assert run(["homology"]) == 4
     assert run(["corpus", "s3_g1"]) == 4  # missing -o
+    capsys.readouterr()
+    assert run(["corpus", "lens", "-p", "70", "-q", "3", "-o", str(tmp_path / "x.hfd")]) == 4
+    assert "p=70" in capsys.readouterr().err
+
+
+def test_admissible_class_out_of_range(write_corpus, capsys):
+    f = write_corpus("s1s2_g1")
+    assert run(["admissible", str(f), "--class", "9"]) == 4
+    assert "out of range 0..0" in capsys.readouterr().err
 
 
 def test_missing_file_exits_1(capsys):

@@ -55,6 +55,29 @@ def test_hfd_rejects_bad_dir():
         parse_hfd(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("genus",),
+        ("basepoint_region",),
+        ("regions", 0, "genus"),
+        ("regions", 0, "boundary", 0, 0, "index"),
+        ("regions", 0, "boundary", 0, 0, "arc"),
+        ("regions", 0, "boundary", 0, 0, "dir"),
+    ],
+    ids=lambda path: ".".join(map(str, path)),
+)
+@pytest.mark.parametrize("value", [True, False])
+def test_hfd_rejects_booleans_as_integers(path, value):
+    doc = json.loads(serialize_hfd(build("s3_g1")))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(HFDFormatError):
+        parse_hfd(json.dumps(doc))
+
+
 def test_hfd_rejects_truncated_text():
     with pytest.raises(HFDFormatError):
         parse_hfd('{"genus": 1')

@@ -235,3 +235,170 @@ def test_lp_random_against_scipy():
                 assert lhs <= rhs if rel == LE else lhs >= rhs
             checked += 1
     assert checked > 10
+
+
+# ---------------------------------------------------------------------------
+# Reference simplex: the rational tableau that lp_optimize's integer tableau
+# replaced.  Same two phases, same Bland's rule, Fraction arithmetic.
+# ---------------------------------------------------------------------------
+
+
+def _reference_lp(objective, constraints):
+    n = len(objective)
+    obj = [Fraction(c) for c in objective]
+    rows, rhs, slack_signs = [], [], []
+    for coeffs, rel, b in constraints:
+        row = [Fraction(c) for c in coeffs]
+        bb = Fraction(b)
+        if rel == GE:
+            row, bb, rel = [-c for c in row], -bb, LE
+        slack_signs.append(1 if rel == LE else 0)
+        rows.append(row)
+        rhs.append(bb)
+    m = len(rows)
+    num_slack = sum(slack_signs)
+    total = 2 * n + num_slack + m
+    slack_at, art_at = 2 * n, 2 * n + num_slack
+    tableau, basis, si = [], [], 0
+    for i in range(m):
+        row = [Fraction(0)] * (total + 1)
+        for j in range(n):
+            row[j] = rows[i][j]
+            row[n + j] = -rows[i][j]
+        if slack_signs[i]:
+            row[slack_at + si] = Fraction(1)
+            si += 1
+        row[total] = rhs[i]
+        if rhs[i] < 0:
+            row = [-c for c in row]
+        row[art_at + i] = Fraction(1)
+        tableau.append(row)
+        basis.append(art_at + i)
+    cost1 = [Fraction(0)] * art_at + [Fraction(-1)] * m
+    assert _reference_simplex(tableau, basis, cost1, total) == "optimal"
+    if sum(tableau[i][total] for i in range(m) if basis[i] >= art_at) != 0:
+        return "infeasible", None, None
+    for i in range(m):
+        if basis[i] >= art_at:
+            for j in range(art_at):
+                if tableau[i][j] != 0:
+                    _reference_pivot(tableau, basis, i, j)
+                    break
+    cost2 = obj + [-c for c in obj] + [Fraction(0)] * (num_slack + m)
+    if _reference_simplex(tableau, basis, cost2, total, art_at) == "unbounded":
+        return "unbounded", None, None
+    solution = [Fraction(0)] * total
+    for i, bj in enumerate(basis):
+        solution[bj] = tableau[i][total]
+    point = tuple(solution[j] - solution[n + j] for j in range(n))
+    return "optimal", sum(o * p for o, p in zip(obj, point)), point
+
+
+def _reference_simplex(tableau, basis, cost, total, forbidden_from=None):
+    m = len(tableau)
+    while True:
+        reduced = list(cost)
+        for i, bj in enumerate(basis):
+            if cost[bj] != 0:
+                for j in range(total):
+                    reduced[j] -= cost[bj] * tableau[i][j]
+        entering = next(
+            (
+                j
+                for j in range(total if forbidden_from is None else forbidden_from)
+                if j not in basis and reduced[j] > 0
+            ),
+            -1,
+        )
+        if entering < 0:
+            return "optimal"
+        leaving, best = -1, None
+        for i in range(m):
+            if tableau[i][entering] > 0:
+                ratio = tableau[i][total] / tableau[i][entering]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best, leaving = ratio, i
+        if leaving < 0:
+            return "unbounded"
+        _reference_pivot(tableau, basis, leaving, entering)
+
+
+def _reference_pivot(tableau, basis, row, col):
+    piv = tableau[row][col]
+    tableau[row] = [c / piv for c in tableau[row]]
+    for i in range(len(tableau)):
+        if i != row and tableau[i][col] != 0:
+            f = tableau[i][col]
+            tableau[i] = [c - f * r for c, r in zip(tableau[i], tableau[row])]
+    basis[row] = col
+
+
+# Draws for the reference-simplex cases, kept apart so RNG's sequence is unchanged.
+LP_RNG = random.Random(20261018)
+
+
+def _lp_entry(zero=0.3):
+    if LP_RNG.random() < zero:
+        return 0
+    v = LP_RNG.randint(-4, 4)
+    return Fraction(v, LP_RNG.randint(1, 6)) if LP_RNG.random() < 0.4 else v
+
+
+@pytest.mark.parametrize("size", [(3, 5), (6, 12), (10, 21)])
+def test_lp_matches_reference_simplex(size):
+    """Same status, value and point as the rational tableau, on LPs with
+    fractional data, equality rows (duplicated, so an artificial is
+    pivoted out), zero right-hand sides, and boxed or free variables."""
+    max_vars, max_rows = size
+    statuses = set()
+    for _ in range(40):
+        n = LP_RNG.randint(1, max_vars)
+        obj = [_lp_entry() for _ in range(n)]
+        cons = []
+        while len(cons) < LP_RNG.randint(1, max_rows):
+            rel = LP_RNG.choice([LE, GE, EQ])
+            row = [_lp_entry() for _ in range(n)]
+            b = 0 if LP_RNG.random() < 0.3 else _lp_entry(0)
+            cons.append((row, rel, b))
+            if rel == EQ and LP_RNG.random() < 0.3:
+                cons.append((row, EQ, b))
+        if LP_RNG.random() < 0.5:
+            for i in range(n):
+                unit = [0] * n
+                unit[i] = 1
+                cons += [(unit, LE, LP_RNG.randint(0, 5)), (unit, GE, -LP_RNG.randint(0, 5))]
+        res = lp_optimize(obj, cons)
+        assert (res.status, res.value, res.point) == _reference_lp(obj, cons)
+        statuses.add(res.status)
+    assert statuses == {"optimal", "unbounded", "infeasible"}
+
+
+def test_lp_certificate_shape_matches_reference():
+    """An area-certificate LP: equalities with a half-integer right-hand
+    side, one total-area row, and the margin variable m <= a_i <= 1."""
+    for _ in range(3):
+        regions = 9
+        cons = []
+        for _ in range(LP_RNG.randint(1, 3)):
+            vec = [LP_RNG.randint(-2, 2) for _ in range(regions)]
+            cons.append((vec + [0], EQ, Fraction(LP_RNG.randint(-3, 3), 2)))
+        cons.append(([1] * regions + [0], EQ, 1))
+        for i in range(regions):
+            gap = [0] * (regions + 1)
+            gap[i], gap[regions] = 1, -1
+            cap = [0] * (regions + 1)
+            cap[i] = 1
+            cons += [(gap, GE, 0), (cap, LE, 1)]
+        obj = [0] * regions + [1]
+        res = lp_optimize(obj, cons)
+        assert (res.status, res.value, res.point) == _reference_lp(obj, cons)
+
+
+def test_pivot_rejects_inexact_division():
+    from hfhat.exactla import InternalError, _pivot
+
+    # Over d = 3 these rows are no tableau of integer minors: 1 * 1 - 1 * 0
+    # is not divisible by 3.
+    rows = [[1, 0], [1, 1], [0, 0]]
+    with pytest.raises(InternalError):
+        _pivot(rows, [0, 1], [True, True], 3, 0, 0)

@@ -1,5 +1,12 @@
 """Rigid-shape classification, the F2 differential, and homology."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+from itertools import permutations
+from pathlib import Path
+
 import pytest
 
 from hfhat import (
@@ -14,9 +21,10 @@ from hfhat import (
     stabilize,
 )
 from hfhat.corpus import build
+from hfhat.domains import _weak_witness
 from hfhat.floer import BIGON, RECTANGLE
 
-from conftest import gen, rectangle_diagram
+from conftest import SMALL_NAMES, gen, rectangle_diagram
 
 
 def test_s1s2_g1_bigons():
@@ -107,8 +115,6 @@ def test_gsph_homology(g):
 
 
 def test_homology_requires_valid_diagram():
-    import dataclasses
-
     d = build("s3_g1")
     with pytest.raises(ValueError):
         homology(dataclasses.replace(d, basepoint=3))
@@ -136,3 +142,52 @@ def test_stabilize_preserves_homology():
         base = [(r.ranks, r.total) for r in homology(d)]
         once = stabilize(d)
         assert [(r.ranks, r.total) for r in homology(once)] == base
+
+
+@pytest.mark.parametrize("name", SMALL_NAMES)
+def test_grading_prune_skips_only_empty_pairs(name, corpus_small):
+    """differential enumerates only pairs with gr(x) - gr(y) = 1 (mod the
+    divisor); every pair it skips has no index-1, n_z = 0 positive domain."""
+    d = corpus_small[name]
+    witness = _weak_witness(d)
+    for c in spinc_partition(d):
+        gradings = dict(c.gradings)
+        for x, y in permutations(c.members, 2):
+            drop = gradings[x] - gradings[y] - 1
+            if (drop % c.divisor if c.divisor > 0 else drop) == 0:
+                continue
+            if witness is None:
+                assert positive_domains(d, x, y, 1, 0) == []
+            else:
+                with pytest.raises(UnboundedEnumeration):
+                    positive_domains(d, x, y, 1, 0)
+
+
+@pytest.mark.parametrize("name", ["s1s2_bad", "s1s2_wind"])
+def test_inadmissible_class_raises_before_pruning(name):
+    """A class of two or more generators refuses with the diagram's weak
+    witness, also when flattened gradings make the prune skip every pair."""
+    d = build(name)
+    for c in spinc_partition(d):
+        assert len(c.members) >= 2
+        flat = dataclasses.replace(c, gradings=tuple((g, 0) for g in c.members))
+        for cls in (c, flat):
+            with pytest.raises(UnboundedEnumeration) as exc:
+                differential(d, cls)
+            assert exc.value.witness == _weak_witness(d)
+
+
+def test_d_squared_check_survives_optimize():
+    """Under python -O the d^2 = 0 check still raises."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from hfhat.floer import _assert_d_squared_zero\n"
+        "from hfhat import InternalError\n"
+        "try:\n"
+        "    _assert_d_squared_zero(((0, 1), (1, 0)))\n"
+        "except InternalError:\n"
+        "    raise SystemExit(7)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
+    assert proc.returncode == 7, proc.stderr.decode()
