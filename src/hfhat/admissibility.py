@@ -14,6 +14,11 @@ rational area vector giving every basis element zero signed area (weak)
 or signed area equal to half its Chern pairing with total area one
 (strong).  Certificates and witnesses are verified exactly before being
 returned.
+
+Both criteria see a Spin^c class only through its Chern pairings on the
+periodic basis, so every verdict and certificate is built once per
+diagram object and pairing vector, and classes with equal pairings
+share it.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .diagram import HeegaardDiagram
+from .diagram import HeegaardDiagram, derived
 from .domains import _integer_direction, _weak_witness, periodic_lattice, recession_direction
-from .exactla import EQ, GE, LE, lp_optimize, vanishing_sublattice
+from .exactla import EQ, GE, LE, InternalError, lp_optimize, vanishing_sublattice
 from .measures import chern_pairing
 from .spinc import SpincClass
 
@@ -45,14 +50,25 @@ class AdmissibilityReport:
     certificate: Optional[tuple[Fraction, ...]] = None
 
 
+def _pairings(
+    d: HeegaardDiagram, c: Optional[SpincClass]
+) -> Optional[tuple[int, ...]]:
+    """What the admissibility questions see of a class: its Chern
+    pairings on the periodic basis (``None`` for the class-free weak
+    question)."""
+    if c is None:
+        return None
+    x = c.members[0]
+    return tuple(chern_pairing(d, x, vec) for vec in periodic_lattice(d).basis)
+
+
+@derived
 def _chern_zero_basis(
-    d: HeegaardDiagram, c: SpincClass
-) -> list[tuple[int, ...]]:
+    d: HeegaardDiagram, pairings: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
     """Basis of the sublattice of periodic domains with zero pairing."""
     basis = periodic_lattice(d).basis
-    x = c.members[0]
-    pairings = [chern_pairing(d, x, vec) for vec in basis]
-    return [tuple(v) for v in vanishing_sublattice(basis, pairings)]
+    return tuple(tuple(v) for v in vanishing_sublattice(basis, pairings))
 
 
 def weak_admissible(
@@ -62,9 +78,20 @@ def weak_admissible(
 
     Without a class the whole n_z = 0 lattice is constrained (weak
     admissibility for every Spin^c structure at once); with a class
-    only the zero-pairing sublattice is.
+    only the zero-pairing sublattice is.  Decided once per diagram
+    object and pairing vector.
     """
-    witness = _weak_witness(d) if c is None else recession_direction(_chern_zero_basis(d, c))
+    return _weak_report(d, _pairings(d, c))
+
+
+@derived
+def _weak_report(
+    d: HeegaardDiagram, pairings: Optional[tuple[int, ...]]
+) -> AdmissibilityReport:
+    if pairings is None:
+        witness = _weak_witness(d)
+    else:
+        witness = recession_direction(_chern_zero_basis(d, pairings))
     if witness is None:
         return AdmissibilityReport("weak", True)
     return AdmissibilityReport("weak", False, witness=witness)
@@ -76,29 +103,35 @@ def strong_admissible(d: HeegaardDiagram, c: SpincClass) -> AdmissibilityReport:
     Scale-normalized to pairing exactly 2 and coefficients <= 1 over
     the real span; the zero-pairing sublattice is additionally held to
     the weak criterion, and a failure of either yields the witness.
+    Decided once per diagram object and pairing vector.
     """
-    weak_part = weak_admissible(d, c)
+    return _strong_report(d, _pairings(d, c))
+
+
+@derived
+def _strong_report(d: HeegaardDiagram, pairings: tuple[int, ...]) -> AdmissibilityReport:
+    weak_part = _weak_report(d, pairings)
     if not weak_part.verdict:
         return AdmissibilityReport("strong", False, witness=weak_part.witness)
     basis = periodic_lattice(d).basis
     if not basis:
         return AdmissibilityReport("strong", True)
-    x = c.members[0]
-    chern = [chern_pairing(d, x, vec) for vec in basis]
     n = len(basis[0])
     r = len(basis)
-    constraints = [(chern, EQ, 2)]
+    constraints = [(pairings, EQ, 2)]
     for i in range(n):
         constraints.append(([vec[i] for vec in basis], LE, 1))
     res = lp_optimize([0] * r, constraints)
     if not res.optimal:
         return AdmissibilityReport("strong", True)
-    witness = _integer_direction(basis, res.point)
-    # Scaling by the common denominator keeps the violation: the
-    # witness has pairing 2m with every coefficient <= m.
-    pairing = chern_pairing(d, x, witness)
-    assert pairing > 0 and pairing % 2 == 0
-    assert max(witness) <= pairing // 2
+    # The pairing rides along as one more coordinate, so clearing
+    # denominators scales it with the witness and keeps the violation:
+    # the witness has pairing 2m with every coefficient <= m.
+    augmented = [vec + (p,) for vec, p in zip(basis, pairings)]
+    *coefficients, pairing = _integer_direction(augmented, res.point)
+    witness = tuple(coefficients)
+    if pairing <= 0 or pairing % 2 or max(witness) > pairing // 2:
+        raise InternalError(f"strong witness {witness} with pairing {pairing} is no violation")
     return AdmissibilityReport("strong", False, witness=witness)
 
 
@@ -110,26 +143,35 @@ def area_certificate(
     mode "weak": a . P = 0 for every (class-restricted) basis element.
     mode "strong" (requires a class): a . P = <c_1, P>/2 for every basis
     element and a . [Sigma] = 1.  Raises NotAdmissible when the verdict
-    is false.
+    is false.  Built and verified once per diagram object, mode and
+    pairing vector.
     """
     if mode not in ("weak", "strong"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "strong" and c is None:
         raise ValueError("strong certificates require a Spin^c class")
-    report = weak_admissible(d, c) if mode == "weak" else strong_admissible(d, c)
+    return _certificate(d, mode, _pairings(d, c))
+
+
+@derived
+def _certificate(
+    d: HeegaardDiagram, mode: str, pairings: Optional[tuple[int, ...]]
+) -> tuple[Fraction, ...]:
+    if mode == "weak":
+        report = _weak_report(d, pairings)
+    else:
+        report = _strong_report(d, pairings)
     if not report.verdict:
         raise NotAdmissible(report.witness)
     n = len(d.regions)
     if mode == "weak":
         basis: Sequence[Sequence[int]] = (
-            _chern_zero_basis(d, c) if c is not None else periodic_lattice(d).basis
+            _chern_zero_basis(d, pairings) if pairings is not None else periodic_lattice(d).basis
         )
         equalities = [(vec, EQ, 0) for vec in basis]
     else:
-        basis = periodic_lattice(d).basis
-        x = c.members[0]
         equalities = [
-            (vec, EQ, Fraction(chern_pairing(d, x, vec), 2)) for vec in basis
+            (vec, EQ, Fraction(p, 2)) for vec, p in zip(periodic_lattice(d).basis, pairings)
         ]
         equalities.append(([1] * n, EQ, 1))
     # Variables: areas a_0..a_{n-1} and the margin m; maximize m with
@@ -151,8 +193,9 @@ def area_certificate(
     if not res.optimal or res.value <= 0:
         raise NotAdmissible(report.witness or tuple([0] * n))
     areas = tuple(res.point[:n])
-    assert all(a > 0 for a in areas)
-    for row, rel, rhs in equalities:
-        lhs = sum(Fraction(cf) * a for cf, a in zip(row, areas))
-        assert lhs == rhs
+    if any(a <= 0 for a in areas):
+        raise InternalError(f"area certificate {areas} is not strictly positive")
+    for row, _, rhs in equalities:
+        if sum(Fraction(cf) * a for cf, a in zip(row, areas)) != rhs:
+            raise InternalError(f"area certificate {areas} gives {row} an area other than {rhs}")
     return areas

@@ -95,20 +95,27 @@ class HeegaardDiagram:
         return curve[ref.arc], curve[(ref.arc + 1) % len(curve)]
 
 
-def derived(build: Callable[[HeegaardDiagram], T]) -> Callable[[HeegaardDiagram], T]:
-    """Decorator: ``build(d)`` runs at most once per diagram object.
+def derived(build: Callable[..., T]) -> Callable[..., T]:
+    """Decorator: ``build(d, *key)`` runs at most once per diagram object
+    and key.
 
-    The result is stored on ``d`` and freed with it.  This is how the
-    validation report, quadrant map, factored boundary system, periodic
-    lattice and weak witness are kept.
+    The key is whatever hashable arguments follow ``d``; most derived
+    data takes none.  The result is stored on ``d`` and freed with it;
+    a call that raises stores nothing.  This is how the validation
+    report, quadrant map, factored boundary system, periodic lattice
+    and weak witness are kept, and, keyed, the positive lattice points
+    per starting domain and the admissibility verdicts and certificates
+    per Chern pairing vector.
     """
 
     @wraps(build)
-    def get(d: HeegaardDiagram) -> T:
-        store = d._derived
-        if build not in store:
-            store[build] = build(d)
-        return store[build]
+    def get(d: HeegaardDiagram, *key) -> T:
+        slot = (build, *key) if key else build
+        try:
+            return d._derived[slot]
+        except KeyError:
+            value = d._derived[slot] = build(d, *key)
+            return value
 
     return get
 

@@ -12,10 +12,10 @@ remainder is canonical modulo the column lattice of ``A``.
 The kernel of that system splits as (periodic lattice with n_z = 0)
 plus the fundamental class [Sigma] (all coefficients 1), split off by
 n_z.  Positive domains of a prescribed index and n_z are enumerated by
-walking the integer points of the polytope D0 + lattice >= 0, with
-exact-LP bounds certifying completeness; an unbounded polytope is
-reported as an error naming a recession direction, which is precisely a
-failure of weak admissibility.
+walking the integer points of the polytope D0 + lattice >= 0 (once per
+diagram object and D0), with exact-LP bounds certifying completeness;
+an unbounded polytope is reported as an error naming a recession
+direction, which is precisely a failure of weak admissibility.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .diagram import ALPHA, HeegaardDiagram, derived, validate
-from .exactla import EQ, GE, hermite_normal_form, hermite_reduce, kernel_basis, lp_optimize
-from .exactla import mat_vec, vanishing_sublattice
+from .exactla import EQ, GE, InternalError, hermite_normal_form, hermite_reduce, kernel_basis
+from .exactla import lp_optimize, mat_vec, vanishing_sublattice
 from .generators import Generator
 
 
@@ -145,13 +145,11 @@ def _connecting_rhs(d: HeegaardDiagram, x: Generator, y: Generator) -> list[int]
 
 
 def _assert_mirror(d: HeegaardDiagram, dom: Domain) -> None:
-    sys = boundary_system(d)
-    cx = _chain(sys.points, dom.from_gen)
-    cy = _chain(sys.points, dom.to_gen)
-    for row, want in zip(sys.l_alpha, (b - a for a, b in zip(cx, cy))):
-        assert sum(r * c for r, c in zip(row, dom.coefficients)) == want
-    for row, want in zip(sys.l_beta, (a - b for a, b in zip(cx, cy))):
-        assert sum(r * c for r, c in zip(row, dom.coefficients)) == want
+    """Raise InternalError unless ``dom``'s alpha and beta boundaries
+    are ``to - from`` and ``from - to``."""
+    a = _factored(d)[0]
+    if mat_vec(a, dom.coefficients) != _connecting_rhs(d, dom.from_gen, dom.to_gen):
+        raise InternalError(f"domain {dom.coefficients} has the wrong boundary")
 
 
 def connecting_domain(
@@ -217,7 +215,8 @@ def recession_direction(
     if not res.optimal:
         return None
     witness = _integer_direction(basis, res.point)
-    assert all(w >= 0 for w in witness) and any(w > 0 for w in witness)
+    if any(w < 0 for w in witness) or not any(witness):
+        raise InternalError(f"recession direction {witness} is not nonnegative and nonzero")
     return witness
 
 
@@ -234,12 +233,22 @@ def _positive_solutions(
     dom = connecting_domain(d, x, y)
     if dom is None:
         return ()
-    d0 = [c + nz for c in dom.coefficients]
+    return _lattice_points(d, tuple(c + nz for c in dom.coefficients))
 
+
+@derived
+def _lattice_points(
+    d: HeegaardDiagram, d0: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """All nonnegative points of ``d0 + span(periodic basis)``, sorted.
+
+    They depend on the pair (x, y) only through the starting domain
+    ``d0``, so pairs whose connecting domains coincide share one sweep.
+    """
     basis = periodic_lattice(d).basis
     if not basis:
         if all(c >= 0 for c in d0):
-            return (tuple(d0),)
+            return (d0,)
         return ()
 
     witness = _weak_witness(d)
@@ -265,7 +274,8 @@ def _positive_solutions(
             else:
                 cand = math.floor(Fraction(-base, coef))
                 high = cand if high is None else min(high, cand)
-        assert low is not None and high is not None  # bounded polytope
+        if low is None or high is None:
+            raise InternalError("positive-domain polytope is unbounded along the last basis vector")
         if low > high:
             return None
         return low, high
@@ -285,10 +295,12 @@ def _positive_solutions(
         hi = lp_optimize(obj, constraints)
         if hi.status == "infeasible":
             return None
-        assert hi.optimal  # bounded: no recession direction exists
+        if not hi.optimal:
+            raise InternalError(f"bounding LP is {hi.status} with no recession direction")
         obj[coord] = -1
         lo = lp_optimize(obj, constraints)
-        assert lo.optimal
+        if not lo.optimal:
+            raise InternalError(f"bounding LP is {lo.status} with no recession direction")
         return math.ceil(-lo.value), math.floor(hi.value)
 
     def sweep(fixed: list[int]) -> None:
@@ -326,7 +338,8 @@ def positive_domains(
     direction (checked first, by one exact LP per diagram) makes the
     positive polytope compact, and per-coordinate LP bounds with
     depth-first re-tightening sweep every integer point.  Raises
-    UnboundedEnumeration otherwise.
+    UnboundedEnumeration otherwise.  The sweep runs once per diagram
+    object and starting domain ``D0 + n_z [Sigma]``.
     """
     from .measures import maslov_index
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .diagram import HeegaardDiagram, quadrants
+from .diagram import HeegaardDiagram, derived, quadrants
 from .domains import Domain
 from .generators import Generator
 
@@ -63,14 +63,27 @@ def basepoint_multiplicity(d: HeegaardDiagram, D: CoeffsLike) -> int:
     return _coeffs(D)[d.basepoint]
 
 
+@derived
+def _quarter_euler(d: HeegaardDiagram) -> tuple[int, ...]:
+    """``4 e(D_i) = 4 chi(D_i) - corners(D_i)`` for each region."""
+    return tuple(4 * r.euler_char - r.corner_count for r in d.regions)
+
+
 def maslov_index(d: HeegaardDiagram, D: Domain) -> int:
-    """e + n_from + n_to; raises NonIntegralMeasure on corrupt data."""
-    value = (
-        euler_measure(d, D)
-        + generator_measure(d, D, D.from_gen)
-        + generator_measure(d, D, D.to_gen)
-    )
-    return _as_int(value, "maslov index")
+    """e + n_from + n_to; raises NonIntegralMeasure on corrupt data.
+
+    Summed in integers as ``4 ind = sum_i n_i (4 chi(D_i) - corners(D_i))``
+    plus the four quadrant coefficients at each point of from and to.
+    """
+    coeffs = D.coefficients
+    corners = quadrants(d).corners
+    total = sum(n * w for n, w in zip(coeffs, _quarter_euler(d)))
+    for p in D.from_gen.points + D.to_gen.points:
+        q0, q1, q2, q3 = corners[p]
+        total += coeffs[q0] + coeffs[q1] + coeffs[q2] + coeffs[q3]
+    if total % 4:
+        raise NonIntegralMeasure(f"maslov index = {Fraction(total, 4)} is not an integer")
+    return total // 4
 
 
 def embedded_euler_char(d: HeegaardDiagram, D: Domain) -> int:

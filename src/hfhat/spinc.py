@@ -22,7 +22,7 @@ from math import gcd
 from .diagram import HeegaardDiagram
 from .domains import _connecting_rhs, _factored, _stacked_chain, connecting_domain
 from .domains import periodic_lattice
-from .exactla import hermite_reduce, mat_vec, smith_normal_form
+from .exactla import InternalError, hermite_reduce, mat_vec, smith_normal_form
 from .generators import Generator, enumerate_generators
 from .measures import chern_pairing, maslov_index
 
@@ -69,7 +69,8 @@ def _gradings(
     raw = {}
     for x in members:
         dom = connecting_domain(d, x, base)
-        assert dom is not None
+        if dom is None:
+            raise InternalError(f"no connecting domain inside a Spin^c class, from {x} to {base}")
         raw[x] = maslov_index(d, dom)
     low = min(raw.values())
     out = []

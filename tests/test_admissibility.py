@@ -1,6 +1,11 @@
 """Weak/strong admissibility verdicts, witnesses, and area certificates."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -113,3 +118,119 @@ def test_area_certificate_rejects_unknown_mode():
         area_certificate(d, "medium")
     with pytest.raises(ValueError):
         area_certificate(d, "strong")
+
+
+@pytest.mark.parametrize("name", ADMISSIBLE_NAMES + ["lens(9,5)"])
+def test_shared_object_answers_like_fresh_objects(name):
+    """Verdicts and certificates stored per pairing vector on one object
+    equal the answers of a fresh object per call."""
+    d = build(name)
+    for c in spinc_partition(d):
+        assert strong_admissible(d, c) == strong_admissible(build(name), c)
+        for mode in ("weak", "strong"):
+            assert area_certificate(d, mode, c) == area_certificate(build(name), mode, c)
+    assert area_certificate(d, "weak") == area_certificate(build(name), "weak")
+
+
+def test_s1s2_wind_keeps_class_free_and_class_answers_apart():
+    """The class-free weak question (key None) and the class questions
+    (key: the pairings (2, 2)) are stored side by side."""
+    d = build("s1s2_wind")
+    (c,) = spinc_partition(d)
+    free = weak_admissible(d)
+    restricted = weak_admissible(d, c)
+    strong = strong_admissible(d, c)
+    assert not free.verdict and restricted.verdict and not strong.verdict
+    assert free.witness != strong.witness
+    fresh = build("s1s2_wind")
+    assert strong_admissible(fresh, c) == strong
+    assert weak_admissible(fresh, c) == restricted
+    assert weak_admissible(fresh) == free
+    assert area_certificate(d, "weak", c) == area_certificate(fresh, "weak", c)
+    with pytest.raises(NotAdmissible) as exc:
+        area_certificate(d, "weak")
+    assert exc.value.witness == free.witness
+    with pytest.raises(NotAdmissible) as exc:
+        area_certificate(d, "strong", c)
+    assert exc.value.witness == strong.witness
+
+
+def test_stored_checks_survive_optimize():
+    """Under python -O each check on a stored witness or certificate
+    still raises InternalError on a corrupted result."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = textwrap.dedent(
+        """
+        from dataclasses import replace
+        import hfhat.admissibility as adm
+        import hfhat.domains as dom
+        import hfhat.spinc as spinc
+        from hfhat import (Domain, InternalError, area_certificate, build,
+                           enumerate_generators, positive_domains, spinc_partition,
+                           strong_admissible, weak_admissible)
+        from hfhat.domains import _assert_mirror, _weak_witness
+        from hfhat.exactla import LpResult, lp_optimize
+
+        def corrupt(change):
+            def patched(objective, constraints):
+                res = lp_optimize(objective, constraints)
+                return replace(res, point=change(res.point)) if res.optimal else res
+            return patched
+
+        def certificate_positivity():
+            adm.lp_optimize = corrupt(lambda p: (0 * p[0],) + p[1:])
+            area_certificate(build("s1s2_g1"), "weak")
+
+        def certificate_rows():
+            adm.lp_optimize = corrupt(lambda p: (p[0] + 1,) + p[1:])
+            d = build("lens(5,2)")
+            area_certificate(d, "strong", spinc_partition(d)[0])
+
+        def strong_witness():
+            adm.lp_optimize = corrupt(lambda p: tuple(-v for v in p))
+            d = build("s1s2_wind")
+            strong_admissible(d, spinc_partition(d)[0])
+
+        def recession_sign():
+            dom.lp_optimize = corrupt(lambda p: tuple(-v for v in p))
+            weak_admissible(build("s1s2_bad"))
+
+        def bounding_lp():
+            d = build("gsph(2)")
+            _weak_witness(d)
+            dom.lp_optimize = lambda objective, constraints: LpResult("unbounded")
+            x, y = spinc_partition(d)[0].members[:2]
+            positive_domains(d, x, y, 1, 0)
+
+        def last_bound():
+            dom._weak_witness = lambda d: None
+            x = enumerate_generators(build("s1s2_bad"))[0]
+            positive_domains(build("s1s2_bad"), x, x, 0, 0)
+
+        def mirror():
+            d = build("s1s2_g1")
+            x = enumerate_generators(d)[0]
+            _assert_mirror(d, Domain((1, 0, 0), x, x))
+
+        def gradings():
+            spinc.connecting_domain = lambda d, x, y: None
+            spinc_partition(build("s1s2_g1"))
+
+        missed = []
+        for check in (certificate_positivity, certificate_rows, strong_witness,
+                      recession_sign, bounding_lp, last_bound, mirror, gradings):
+            adm.lp_optimize = dom.lp_optimize = lp_optimize
+            dom._weak_witness = _weak_witness
+            spinc.connecting_domain = dom.connecting_domain
+            try:
+                check()
+            except InternalError:
+                continue
+            missed.append(check.__name__)
+        print(missed)
+        raise SystemExit(1 if missed else 7)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
+    assert proc.returncode == 7, proc.stdout.decode() + proc.stderr.decode()

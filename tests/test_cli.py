@@ -150,6 +150,27 @@ def test_usage_errors(tmp_path, capsys):
     assert "p=70" in capsys.readouterr().err
 
 
+def test_admissible_strong_solves_one_certificate_lp_per_pairing(write_corpus, capsys, monkeypatch):
+    """The 9 classes of lens(9,5) share the empty pairing vector, so
+    their strong verdicts and certificates come from one LP."""
+    import hfhat.admissibility
+
+    f = write_corpus("lens(9,5)")
+    calls = []
+    real = hfhat.admissibility.lp_optimize
+
+    def counted(objective, constraints):
+        calls.append(len(objective))
+        return real(objective, constraints)
+
+    monkeypatch.setattr(hfhat.admissibility, "lp_optimize", counted)
+    assert run(["admissible", str(f), "--strong", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["reports"]) == 9
+    assert len({tuple(r["areas"]) for r in doc["reports"]}) == 1
+    assert len(calls) == 1
+
+
 def test_admissible_class_out_of_range(write_corpus, capsys):
     f = write_corpus("s1s2_g1")
     assert run(["admissible", str(f), "--class", "9"]) == 4

@@ -118,6 +118,19 @@ def test_unbounded_enumeration_carries_verified_witness(name, corpus_small):
     assert not any(la) and not any(lb)
 
 
+@pytest.mark.parametrize("name", ADMISSIBLE_NAMES + ["lens(9,5)"])
+def test_shared_object_enumerates_like_fresh_objects(name):
+    """Lattice points stored per starting domain on one object give the
+    positive domains of a fresh object per call, for every ordered pair."""
+    d = build(name)
+    gens = enumerate_generators(d)
+    for x in gens:
+        for y in gens:
+            for index, nz in ((1, 0), (2, 1)):
+                want = positive_domains(build(name), x, y, index, nz)
+                assert positive_domains(d, x, y, index, nz) == want, (x, y, index, nz)
+
+
 def test_positive_domains_sorted():
     d = build("s1s2_g1")
     x, y = enumerate_generators(d)

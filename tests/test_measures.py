@@ -2,8 +2,11 @@
 
 import random
 
+import pytest
+
 from hfhat import (
     Domain,
+    NonIntegralMeasure,
     basepoint_multiplicity,
     chern_pairing,
     connecting_domain,
@@ -18,8 +21,9 @@ from hfhat import (
     positive_domains,
 )
 from hfhat.corpus import build
+from hfhat.domains import _positive_solutions
 
-from conftest import SMALL_NAMES, gen, rectangle_diagram
+from conftest import ADMISSIBLE_NAMES, SMALL_NAMES, gen, rectangle_diagram
 
 RNG = random.Random(11)
 
@@ -143,3 +147,51 @@ def test_basepoint_multiplicity_reads_coefficient():
     coeffs = [0] * len(d.regions)
     coeffs[d.basepoint] = 5
     assert basepoint_multiplicity(d, Domain(tuple(coeffs), x, x)) == 5
+
+
+def measure_index(d, dom):
+    """The index as the sum of the rational measures."""
+    return (
+        euler_measure(d, dom)
+        + generator_measure(d, dom, dom.from_gen)
+        + generator_measure(d, dom, dom.to_gen)
+    )
+
+
+@pytest.mark.parametrize("name", ADMISSIBLE_NAMES)
+def test_integer_index_matches_measures_on_positive_domains(name):
+    """Every nonnegative domain at n_z = 0 and 1, that is every domain
+    positive_domains can return for some index, on the SMALL_NAMES
+    diagrams where it returns any (it raises UnboundedEnumeration on
+    the other two)."""
+    d = build(name)
+    gens = enumerate_generators(d)
+    for x in gens:
+        for y in gens:
+            for nz in (0, 1):
+                for coeffs in _positive_solutions(d, x, y, nz):
+                    dom = Domain(coeffs, x, y)
+                    assert maslov_index(d, dom) == measure_index(d, dom), (x, y, coeffs)
+
+
+@pytest.mark.parametrize("name", SMALL_NAMES)
+def test_integer_index_matches_measures_on_single_regions(name):
+    """A single region is not a domain, so its index can be fractional:
+    the integer index then raises, and agrees otherwise."""
+    d = build(name)
+    gens = enumerate_generators(d)
+    fractional = 0
+    for i in range(len(d.regions)):
+        coeffs = tuple(int(j == i) for j in range(len(d.regions)))
+        for x in gens:
+            for y in gens:
+                dom = Domain(coeffs, x, y)
+                want = measure_index(d, dom)
+                if want.denominator == 1:
+                    assert maslov_index(d, dom) == want
+                else:
+                    fractional += 1
+                    with pytest.raises(NonIntegralMeasure):
+                        maslov_index(d, dom)
+    if name in ("lens(3,1)", "lens(3,2)", "lens(5,2)"):
+        assert fractional  # a square with one corner at x = y has index 1/2

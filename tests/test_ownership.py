@@ -3,8 +3,21 @@
 import gc
 import weakref
 
+import pytest
+
 import hfhat
-from hfhat import build, homology, periodic_lattice, validate
+from hfhat import (
+    area_certificate,
+    build,
+    enumerate_generators,
+    homology,
+    periodic_lattice,
+    positive_domains,
+    spinc_partition,
+    strong_admissible,
+    validate,
+)
+from hfhat.domains import _positive_solutions
 
 
 def test_derived_data_is_computed_once_per_object():
@@ -17,9 +30,40 @@ def test_derived_data_is_computed_once_per_object():
     assert periodic_lattice(twin) is not periodic_lattice(d)
 
 
+def test_keyed_data_is_computed_once_per_object():
+    d = build("gsph(2)")
+    (c,) = spinc_partition(d)
+    assert area_certificate(d, "strong", c) is area_certificate(d, "strong", c)
+    assert strong_admissible(d, c) is strong_admissible(d, c)
+    x, y = c.members[:2]
+    assert _positive_solutions(d, x, y, 0) is _positive_solutions(d, x, y, 0)
+    twin = build("gsph(2)")
+    assert any(isinstance(slot, tuple) for slot in d._derived)
+    assert not any(isinstance(slot, tuple) for slot in twin._derived)
+    assert area_certificate(twin, "strong", c) == area_certificate(d, "strong", c)
+    assert area_certificate(twin, "strong", c) is not area_certificate(d, "strong", c)
+    assert strong_admissible(twin, c) is not strong_admissible(d, c)
+
+
 def test_diagram_is_freed_after_homology():
     d = build("gsph(2)")
     homology(d)
+    ref = weakref.ref(d)
+    del d
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("name", ["gsph(2)", "lens(9,5)"])
+def test_diagram_is_freed_after_certificates_and_homology(name):
+    d = build(name)
+    for c in spinc_partition(d):
+        for mode in ("weak", "strong"):
+            area_certificate(d, mode, c)
+    area_certificate(d, "weak")
+    homology(d)
+    x = enumerate_generators(d)[0]
+    positive_domains(d, x, x, 2, 1)
     ref = weakref.ref(d)
     del d
     gc.collect()
