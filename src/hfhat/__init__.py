@@ -44,7 +44,6 @@ from .measures import (
 )
 from .spinc import (
     SpincClass,
-    epsilon_obstruction,
     grading_divisor,
     relative_gradings,
     spinc_partition,
@@ -99,7 +98,6 @@ __all__ = [
     "periodic_index",
     "point_measure",
     "SpincClass",
-    "epsilon_obstruction",
     "grading_divisor",
     "relative_gradings",
     "spinc_partition",

@@ -30,8 +30,7 @@ from typing import Optional, Sequence
 from .diagram import HeegaardDiagram, derived
 from .domains import _integer_direction, _weak_witness, periodic_lattice, recession_direction
 from .exactla import EQ, GE, LE, InternalError, lp_optimize, vanishing_sublattice
-from .measures import chern_pairing
-from .spinc import SpincClass
+from .spinc import SpincClass, _pairing_vector
 
 
 class NotAdmissible(Exception):
@@ -56,10 +55,7 @@ def _pairings(
     """What the admissibility questions see of a class: its Chern
     pairings on the periodic basis (``None`` for the class-free weak
     question)."""
-    if c is None:
-        return None
-    x = c.members[0]
-    return tuple(chern_pairing(d, x, vec) for vec in periodic_lattice(d).basis)
+    return None if c is None else _pairing_vector(d, c.members[0])
 
 
 @derived
@@ -191,7 +187,9 @@ def _certificate(
     objective = [0] * n + [1]
     res = lp_optimize(objective, constraints)
     if not res.optimal or res.value <= 0:
-        raise NotAdmissible(report.witness or tuple([0] * n))
+        # By a theorem of the alternative, a true verdict means a
+        # strictly positive area exists: this is a fault, not a refusal.
+        raise InternalError(f"{mode} verdict is true but no area vector is strictly positive")
     areas = tuple(res.point[:n])
     if any(a <= 0 for a in areas):
         raise InternalError(f"area certificate {areas} is not strictly positive")

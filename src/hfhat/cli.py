@@ -18,12 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import corpus
-from .admissibility import (
-    NotAdmissible,
-    area_certificate,
-    strong_admissible,
-    weak_admissible,
-)
+from .admissibility import area_certificate, strong_admissible, weak_admissible
 from .diagram import (
     HeegaardDiagram,
     HFDFormatError,
@@ -42,6 +37,9 @@ EXIT_INVALID = 1
 EXIT_NOT_ADMISSIBLE = 2
 EXIT_NOT_COMBINATORIAL = 3
 EXIT_USAGE = 4
+
+# A file that cannot be read as an HFD document: exit 1.
+_UNREADABLE = (OSError, UnicodeDecodeError, HFDFormatError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,12 +79,13 @@ def _table(rows: list[Sequence[str]]) -> list[str]:
 
 
 def _load(path: str) -> HeegaardDiagram:
-    """Parse and validate; raises HFDFormatError or ValueError."""
+    """Parse and validate; an invalid diagram prints why and exits 1."""
     with open(path, "r", encoding="utf-8") as fh:
         d = parse_hfd(fh.read())
     report = validate(d)
     if not report.ok:
-        raise ValueError(str(report))
+        print(f"invalid diagram: {report}", file=sys.stderr)
+        raise SystemExit(EXIT_INVALID)
     return d
 
 
@@ -94,7 +93,7 @@ def _cmd_validate(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             d = parse_hfd(fh.read())
-    except (OSError, HFDFormatError, json.JSONDecodeError) as exc:
+    except _UNREADABLE as exc:
         _emit({"ok": False, "violations": [str(exc)]}, args.json, [f"invalid: {exc}"])
         return EXIT_INVALID
     report = validate(d)
@@ -179,12 +178,7 @@ def _cmd_admissible(args) -> int:
             rep = strong_admissible(d, c)
         else:
             rep = weak_admissible(d, c)
-        cert = None
-        if rep.verdict:
-            try:
-                cert = area_certificate(d, rep.kind, c)
-            except NotAdmissible:  # pragma: no cover - verdict true implies cert
-                cert = None
+        cert = area_certificate(d, rep.kind, c) if rep.verdict else None
         reports.append((c, rep, cert))
     doc = {"kind": "strong" if args.strong else "weak", "reports": []}
     lines = []
@@ -331,17 +325,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.fn(args)
-    except (OSError, HFDFormatError, json.JSONDecodeError) as exc:
+    except _UNREADABLE as exc:
         print(f"invalid diagram file: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
-        print(f"invalid diagram: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except UnboundedEnumeration as exc:
         print(f"unbounded enumeration; periodic witness {list(exc.witness)}", file=sys.stderr)
-        return EXIT_NOT_ADMISSIBLE
-    except NotAdmissible as exc:
-        print(f"not admissible; witness {list(exc.witness)}", file=sys.stderr)
         return EXIT_NOT_ADMISSIBLE
     except NotCombinatorial as exc:
         print(f"not combinatorial:\n{exc}", file=sys.stderr)

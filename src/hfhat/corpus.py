@@ -26,6 +26,7 @@ import re
 from math import gcd
 
 from .diagram import ALPHA, BETA, ArcRef, HeegaardDiagram, Region, connected_sum, validate
+from .exactla import InternalError
 
 NAMES = ("s3_g1", "s1s2_g1", "s1s2_bad", "s1s2_wind", "lens", "gsph")
 
@@ -61,7 +62,8 @@ def build(name: str, p: int | None = None, q: int | None = None, g: int | None =
     else:
         raise ValueError(f"unknown corpus name {name!r}")
     report = validate(d)
-    assert report.ok, f"corpus diagram {name} failed validation:\n{report}"
+    if not report.ok:
+        raise InternalError(f"corpus diagram {name} failed validation:\n{report}")
     return d
 
 

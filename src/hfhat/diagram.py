@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import wraps
 from typing import Callable, Iterable, TypeVar
 
-from .exactla import matrix_rank
+from .exactla import InternalError, matrix_rank
 
 ALPHA = "a"
 BETA = "b"
@@ -590,7 +590,8 @@ def connected_sum(d1: HeegaardDiagram, d2: HeegaardDiagram) -> HeegaardDiagram:
         d1.genus + d2.genus, alpha, beta, regions, len(regions) - 1
     )
     report = validate(out)
-    assert report.ok, f"connected sum produced an invalid diagram:\n{report}"
+    if not report.ok:
+        raise InternalError(f"connected sum produced an invalid diagram:\n{report}")
     return out
 
 

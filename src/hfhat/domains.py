@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .diagram import ALPHA, HeegaardDiagram, derived, validate
 from .exactla import EQ, GE, InternalError, hermite_normal_form, hermite_reduce, kernel_basis
-from .exactla import lp_optimize, mat_vec, vanishing_sublattice
+from .exactla import _scaled, lp_optimize, mat_vec, vanishing_sublattice
 from .generators import Generator
 
 
@@ -157,8 +157,9 @@ def connecting_domain(
 ) -> Optional[Domain]:
     """A domain from x to y with n_z = 0, or None when none exists.
 
-    Solvability is exactly the vanishing of the epsilon obstruction, so
-    absence here means x and y sit in different Spin^c classes.
+    Solvability is exactly the vanishing of the obstruction
+    epsilon(x, y), so absence here means x and y sit in different
+    Spin^c classes.
     """
     _, h, u, pivots = _factored(d)
     quotient, remainder = hermite_reduce(h, pivots, _connecting_rhs(d, x, y))
@@ -177,8 +178,8 @@ def periodic_lattice(d: HeegaardDiagram) -> PeriodicLattice:
     """Canonical basis of the n_z = 0 kernel, with [Sigma] split off."""
     a, _, u, pivots = _factored(d)
     kernel = kernel_basis(u, len(pivots))
-    for vec in kernel:
-        assert all(v == 0 for v in mat_vec(a, vec))
+    if any(any(mat_vec(a, vec)) for vec in kernel):
+        raise InternalError("periodic lattice vector with a nonzero boundary")
     basis = vanishing_sublattice(kernel, [vec[d.basepoint] for vec in kernel])
     return PeriodicLattice(tuple(tuple(v) for v in basis), tuple([1] * len(d.regions)))
 
@@ -190,11 +191,9 @@ def _integer_direction(
     scale = lcm(*(c.denominator for c in t)) if t else 1
     n = len(basis[0])
     out = [0] * n
-    for c, vec in zip(t, basis):
-        ci = c * scale
-        assert ci.denominator == 1
+    for ci, vec in zip(_scaled(t, scale), basis):
         for i in range(n):
-            out[i] += int(ci) * vec[i]
+            out[i] += ci * vec[i]
     return tuple(out)
 
 

@@ -1,7 +1,7 @@
 """Exact integer and rational linear algebra.
 
-Provides the arithmetic backbone for the rest of the package: Hermite
-and Smith normal forms over the integers (arbitrary precision), integer
+Provides the arithmetic backbone for the rest of the package: the
+Hermite normal form over the integers (arbitrary precision), integer
 linear system solving with kernel bases, and an exact simplex for
 linear programs with rational data.  No floating point appears
 anywhere; rationals are ``fractions.Fraction`` (always stored in lowest
@@ -37,14 +37,6 @@ def identity_matrix(n: int) -> list[list[int]]:
 
 def mat_vec(a: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
     return [sum(r * v for r, v in zip(row, x)) for row in a]
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    cols = len(b[0]) if b else 0
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-        for i in range(len(a))
-    ]
 
 
 def hermite_normal_form(
@@ -165,10 +157,10 @@ def hermite_solve(
         return None
     particular = mat_vec(u, y)
     kernel = kernel_basis(u, len(pivots))
-    # Sanity: the solve must be exact and the kernel genuine.
-    assert mat_vec(a, particular) == list(b)
-    for vec in kernel:
-        assert all(v == 0 for v in mat_vec(a, vec))
+    if mat_vec(a, particular) != list(b):
+        raise InternalError("Hermite solve returned a non-solution")
+    if any(any(mat_vec(a, vec)) for vec in kernel):
+        raise InternalError("Hermite solve returned a non-kernel vector")
     return particular, kernel
 
 
@@ -181,9 +173,7 @@ def vanishing_sublattice(
     """
     if not basis:
         return []
-    solved = hermite_solve([list(values)], [0])
-    assert solved is not None  # 0 always solves
-    _, combos = solved
+    _, combos = hermite_solve([list(values)], [0])
     n = len(basis[0])
     vectors = [
         [sum(c * vec[i] for c, vec in zip(combo, basis)) for i in range(n)]
@@ -202,116 +192,6 @@ def canonical_basis(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
     mat = [[vecs[j][i] for j in range(len(vecs))] for i in range(n)]
     h, _, pivots = hermite_normal_form(mat)
     return [[h[i][c] for i in range(n)] for _, c in pivots]
-
-
-def smith_normal_form(
-    a: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form: returns ``(u, s, v)`` with ``u a v = s`` diagonal.
-
-    Diagonal entries are nonnegative and each divides the next.
-    """
-    s = _copy_matrix(a)
-    m = len(s)
-    n = len(s[0]) if m else 0
-    u = identity_matrix(m)
-    v = identity_matrix(n)
-    t = 0
-    while t < m and t < n:
-        pos = _smallest_nonzero(s, t)
-        if pos is None:
-            break
-        i, j = pos
-        _swap_rows_snf(s, u, i, t)
-        _swap_cols_snf(s, v, j, t)
-        clean = False
-        while not clean:
-            clean = True
-            for i in range(t + 1, m):
-                if s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    _add_row_snf(s, u, i, t, -q)
-                    if s[i][t] != 0:
-                        _swap_rows_snf(s, u, i, t)
-                        clean = False
-            for j in range(t + 1, n):
-                if s[t][j] != 0:
-                    q = s[t][j] // s[t][t]
-                    _add_col_snf(s, v, j, t, -q)
-                    if s[t][j] != 0:
-                        _swap_cols_snf(s, v, j, t)
-                        clean = False
-        t += 1
-    for t in range(min(m, n)):
-        if s[t][t] < 0:
-            _scale_row_snf(s, u, t, -1)
-    # Enforce the divisibility chain d_t | d_{t+1}.
-    changed = True
-    while changed:
-        changed = False
-        for t in range(min(m, n) - 1):
-            d0, d1 = s[t][t], s[t + 1][t + 1]
-            if d0 != 0 and d1 % d0 != 0:
-                _add_col_snf(s, v, t, t + 1, 1)
-                # Re-diagonalize the 2x2 block.
-                while s[t + 1][t] != 0 or s[t][t + 1] != 0:
-                    if s[t + 1][t] != 0:
-                        q = s[t + 1][t] // s[t][t]
-                        _add_row_snf(s, u, t + 1, t, -q)
-                        if s[t + 1][t] != 0:
-                            _swap_rows_snf(s, u, t + 1, t)
-                    if s[t][t + 1] != 0:
-                        q = s[t][t + 1] // s[t][t]
-                        _add_col_snf(s, v, t + 1, t, -q)
-                        if s[t][t + 1] != 0:
-                            _swap_cols_snf(s, v, t + 1, t)
-                if s[t][t] < 0:
-                    _scale_row_snf(s, u, t, -1)
-                if s[t + 1][t + 1] < 0:
-                    _scale_row_snf(s, u, t + 1, -1)
-                changed = True
-    return u, s, v
-
-
-def _smallest_nonzero(s: list[list[int]], t: int) -> Optional[tuple[int, int]]:
-    best = None
-    for i in range(t, len(s)):
-        for j in range(t, len(s[0])):
-            if s[i][j] != 0:
-                if best is None or abs(s[i][j]) < abs(s[best[0]][best[1]]):
-                    best = (i, j)
-    return best
-
-
-def _swap_rows_snf(s, u, i, j):
-    if i != j:
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-
-def _swap_cols_snf(s, v, i, j):
-    if i != j:
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-
-def _add_row_snf(s, u, dst, src, q):
-    s[dst] = [x + q * y for x, y in zip(s[dst], s[src])]
-    u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-
-def _add_col_snf(s, v, dst, src, q):
-    for row in s:
-        row[dst] += q * row[src]
-    for row in v:
-        row[dst] += q * row[src]
-
-
-def _scale_row_snf(s, u, i, c):
-    s[i] = [c * x for x in s[i]]
-    u[i] = [c * x for x in u[i]]
 
 
 def matrix_rank(a: Sequence[Sequence[int]]) -> int:

@@ -115,9 +115,8 @@ def classify_rigid(d: HeegaardDiagram, D: Domain) -> RigidShape:
     is Other.
     """
     coeffs = D.coefficients
-    assert all(c >= 0 for c in coeffs)
-    assert coeffs[d.basepoint] == 0
-    assert maslov_index(d, D) == 1
+    if any(c < 0 for c in coeffs) or coeffs[d.basepoint] != 0 or maslov_index(d, D) != 1:
+        raise InternalError(f"classify_rigid needs an index-1 positive n_z = 0 domain, got {coeffs}")
     if any(c not in (0, 1) for c in coeffs):
         return RigidShape(OTHER, (), ())
     support = {i for i, c in enumerate(coeffs) if c == 1}

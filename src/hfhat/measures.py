@@ -10,7 +10,12 @@ combinatorial formulas are
 * ``<c_1, P> = e(P0) + 2 n_x(P0)`` with ``P0 = P - n_z(P) [Sigma]``
 * ``ind(P) = <c_1, P> + 2 n_z(P)`` for kernel elements.
 
-Integrality of the integer-valued ones is asserted, never rounded.
+The integer-valued ones (index, embedded chi, Chern pairing) are summed
+in integers, four times over: ``4 e(D_i) = 4 chi(D_i) - corners(D_i)``
+and ``4 n_p(D)`` is the sum of the quadrant coefficients at p.
+Integrality is checked, never rounded: a sum that 4 does not divide
+raises ``NonIntegralMeasure``.  The ``Fraction`` measures stay public
+as the reference.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Sequence, Union
 
 from .diagram import HeegaardDiagram, derived, quadrants
 from .domains import Domain
+from .exactla import InternalError
 from .generators import Generator
 
 
@@ -32,12 +38,6 @@ CoeffsLike = Union[Domain, Sequence[int]]
 
 def _coeffs(D: CoeffsLike) -> Sequence[int]:
     return D.coefficients if isinstance(D, Domain) else D
-
-
-def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise NonIntegralMeasure(f"{what} = {value} is not an integer")
-    return int(value)
 
 
 def euler_measure(d: HeegaardDiagram, D: CoeffsLike) -> Fraction:
@@ -69,32 +69,35 @@ def _quarter_euler(d: HeegaardDiagram) -> tuple[int, ...]:
     return tuple(4 * r.euler_char - r.corner_count for r in d.regions)
 
 
-def maslov_index(d: HeegaardDiagram, D: Domain) -> int:
-    """e + n_from + n_to; raises NonIntegralMeasure on corrupt data.
-
-    Summed in integers as ``4 ind = sum_i n_i (4 chi(D_i) - corners(D_i))``
-    plus the four quadrant coefficients at each point of from and to.
-    """
-    coeffs = D.coefficients
+def _quarters(d: HeegaardDiagram, coeffs: Sequence[int], points: Sequence[str]) -> int:
+    """``4 (e(D) + sum of n_p(D) over points)``, a point listed twice counting twice."""
     corners = quadrants(d).corners
     total = sum(n * w for n, w in zip(coeffs, _quarter_euler(d)))
-    for p in D.from_gen.points + D.to_gen.points:
+    for p in points:
         q0, q1, q2, q3 = corners[p]
         total += coeffs[q0] + coeffs[q1] + coeffs[q2] + coeffs[q3]
-    if total % 4:
-        raise NonIntegralMeasure(f"maslov index = {Fraction(total, 4)} is not an integer")
-    return total // 4
+    return total
+
+
+def _whole(quarters: int, what: str) -> int:
+    if quarters % 4:
+        raise NonIntegralMeasure(f"{what} = {Fraction(quarters, 4)} is not an integer")
+    return quarters // 4
+
+
+def maslov_index(d: HeegaardDiagram, D: Domain) -> int:
+    """e + n_from + n_to; raises NonIntegralMeasure on corrupt data."""
+    points = D.from_gen.points + D.to_gen.points
+    return _whole(_quarters(d, D.coefficients, points), "maslov index")
 
 
 def embedded_euler_char(d: HeegaardDiagram, D: Domain) -> int:
-    """Euler characteristic of the embedded surface representative."""
-    value = (
-        Fraction(d.genus)
-        - generator_measure(d, D, D.from_gen)
-        - generator_measure(d, D, D.to_gen)
-        + euler_measure(d, D)
-    )
-    return _as_int(value, "embedded euler characteristic")
+    """Euler characteristic of the embedded surface representative,
+    g + e - n_from - n_to, that is g + 2e - ind."""
+    coeffs = D.coefficients
+    points = D.from_gen.points + D.to_gen.points
+    quarters = 4 * d.genus + 2 * _quarters(d, coeffs, ()) - _quarters(d, coeffs, points)
+    return _whole(quarters, "embedded euler characteristic")
 
 
 def chern_pairing(d: HeegaardDiagram, x: Generator, P: CoeffsLike) -> int:
@@ -103,18 +106,17 @@ def chern_pairing(d: HeegaardDiagram, x: Generator, P: CoeffsLike) -> int:
     The pairing only reads the n_z = 0 part of P, so [Sigma] pairs to
     zero and the value is e(P0) + 2 n_x(P0) with P0 = P - n_z [Sigma].
     """
-    coeffs = list(_coeffs(P))
+    coeffs = _coeffs(P)
     nz = coeffs[d.basepoint]
     p0 = [c - nz for c in coeffs]
-    value = euler_measure(d, p0) + 2 * generator_measure(d, p0, x)
-    out = _as_int(value, "chern pairing")
-    return out
+    return _whole(_quarters(d, p0, x.points + x.points), "chern pairing")
 
 
 def periodic_index(d: HeegaardDiagram, x: Generator, P: CoeffsLike) -> int:
     """ind(P) = <c_1, P> + 2 n_z(P); agrees with the Maslov index of P
     viewed as a domain from x to itself."""
     value = chern_pairing(d, x, P) + 2 * basepoint_multiplicity(d, P)
-    as_domain = Domain(tuple(_coeffs(P)), x, x)
-    assert value == maslov_index(d, as_domain)
+    index = maslov_index(d, Domain(tuple(_coeffs(P)), x, x))
+    if value != index:
+        raise InternalError(f"periodic index {value} differs from the Maslov index {index}")
     return value

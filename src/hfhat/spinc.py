@@ -8,10 +8,9 @@ reduced to its canonical remainder modulo the lattice, and the classes
 are the groups of equal remainders.  Gradings inside a class are
 relative: gr(x) - gr(y) is the Maslov index of any n_z = 0 domain from
 x to y, read mod the divisor gcd |<c_1, P>| over the periodic basis
-when that is nonzero.  An explicit epsilon obstruction (an
-abelian-group element that vanishes iff a connecting domain exists,
-computed independently through the Smith form) is exposed for
-diagnostics.
+when that is nonzero.  A class's Chern pairings on the periodic
+basis are computed once per diagram object and class; the divisor
+and the admissibility questions both read them.
 """
 
 from __future__ import annotations
@@ -19,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .diagram import HeegaardDiagram
-from .domains import _connecting_rhs, _factored, _stacked_chain, connecting_domain
-from .domains import periodic_lattice
-from .exactla import InternalError, hermite_reduce, mat_vec, smith_normal_form
+from .diagram import HeegaardDiagram, derived
+from .domains import _factored, _stacked_chain, connecting_domain, periodic_lattice
+from .exactla import InternalError, hermite_reduce
 from .generators import Generator, enumerate_generators
 from .measures import chern_pairing, maslov_index
 
@@ -54,12 +52,14 @@ def spinc_partition(d: HeegaardDiagram) -> list[SpincClass]:
     return classes
 
 
+@derived
+def _pairing_vector(d: HeegaardDiagram, x: Generator) -> tuple[int, ...]:
+    """``<c_1(s), P>`` for each periodic basis vector P, s the class of x."""
+    return tuple(chern_pairing(d, x, vec) for vec in periodic_lattice(d).basis)
+
+
 def _divisor(d: HeegaardDiagram, x: Generator) -> int:
-    lattice = periodic_lattice(d)
-    value = 0
-    for vec in lattice.basis:
-        value = gcd(value, abs(chern_pairing(d, x, vec)))
-    return value
+    return gcd(*_pairing_vector(d, x))
 
 
 def _gradings(
@@ -90,24 +90,3 @@ def grading_divisor(d: HeegaardDiagram, c: SpincClass) -> int:
 def relative_gradings(d: HeegaardDiagram, c: SpincClass) -> dict[Generator, int]:
     """Normalized relative gradings (minimum 0; reduced mod the divisor)."""
     return dict(_gradings(d, c.members, c.divisor))
-
-
-def epsilon_obstruction(d: HeegaardDiagram, x: Generator, y: Generator) -> tuple[int, ...]:
-    """Diagnostic epsilon: coordinates of the obstruction to pi_2(x,y).
-
-    Computed in the cokernel of the boundary system through the Smith
-    normal form: each coordinate is the image of the right-hand side
-    along an invariant factor (reduced mod the factor when finite).
-    The zero tuple is returned exactly when a connecting domain exists.
-    """
-    rhs = _connecting_rhs(d, x, y)
-    u, s, _ = smith_normal_form(_factored(d)[0])
-    transformed = mat_vec(u, rhs)
-    diag = min(len(s), len(s[0]) if s else 0)
-    coords = []
-    for i, value in enumerate(transformed):
-        factor = s[i][i] if i < diag else 0
-        coords.append(value % factor if factor > 0 else value)
-    while coords and coords[-1] == 0:
-        coords.pop()
-    return tuple(coords)

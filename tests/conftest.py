@@ -7,6 +7,8 @@ import itertools
 
 import numpy as np
 import pytest
+import sympy
+from sympy.matrices.normalforms import smith_normal_decomp
 
 from hfhat import (
     ArcRef,
@@ -86,6 +88,21 @@ def brute_force_domains(d, x, y, target_index, nz, cap=3):
             out.append(dom)
     out.sort(key=lambda dom: dom.coefficients)
     return out
+
+
+def smith_solvability(a):
+    """Oracle for integer solvability of ``a x = b``, from sympy's Smith
+    form ``s = u a v``: returns a test of ``b``, which passes exactly
+    when each entry of ``u b`` is a multiple of its invariant factor
+    (zero past the rank)."""
+    s, u, _ = smith_normal_decomp(sympy.Matrix(a), sympy.ZZ)
+    factors = [s[i, i] if i < s.cols else 0 for i in range(s.rows)]
+
+    def solvable(b):
+        y = u * sympy.Matrix(b)
+        return all(v % f == 0 if f else v == 0 for v, f in zip(y, factors))
+
+    return solvable
 
 
 def _a(index, arc, dir):

@@ -1,5 +1,6 @@
 """Weak/strong admissibility verdicts, witnesses, and area certificates."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from hfhat import (
+    InternalError,
     NotAdmissible,
     area_certificate,
     chern_pairing,
@@ -118,6 +120,25 @@ def test_area_certificate_rejects_unknown_mode():
         area_certificate(d, "medium")
     with pytest.raises(ValueError):
         area_certificate(d, "strong")
+
+
+@pytest.mark.parametrize("mode", ["weak", "strong"])
+def test_true_verdict_without_certificate_is_a_fault(mode, monkeypatch):
+    """A true verdict guarantees a strictly positive area, so a margin
+    LP that finds none is an internal fault, never a refusal."""
+    import hfhat.admissibility as adm
+
+    real = adm.lp_optimize
+
+    def no_margin(objective, constraints):
+        res = real(objective, constraints)
+        return dataclasses.replace(res, value=Fraction(0)) if res.optimal else res
+
+    monkeypatch.setattr(adm, "lp_optimize", no_margin)
+    d = build("s1s2_g1")
+    (c,) = spinc_partition(d)
+    with pytest.raises(InternalError, match="no area vector is strictly positive"):
+        area_certificate(d, mode, c)
 
 
 @pytest.mark.parametrize("name", ADMISSIBLE_NAMES + ["lens(9,5)"])

@@ -181,6 +181,42 @@ def test_missing_file_exits_1(capsys):
     assert run(["homology", "/nonexistent/x.hfd"]) == 1
 
 
+@pytest.mark.parametrize("command", ["generators", "spinc", "admissible", "homology"])
+def test_invalid_diagram_exits_1_with_reason(write_corpus, capsys, command):
+    """A file that parses but fails validation is an input error."""
+    f = write_corpus("s1s2_g1")
+    doc = json.loads(f.read_text())
+    doc["regions"][0]["genus"] = 1
+    f.write_text(json.dumps(doc))
+    assert run([command, str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid diagram: ") and "euler_characteristic" in err
+
+
+def test_undecodable_file_exits_1(tmp_path, capsys):
+    f = tmp_path / "binary.hfd"
+    f.write_bytes(b"\xff\xfe{")
+    assert run(["homology", str(f)]) == 1
+    assert capsys.readouterr().err.startswith("invalid diagram file: ")
+    assert run(["validate", str(f), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def test_internal_value_error_propagates(write_corpus, monkeypatch):
+    """Only input errors become exit 1; a ValueError raised inside a
+    computation is a fault and surfaces."""
+    import hfhat.cli
+
+    f = write_corpus("s1s2_g1")
+
+    def broken(*args, **kwargs):
+        raise ValueError("fault inside homology")
+
+    monkeypatch.setattr(hfhat.cli, "homology", broken)
+    with pytest.raises(ValueError, match="fault inside homology"):
+        run(["homology", str(f)])
+
+
 def test_json_reports_are_sorted_and_stable(write_corpus, capsys):
     f = write_corpus("s1s2_g1")
     assert run(["spinc", str(f), "--json"]) == 0

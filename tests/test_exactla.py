@@ -17,11 +17,11 @@ from hfhat.exactla import (
     hermite_solve,
     identity_matrix,
     lp_optimize,
-    mat_mul,
     mat_vec,
     matrix_rank,
-    smith_normal_form,
 )
+
+from conftest import smith_solvability
 
 RNG = random.Random(20260824)
 # Draws for the back-substitution cases, kept apart so RNG's sequence is unchanged.
@@ -30,6 +30,10 @@ REDUCE_RNG = random.Random(20261017)
 
 def random_matrix(rows, cols, lo=-4, hi=4):
     return [[RNG.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def det(a):
@@ -80,35 +84,6 @@ def test_hermite_solve_constructed_solutions():
             assert diff == [0] * cols
 
 
-def _sympy_solvable(a, b):
-    """Integer solvability via sympy's Smith normal form."""
-    m = sympy.Matrix(a)
-    dom = sympy.ZZ
-    from sympy.matrices.normalforms import smith_normal_decomp
-
-    try:
-        s, u, v = smith_normal_decomp(m, dom)
-    except Exception:  # older sympy: fall back to solving directly
-        from sympy import linsolve, symbols
-
-        xs = symbols(f"x0:{m.cols}")
-        sols = linsolve((m, sympy.Matrix(b)), xs)
-        if not sols:
-            return False
-        # rational solution exists; check an integer one by brute force shift
-        raise RuntimeError("no SNF decomposition available")
-    y = u * sympy.Matrix(b)
-    r = min(s.rows, s.cols)
-    for i in range(s.rows):
-        di = s[i, i] if i < r else 0
-        if di == 0:
-            if y[i] != 0:
-                return False
-        elif y[i] % di != 0:
-            return False
-    return True
-
-
 def test_hermite_solve_matches_snf_solvability():
     agree_solvable = agree_unsolvable = 0
     for _ in range(60):
@@ -116,7 +91,7 @@ def test_hermite_solve_matches_snf_solvability():
         a = random_matrix(rows, cols, -3, 3)
         b = [RNG.randint(-5, 5) for _ in range(rows)]
         got = hermite_solve(a, b) is not None
-        want = _sympy_solvable(a, b)
+        want = smith_solvability(a)(b)
         assert got == want
         h, _, pivots = hermite_normal_form(a)
         assert (not any(hermite_reduce(h, pivots, b)[1])) == got
@@ -125,30 +100,6 @@ def test_hermite_solve_matches_snf_solvability():
         else:
             agree_unsolvable += 1
     assert agree_solvable and agree_unsolvable
-
-
-def test_smith_normal_form_properties():
-    for _ in range(30):
-        rows, cols = RNG.randint(1, 4), RNG.randint(1, 4)
-        a = random_matrix(rows, cols)
-        u, s, v = smith_normal_form(a)
-        assert mat_mul(mat_mul(u, a), v) == s
-        assert abs(det(u)) == 1 and abs(det(v)) == 1
-        diag = [s[i][i] for i in range(min(rows, cols))]
-        for i in range(rows):
-            for j in range(cols):
-                if i != j:
-                    assert s[i][j] == 0
-        for x, y in zip(diag, diag[1:]):
-            if x:
-                assert y % x == 0
-            else:
-                assert y == 0
-        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-
-        ref = sympy_snf(sympy.Matrix(a), sympy.ZZ)
-        want = sorted(abs(int(ref[i, i])) for i in range(min(rows, cols)) if ref[i, i])
-        assert sorted(x for x in diag if x) == want
 
 
 def test_matrix_rank_matches_sympy():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 from itertools import permutations
@@ -10,7 +11,10 @@ from pathlib import Path
 import pytest
 
 from hfhat import (
+    Generator,
+    GradedComplex,
     NotCombinatorial,
+    SpincClass,
     UnboundedEnumeration,
     classify_rigid,
     differential,
@@ -22,7 +26,7 @@ from hfhat import (
 )
 from hfhat.corpus import build
 from hfhat.domains import _weak_witness
-from hfhat.floer import BIGON, RECTANGLE
+from hfhat.floer import BIGON, RECTANGLE, _assert_d_squared_zero, _rank_from, _rank_into
 
 from conftest import SMALL_NAMES, gen, rectangle_diagram
 
@@ -191,3 +195,117 @@ def test_d_squared_check_survives_optimize():
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
     assert proc.returncode == 7, proc.stderr.decode()
+
+
+def test_classify_rigid_preconditions_survive_optimize():
+    """Under python -O classify_rigid still refuses a domain with a
+    negative coefficient."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from hfhat import Domain, InternalError, build, classify_rigid, enumerate_generators\n"
+        "d = build('s1s2_g1')\n"
+        "x, y = enumerate_generators(d)\n"
+        "try:\n"
+        "    classify_rigid(d, Domain((-1, 1, 0), x, y))\n"
+        "except InternalError:\n"
+        "    raise SystemExit(7)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
+    assert proc.returncode == 7, proc.stderr.decode()
+
+
+def _random_complex(rng, divisor):
+    """A direct sum of single generators and of pairs x -> y with
+    gr(x) = gr(y) + 1 (mod ``divisor`` when it is positive), in a random
+    order and a random basis of each grading.  Returns the complex and
+    the number of single generators at each grading, which is the
+    homology of the sum."""
+    levels = range(divisor) if divisor else range(4)
+    pieces = []
+    for _ in range(rng.randint(3, 9)):
+        low = rng.choice(levels)
+        if rng.random() < 0.4:
+            pieces.append((low,))
+        else:
+            pieces.append((low, (low + 1) % divisor if divisor else low + 1))
+    n = sum(len(piece) for piece in pieces)
+    slots = rng.sample(range(n), n)
+    grading = [0] * n
+    matrix = [[0] * n for _ in range(n)]
+    singles = {}
+    for piece in pieces:
+        if len(piece) == 1:
+            singles[piece[0]] = singles.get(piece[0], 0) + 1
+        spots = [slots.pop() for _ in piece]
+        for spot, level in zip(spots, piece):
+            grading[spot] = level
+        if len(piece) == 2:
+            y, x = spots
+            matrix[y][x] = 1  # matrix[iy][ix]: d x = y
+    # Change of basis e_i -> e_i + e_j inside one grading: conjugate by
+    # E = I + E_ji, which is its own inverse over F2.
+    for _ in range(4 * n):
+        i, j = rng.sample(range(n), 2)
+        if grading[i] != grading[j]:
+            continue
+        for row in matrix:
+            row[i] ^= row[j]
+        matrix[j] = [a ^ b for a, b in zip(matrix[j], matrix[i])]
+    order = tuple(Generator((f"g{k:02d}",)) for k in range(n))
+    gradings = tuple(zip(order, grading))
+    spinc = SpincClass(order, divisor, gradings)
+    complex_ = GradedComplex(spinc, order, tuple(tuple(row) for row in matrix), ())
+    return complex_, singles
+
+
+def _brute_force_homology(complex_, divisor):
+    """dim ker - dim im at each grading, by listing every chain over F2."""
+    gradings = dict(complex_.spinc.gradings)
+    order = complex_.order
+    columns = [
+        sum(complex_.matrix[i][j] << i for i in range(len(order))) for j in range(len(order))
+    ]
+
+    def images(level):
+        cols = [columns[j] for j, g in enumerate(order) if gradings[g] == level]
+        out = []
+        for subset in range(1 << len(cols)):
+            v = 0
+            for k, col in enumerate(cols):
+                if subset >> k & 1:
+                    v ^= col
+            out.append(v)
+        return out
+
+    ranks = {}
+    for level in sorted(set(gradings.values())):
+        kernel = images(level).count(0)
+        src = (level + 1) % divisor if divisor else level + 1
+        image = len(set(images(src))) if src in gradings.values() else 1
+        ranks[level] = kernel.bit_length() - image.bit_length()
+    return ranks
+
+
+@pytest.mark.parametrize("divisor", [0, 2])
+def test_f2_ranks_on_nonzero_differentials(divisor):
+    """The rank code against a brute-force count, on seeded complexes
+    with non-zero differentials: Z-graded, and with a Z/2 wrap."""
+    rng = random.Random(20261018 + divisor)
+    nonzero = 0
+    for _ in range(40):
+        complex_, singles = _random_complex(rng, divisor)
+        _assert_d_squared_zero(complex_.matrix)
+        nonzero += any(any(row) for row in complex_.matrix)
+        gradings = dict(complex_.spinc.gradings)
+        brute = _brute_force_homology(complex_, divisor)
+        assert brute == {k: singles.get(k, 0) for k in brute}
+        for level, want in brute.items():
+            dim = sum(1 for g in complex_.order if gradings[g] == level)
+            got = (
+                dim
+                - _rank_from(complex_, gradings, level)
+                - _rank_into(complex_, gradings, level, divisor)
+            )
+            assert got == want, (level, complex_.matrix)
+    assert nonzero >= 30

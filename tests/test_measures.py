@@ -160,10 +160,12 @@ def measure_index(d, dom):
 
 @pytest.mark.parametrize("name", ADMISSIBLE_NAMES)
 def test_integer_index_matches_measures_on_positive_domains(name):
-    """Every nonnegative domain at n_z = 0 and 1, that is every domain
-    positive_domains can return for some index, on the SMALL_NAMES
-    diagrams where it returns any (it raises UnboundedEnumeration on
-    the other two)."""
+    """The integer index, embedded chi and Chern pairing against the
+    rational measures: on every nonnegative domain at n_z = 0 and 1,
+    that is every domain positive_domains can return for some index, on
+    the SMALL_NAMES diagrams where it returns any (it raises
+    UnboundedEnumeration on the other two), and on every periodic basis
+    vector at every generator."""
     d = build(name)
     gens = enumerate_generators(d)
     for x in gens:
@@ -172,6 +174,30 @@ def test_integer_index_matches_measures_on_positive_domains(name):
                 for coeffs in _positive_solutions(d, x, y, nz):
                     dom = Domain(coeffs, x, y)
                     assert maslov_index(d, dom) == measure_index(d, dom), (x, y, coeffs)
+                    chi = (
+                        d.genus
+                        + euler_measure(d, dom)
+                        - generator_measure(d, dom, x)
+                        - generator_measure(d, dom, y)
+                    )
+                    assert embedded_euler_char(d, dom) == chi, (x, y, coeffs)
+                    check_chern_pairing(d, x, coeffs)
+        for vec in periodic_lattice(d).basis:
+            check_chern_pairing(d, x, vec)
+            check_chern_pairing(d, x, [v + 1 for v in vec])
+
+
+def check_chern_pairing(d, x, coeffs):
+    """The integer pairing against e(P0) + 2 n_x(P0), P0 = P - n_z [Sigma];
+    off the periodic lattice that can be fractional, and must then raise."""
+    nz = coeffs[d.basepoint]
+    p0 = [c - nz for c in coeffs]
+    want = euler_measure(d, p0) + 2 * generator_measure(d, p0, x)
+    if want.denominator == 1:
+        assert chern_pairing(d, x, coeffs) == want, (x, coeffs)
+    else:
+        with pytest.raises(NonIntegralMeasure):
+            chern_pairing(d, x, coeffs)
 
 
 @pytest.mark.parametrize("name", SMALL_NAMES)

@@ -1,18 +1,18 @@
-"""Spin^c partition, grading divisors, and the epsilon obstruction."""
+"""Spin^c partition and grading divisors, against a Smith-form oracle."""
 
 import pytest
 
 from hfhat import (
     connecting_domain,
     enumerate_generators,
-    epsilon_obstruction,
     grading_divisor,
     relative_gradings,
     spinc_partition,
 )
 from hfhat.corpus import build
+from hfhat.domains import _connecting_rhs, _factored
 
-from conftest import SMALL_NAMES
+from conftest import SMALL_NAMES, smith_solvability
 
 
 def test_class_counts():
@@ -57,14 +57,18 @@ def test_partition_matches_connectivity(name, corpus_small):
 
 @pytest.mark.parametrize("name", SMALL_NAMES + ["lens(11,3)"])
 def test_epsilon_vanishes_iff_connected(name):
+    """The obstruction epsilon(x, y) vanishes exactly when the boundary
+    system is solvable over Z, which sympy's Smith form decides
+    independently of the Hermite form hfhat uses."""
     d = build(name)
     where = {g: i for i, c in enumerate(spinc_partition(d)) for g in c.members}
+    solvable = smith_solvability(_factored(d)[0])
     gens = enumerate_generators(d)
     for x in gens:
         for y in gens:
-            eps = epsilon_obstruction(d, x, y)
+            vanishes = solvable(_connecting_rhs(d, x, y))
             connected = connecting_domain(d, x, y) is not None
-            assert (eps == ()) == connected == (where[x] == where[y])
+            assert vanishes == connected == (where[x] == where[y])
 
 
 def test_divisors():
