@@ -56,7 +56,8 @@ def _fmt_gen(g: Generator) -> str:
 
 
 def _parse_gen(text: str) -> Generator:
-    return Generator(tuple(text.split(",")))
+    """Generators are the sorted tuple of their points, in any given order."""
+    return Generator(tuple(sorted(text.split(","))))
 
 
 def _fmt_frac(x: Fraction) -> str:

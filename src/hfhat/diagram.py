@@ -103,9 +103,9 @@ def derived(build: Callable[..., T]) -> Callable[..., T]:
     data takes none.  The result is stored on ``d`` and freed with it;
     a call that raises stores nothing.  This is how the validation
     report, quadrant map, factored boundary system, periodic lattice
-    and weak witness are kept, and, keyed, the positive lattice points
-    per starting domain and the admissibility verdicts and certificates
-    per Chern pairing vector.
+    and weak witness are kept, and, keyed, the reduction per generator,
+    the positive lattice points per starting domain and the
+    admissibility verdicts and certificates per Chern pairing vector.
     """
 
     @wraps(build)

@@ -5,9 +5,11 @@ boundary, pushed to a 0-chain on the intersection points, must equal
 ``to - from``; the beta boundary gives the mirror ``from - to``.  Both
 conditions form one integer linear system ``A n = b`` per diagram, with
 ``A = [l_alpha; l_beta]``.  ``A`` is factored once per diagram object
-into its Hermite normal form ``A u = h``; every question about the
-system is then a back-substitution of ``b`` against ``h``, whose
-remainder is canonical modulo the column lattice of ``A``.
+into its Hermite normal form ``A u = h``.  Since ``b`` is y's stacked
+chain minus x's, each generator's chain is reduced against ``h`` once
+per diagram object: the remainder, canonical modulo the column lattice
+of ``A``, names the generator's Spin^c class, and the quotient gives a
+domain phi_g; the domain from x to y is phi_y - phi_x.
 
 The kernel of that system splits as (periodic lattice with n_z = 0)
 plus the fundamental class [Sigma] (all coefficients 1), split off by
@@ -152,23 +154,33 @@ def _assert_mirror(d: HeegaardDiagram, dom: Domain) -> None:
         raise InternalError(f"domain {dom.coefficients} has the wrong boundary")
 
 
+@derived
+def _reduction(d: HeegaardDiagram, g: Generator) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(remainder, phi)`` for g's stacked chain ``b_g = h q + remainder``:
+    the remainder names g's Spin^c class, and ``phi = u q`` with n_z made
+    0.  Within a class ``b_y - b_x = h (q_y - q_x)``, so ``phi_y - phi_x``
+    is the domain that reducing ``b(x, y)`` itself would give."""
+    _, h, u, pivots = _factored(d)
+    quotient, remainder = hermite_reduce(h, pivots, _stacked_chain(d, g))
+    phi = mat_vec(u, quotient)
+    nz = phi[d.basepoint]
+    return tuple(remainder), tuple(c - nz for c in phi)
+
+
 def connecting_domain(
     d: HeegaardDiagram, x: Generator, y: Generator
 ) -> Optional[Domain]:
     """A domain from x to y with n_z = 0, or None when none exists.
 
-    Solvability is exactly the vanishing of the obstruction
-    epsilon(x, y), so absence here means x and y sit in different
-    Spin^c classes.
+    One exists exactly when x and y reduce to the same remainder, that
+    is when they lie in the same Spin^c class; it is then
+    ``phi_y - phi_x`` from their stored reductions.
     """
-    _, h, u, pivots = _factored(d)
-    quotient, remainder = hermite_reduce(h, pivots, _connecting_rhs(d, x, y))
-    if any(remainder):
+    rx, phi_x = _reduction(d, x)
+    ry, phi_y = _reduction(d, y)
+    if rx != ry:
         return None
-    particular = mat_vec(u, quotient)
-    nz = particular[d.basepoint]
-    coeffs = tuple(c - nz for c in particular)
-    dom = Domain(coeffs, x, y)
+    dom = Domain(tuple(b - a for a, b in zip(phi_x, phi_y)), x, y)
     _assert_mirror(d, dom)
     return dom
 
@@ -245,11 +257,6 @@ def _lattice_points(
     ``d0``, so pairs whose connecting domains coincide share one sweep.
     """
     basis = periodic_lattice(d).basis
-    if not basis:
-        if all(c >= 0 for c in d0):
-            return (d0,)
-        return ()
-
     witness = _weak_witness(d)
     if witness is not None:
         raise UnboundedEnumeration(witness)

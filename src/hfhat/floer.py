@@ -196,36 +196,35 @@ def differential(
     return GradedComplex(c, order, mat, tuple(audit))
 
 
+def _column(matrix: tuple[tuple[int, ...], ...], j: int) -> int:
+    """Column ``j`` of an F2 matrix as an int whose bit i is ``matrix[i][j]``."""
+    return sum(row[j] << i for i, row in enumerate(matrix))
+
+
 def _assert_d_squared_zero(matrix: tuple[tuple[int, ...], ...]) -> None:
-    n = len(matrix)
-    for i in range(n):
-        for j in range(n):
-            acc = 0
-            for k in range(n):
-                acc ^= matrix[i][k] & matrix[k][j]
-            if acc:
-                raise InternalError(f"d^2 != 0 over F2 at entry ({i}, {j})")
+    cols = [_column(matrix, j) for j in range(len(matrix))]
+    for j, col in enumerate(cols):
+        acc = 0
+        for k, row in enumerate(matrix):
+            if row[j]:
+                acc ^= cols[k]
+        if acc:
+            i = (acc & -acc).bit_length() - 1
+            raise InternalError(f"d^2 != 0 over F2 at entry ({i}, {j})")
 
 
-def _gf2_rank(rows: list[list[int]]) -> int:
-    rows = [list(r) for r in rows if any(r)]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    pivot_col = 0
-    r = 0
-    while r < len(rows) and pivot_col < cols:
-        pivot = next((i for i in range(r, len(rows)) if rows[i][pivot_col]), None)
-        if pivot is None:
-            pivot_col += 1
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][pivot_col]:
-                rows[i] = [a ^ b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-        pivot_col += 1
-    return rank
+def _gf2_rank(vectors) -> int:
+    """Rank over F2 of int bit vectors, by an XOR basis.
+
+    Each basis vector is zero at the top bit of every earlier one, so
+    ``min(v, v ^ b)`` in insertion order clears each of those bits."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)
 
 
 @dataclass(frozen=True)
@@ -258,30 +257,21 @@ def homology(
     return out
 
 
-def _columns_at(complex_: GradedComplex, gradings, level: int) -> list[list[int]]:
-    cols = []
-    for j, g in enumerate(complex_.order):
-        if gradings[g] == level:
-            cols.append([complex_.matrix[i][j] for i in range(len(complex_.order))])
-    return cols
-
-
 def _rank_from(complex_: GradedComplex, gradings, level: int) -> int:
     """Rank of the differential restricted to grading ``level``."""
-    cols = _columns_at(complex_, gradings, level)
-    return _gf2_rank(cols) if cols else 0
+    return _gf2_rank(
+        _column(complex_.matrix, j) for j, g in enumerate(complex_.order) if gradings[g] == level
+    )
 
 
 def _rank_into(complex_: GradedComplex, gradings, level: int, divisor: int) -> int:
     """Rank of the differential landing in grading ``level``."""
     src = level + 1
-    present = {gradings[g] for g in complex_.order}
     if divisor > 0:
         src %= divisor
-    if src not in present:
-        return 0
-    cols = _columns_at(complex_, gradings, src)
-    # Restrict images to the rows of this grading level.
-    rows = [i for i, g in enumerate(complex_.order) if gradings[g] == level]
-    restricted = [[col[i] for i in rows] for col in cols]
-    return _gf2_rank(restricted) if restricted else 0
+    rows = sum(1 << i for i, g in enumerate(complex_.order) if gradings[g] == level)
+    return _gf2_rank(
+        _column(complex_.matrix, j) & rows
+        for j, g in enumerate(complex_.order)
+        if gradings[g] == src
+    )

@@ -3,9 +3,9 @@
 Two generators lie in the same Spin^c class exactly when a connecting
 domain exists, that is when their stacked chains ``[chi_x; -chi_x]``
 differ by an element of the column lattice of the boundary system.
-That system is factored once per diagram; each generator's chain is
-reduced to its canonical remainder modulo the lattice, and the classes
-are the groups of equal remainders.  Gradings inside a class are
+The classes are the groups of equal remainders of the per-generator
+reductions stored by ``domains._reduction``, the same reductions that
+every connecting domain is read from.  Gradings inside a class are
 relative: gr(x) - gr(y) is the Maslov index of any n_z = 0 domain from
 x to y, read mod the divisor gcd |<c_1, P>| over the periodic basis
 when that is nonzero.  A class's Chern pairings on the periodic
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .diagram import HeegaardDiagram, derived
-from .domains import _factored, _stacked_chain, connecting_domain, periodic_lattice
-from .exactla import InternalError, hermite_reduce
+from .domains import _reduction, connecting_domain, periodic_lattice
+from .exactla import InternalError
 from .generators import Generator, enumerate_generators
 from .measures import chern_pairing, maslov_index
 
@@ -38,11 +38,9 @@ def spinc_partition(d: HeegaardDiagram) -> list[SpincClass]:
     Classes are sorted by their canonical representative; each comes
     with its grading divisor and normalized relative gradings.
     """
-    _, h, _, pivots = _factored(d)
     groups: dict[tuple[int, ...], list[Generator]] = {}
     for g in enumerate_generators(d):
-        remainder = hermite_reduce(h, pivots, _stacked_chain(d, g))[1]
-        groups.setdefault(tuple(remainder), []).append(g)
+        groups.setdefault(_reduction(d, g)[0], []).append(g)
     classes = []
     for group in sorted(groups.values(), key=lambda grp: grp[0]):
         members = tuple(sorted(group))

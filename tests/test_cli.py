@@ -73,6 +73,16 @@ def test_domains_unknown_generator(write_corpus):
     assert code == 4
 
 
+def test_domains_accepts_points_in_any_order(write_corpus, capsys):
+    f = write_corpus("gsph(2)")
+    outs = []
+    for x, y in (("r.theta,theta", "r.eta,theta"), ("theta,r.theta", "theta,r.eta")):
+        assert run(["domains", str(f), "--from", x, "--to", y, "--index", "1", "--nz", "0"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("2 domains")
+
+
 def test_admissible_failure_prints_witness(write_corpus, capsys):
     f = write_corpus("s1s2_bad")
     assert run(["admissible", str(f)]) == 2

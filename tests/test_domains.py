@@ -4,16 +4,21 @@ import random
 
 import pytest
 
+import hfhat.domains
 from hfhat import (
     Domain,
     UnboundedEnumeration,
     boundary_system,
+    connected_sum,
     connecting_domain,
     enumerate_generators,
+    homology,
     periodic_lattice,
     positive_domains,
 )
 from hfhat.corpus import build
+from hfhat.domains import _connecting_rhs, _factored
+from hfhat.exactla import hermite_reduce, mat_vec
 
 from conftest import ADMISSIBLE_NAMES, SMALL_NAMES, brute_force_domains
 
@@ -47,6 +52,43 @@ def test_connecting_domain_solves_boundary_equation(name, corpus_small):
                 want[idx[p]] -= 1
             assert la == want
             assert lb == [-v for v in want]
+
+
+def _lens_sum():
+    return connected_sum(build("gsph(2)"), build("lens(5,2)"))
+
+
+@pytest.mark.parametrize("name", SMALL_NAMES + ["lens(11,3)", "gsph(2)#lens(5,2)"])
+def test_connecting_domain_equals_per_pair_reduction(name):
+    """Differences of per-generator reductions give, coefficient for
+    coefficient, the domain that reducing b(x, y) for the pair gives."""
+    d = _lens_sum() if name == "gsph(2)#lens(5,2)" else build(name)
+    _, h, u, pivots = _factored(d)
+    gens = enumerate_generators(d)
+    for x in gens:
+        for y in gens:
+            quotient, remainder = hermite_reduce(h, pivots, _connecting_rhs(d, x, y))
+            dom = connecting_domain(d, x, y)
+            if any(remainder):
+                assert dom is None, (x, y)
+                continue
+            particular = mat_vec(u, quotient)
+            nz = particular[d.basepoint]
+            assert dom == Domain(tuple(c - nz for c in particular), x, y)
+
+
+def test_homology_reduces_each_generator_once(monkeypatch):
+    d = _lens_sum()
+    calls = []
+    real = hfhat.domains.hermite_reduce
+
+    def counted(h, pivots, b):
+        calls.append(tuple(b))
+        return real(h, pivots, b)
+
+    monkeypatch.setattr(hfhat.domains, "hermite_reduce", counted)
+    homology(d)
+    assert len(calls) == len(set(calls)) == len(enumerate_generators(d))
 
 
 @pytest.mark.parametrize("name", SMALL_NAMES)

@@ -13,6 +13,7 @@ import pytest
 from hfhat import (
     Generator,
     GradedComplex,
+    InternalError,
     NotCombinatorial,
     SpincClass,
     UnboundedEnumeration,
@@ -215,15 +216,17 @@ def test_classify_rigid_preconditions_survive_optimize():
     assert proc.returncode == 7, proc.stderr.decode()
 
 
-def _random_complex(rng, divisor):
+def _random_complex(rng, divisor, pieces=(3, 9)):
     """A direct sum of single generators and of pairs x -> y with
     gr(x) = gr(y) + 1 (mod ``divisor`` when it is positive), in a random
-    order and a random basis of each grading.  Returns the complex and
-    the number of single generators at each grading, which is the
-    homology of the sum."""
+    order and a random basis of each grading; the number of summands is
+    drawn from the range ``pieces``.  Returns the complex and the number
+    of single generators at each grading, which is the homology of the
+    sum."""
     levels = range(divisor) if divisor else range(4)
+    count = rng.randint(*pieces)
     pieces = []
-    for _ in range(rng.randint(3, 9)):
+    for _ in range(count):
         low = rng.choice(levels)
         if rng.random() < 0.4:
             pieces.append((low,))
@@ -309,3 +312,33 @@ def test_f2_ranks_on_nonzero_differentials(divisor):
             )
             assert got == want, (level, complex_.matrix)
     assert nonzero >= 30
+
+
+@pytest.mark.parametrize("divisor", [0, 2])
+def test_f2_ranks_past_64_generators(divisor):
+    """Seeded complexes of 80 or more generators, so that the bit columns
+    are wider than a machine word: the ranks give the singles of the
+    construction, and flipping one entry makes the d^2 check raise."""
+    rng = random.Random(20261019 + divisor)
+    for _ in range(3):
+        complex_, singles = _random_complex(rng, divisor, pieces=(80, 100))
+        order, matrix = complex_.order, complex_.matrix
+        assert len(order) >= 80
+        _assert_d_squared_zero(matrix)
+        gradings = dict(complex_.spinc.gradings)
+        for level in set(gradings.values()):
+            dim = sum(1 for g in order if gradings[g] == level)
+            got = (
+                dim
+                - _rank_from(complex_, gradings, level)
+                - _rank_into(complex_, gradings, level, divisor)
+            )
+            assert got == singles.get(level, 0), level
+        # Flip (i, j) where d e_i != 0: then d'^2 e_j = d e_i, since the
+        # diagonal of a graded differential is zero.
+        i = next(k for k in range(len(order)) if any(row[k] for row in matrix))
+        j = next(k for k in range(len(order)) if k != i)
+        flipped = [list(row) for row in matrix]
+        flipped[i][j] ^= 1
+        with pytest.raises(InternalError):
+            _assert_d_squared_zero(tuple(tuple(row) for row in flipped))
