@@ -11,7 +11,12 @@ region on the left.
 From this the module derives the quadrant structure at every point (the
 four local cells used by point measures), validates the long list of
 consistency invariants a genuine diagram must satisfy, and implements
-stabilization and connected sum at the basepoints.
+stabilization and connected sum at the basepoints.  Validation is
+local counting (arcs, corners, quadrants, Euler totals) plus gluing:
+one union-find over arc references says whether regions glued along
+given arcs form one piece, which decides that the surface is connected
+and that each curve family has connected complement, so spans rank g
+in H1.  ``floer.classify_rigid`` glues a domain's support the same way.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from fractions import Fraction
 from functools import wraps
 from typing import Callable, Iterable, TypeVar
 
-from .exactla import InternalError, matrix_rank
+from .exactla import InternalError
 
 ALPHA = "a"
 BETA = "b"
@@ -323,7 +328,16 @@ def _departure_half(ref: ArcRef) -> str:
 
 @derived
 def validate(d: HeegaardDiagram) -> ValidationReport:
-    """Check every diagram invariant; collects all violations."""
+    """Check every diagram invariant; collects all violations.
+
+    In order: structure and point membership; arc coverage and cycle
+    connectivity; corner count and quadrant closure at every point;
+    the Euler totals.  Once arcs, corners and quadrants pass, the
+    regions glue into a closed surface, and it must be one piece
+    (``surface_connectivity``); on a connected surface, Sigma minus
+    alpha (the regions glued along beta arcs) and Sigma minus beta must
+    each be one piece too (``curve_homology_rank``).
+    """
     bad = _structural_violations(d)
     if bad:
         return ValidationReport(tuple(bad))
@@ -432,16 +446,27 @@ def validate(d: HeegaardDiagram) -> ValidationReport:
             ("euler_measure", f"sum e(D_i) = {em}, expected {2 - 2 * d.genus}")
         )
 
-    # Homological independence of each curve family (rank g over Q).
-    for label, ok in zip(("alpha", "beta"), _family_ranks_ok(d)):
-        if not ok:
-            bad.append(
-                (
-                    "curve_homology_rank",
-                    f"{label} curve classes do not have rank {d.genus} in H1",
-                )
-            )
+    # Connectivity means something only once the regions glue into a
+    # closed surface: every arc with two sides, every point with four
+    # quadrants.
+    if not any(name in ("arc_coverage", "corner_count", "quadrant_closure") for name, _ in bad):
+        bad.extend(_connectivity_violations(d))
     return ValidationReport(tuple(bad))
+
+
+def _connectivity_violations(d: HeegaardDiagram) -> list[tuple[str, str]]:
+    """The closed surface must be connected.  Then g disjoint curves on
+    it span rank g in H1 exactly when their complement is connected,
+    and the complement of one family is the regions glued along the
+    other family's arcs alone."""
+    everything = range(len(d.regions))
+    if not _one_piece(d, everything, (ALPHA, BETA)):
+        return [("surface_connectivity", "the regions do not glue into one connected surface")]
+    return [
+        ("curve_homology_rank", f"{label} curve classes do not have rank {d.genus} in H1")
+        for label, other in (("alpha", BETA), ("beta", ALPHA))
+        if not _one_piece(d, everything, (other,))
+    ]
 
 
 def _corner_slots(d: HeegaardDiagram) -> dict[str, list[tuple[int, int]]]:
@@ -458,39 +483,25 @@ def _corner_slots(d: HeegaardDiagram) -> dict[str, list[tuple[int, int]]]:
     return out
 
 
-def _family_ranks_ok(d: HeegaardDiagram) -> tuple[bool, bool]:
-    """Do the alpha and the beta curve classes each span rank g in H1?
+def _one_piece(d: HeegaardDiagram, regions: Iterable[int], families: tuple[str, ...]) -> bool:
+    """Do ``regions``, glued where two of them share an arc of a curve in
+    ``families``, form one piece?  A union-find over arc references."""
+    parent = {ri: ri for ri in regions}
 
-    Graph classes in H1 of the closed surface form the cycle space of
-    the 4-valent graph modulo the region boundary chains; handles
-    carried by region genus do not interact with graph classes.
-    """
-    arc_ids: dict[tuple[str, int, int], int] = {}
-    for fam, curves in ((ALPHA, d.alpha), (BETA, d.beta)):
-        for i, curve in enumerate(curves):
-            for k in range(len(curve)):
-                arc_ids[(fam, i, k)] = len(arc_ids)
-    n_arcs = len(arc_ids)
+    def root(ri: int) -> int:
+        while parent[ri] != ri:
+            parent[ri] = parent[parent[ri]]
+            ri = parent[ri]
+        return ri
 
-    boundary_rows = []
-    for region in d.regions:
-        row = [0] * n_arcs
-        for cyc in region.cycles:
+    first_side: dict[tuple[str, int, int], int] = {}
+    for ri in parent:
+        for cyc in d.regions[ri].cycles:
             for ref in cyc:
-                row[arc_ids[(ref.curve, ref.index, ref.arc)]] += ref.dir
-        boundary_rows.append(row)
-    base_rank = matrix_rank(boundary_rows)
-
-    def spans_genus(family: str, curves: tuple[tuple[str, ...], ...]) -> bool:
-        curve_rows = []
-        for i, curve in enumerate(curves):
-            row = [0] * n_arcs
-            for k in range(len(curve)):
-                row[arc_ids[(family, i, k)]] += 1
-            curve_rows.append(row)
-        return matrix_rank(boundary_rows + curve_rows) - base_rank == d.genus
-
-    return spans_genus(ALPHA, d.alpha), spans_genus(BETA, d.beta)
+                if ref.curve in families:
+                    other = first_side.setdefault((ref.curve, ref.index, ref.arc), ri)
+                    parent[root(ri)] = root(other)
+    return len({root(ri) for ri in parent}) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -194,13 +194,6 @@ def canonical_basis(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
     return [[h[i][c] for i in range(n)] for _, c in pivots]
 
 
-def matrix_rank(a: Sequence[Sequence[int]]) -> int:
-    """Rank over Q (equivalently over Z): the pivot count of the Hermite form."""
-    if not a or not a[0]:
-        return 0
-    return len(hermite_normal_form(a)[2])
-
-
 # ---------------------------------------------------------------------------
 # Exact linear programming on an integer tableau.
 # ---------------------------------------------------------------------------

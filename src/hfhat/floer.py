@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .diagram import HeegaardDiagram, quadrants, validate
+from .diagram import ALPHA, BETA, HeegaardDiagram, _one_piece, quadrants, validate
 from .domains import Domain, UnboundedEnumeration, _weak_witness, positive_domains
 from .exactla import InternalError
 from .generators import Generator
-from .measures import maslov_index
+from .measures import embedded_euler_char, maslov_index
 from .spinc import SpincClass, spinc_partition
 
 BIGON = "Bigon"
@@ -83,36 +83,15 @@ def _support_chi(d: HeegaardDiagram, support: set[int]) -> int:
     return chi + len(pts) - len(arcs)
 
 
-def _support_connected(d: HeegaardDiagram, support: set[int]) -> bool:
-    arc_owner: dict[tuple[str, int, int], list[int]] = {}
-    for ri in support:
-        for cyc in d.regions[ri].cycles:
-            for ref in cyc:
-                arc_owner.setdefault((ref.curve, ref.index, ref.arc), []).append(ri)
-    adj: dict[int, set[int]] = {ri: set() for ri in support}
-    for owners in arc_owner.values():
-        for a in owners:
-            for b in owners:
-                if a != b:
-                    adj[a].add(b)
-    start = min(support)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return seen == support
-
-
 def classify_rigid(d: HeegaardDiagram, D: Domain) -> RigidShape:
     """Classify an index-1 nonnegative n_z = 0 domain.
 
     Bigon and Rectangle require coefficients in {0,1}, connected disk
     support with locally contiguous quadrants, and a corner census
     matching the moving points of the generator pair; everything else
-    is Other.
+    is Other.  A Bigon must have the paper's embedded Euler
+    characteristic g + e - n_x - n_y equal to g, a Rectangle g - 1;
+    otherwise InternalError is raised.
     """
     coeffs = D.coefficients
     if any(c < 0 for c in coeffs) or coeffs[d.basepoint] != 0 or maslov_index(d, D) != 1:
@@ -133,7 +112,7 @@ def classify_rigid(d: HeegaardDiagram, D: Domain) -> RigidShape:
             return RigidShape(OTHER, sup, ())  # pinched point
         if len(covered) == 1:
             corner_pts.append(p)
-    if not _support_connected(d, support):
+    if not _one_piece(d, support, (ALPHA, BETA)):
         return RigidShape(OTHER, sup, tuple(corner_pts))
     if _support_chi(d, support) != 1:
         return RigidShape(OTHER, sup, tuple(corner_pts))
@@ -142,10 +121,16 @@ def classify_rigid(d: HeegaardDiagram, D: Domain) -> RigidShape:
     if set(corner_pts) != moving_from | moving_to:
         return RigidShape(OTHER, sup, tuple(corner_pts))
     if len(moving_from) == 1 and len(moving_to) == 1:
-        return RigidShape(BIGON, sup, tuple(sorted(corner_pts)))
-    if len(moving_from) == 2 and len(moving_to) == 2:
-        return RigidShape(RECTANGLE, sup, tuple(sorted(corner_pts)))
-    return RigidShape(OTHER, sup, tuple(corner_pts))
+        tag, chi = BIGON, d.genus
+    elif len(moving_from) == 2 and len(moving_to) == 2:
+        tag, chi = RECTANGLE, d.genus - 1
+    else:
+        return RigidShape(OTHER, sup, tuple(corner_pts))
+    # The embedded surface of a disk is the disk plus one trivial strip
+    # per fixed point: g - 1 strips for a bigon, g - 2 for a rectangle.
+    if embedded_euler_char(d, D) != chi:
+        raise InternalError(f"{tag} {coeffs} has embedded chi {embedded_euler_char(d, D)}, expected {chi}")
+    return RigidShape(tag, sup, tuple(sorted(corner_pts)))
 
 
 def differential(
@@ -244,34 +229,28 @@ def homology(
     report = validate(d)
     if not report.ok:
         raise ValueError(f"homology() requires a valid diagram:\n{report}")
-    out = []
-    for c in spinc_partition(d):
-        complex_ = differential(d, c, strict_rectangles, threads)
-        gradings = dict(c.gradings)
-        levels = sorted({v for v in gradings.values()})
-        ranks = []
-        for k in levels:
-            dim_k = sum(1 for g in complex_.order if gradings[g] == k)
-            ranks.append((k, dim_k - _rank_from(complex_, gradings, k) - _rank_into(complex_, gradings, k, c.divisor)))
-        out.append(HomologyClassReport(c, tuple(ranks)))
-    return out
+    return [
+        HomologyClassReport(c, _graded_ranks(differential(d, c, strict_rectangles, threads)))
+        for c in spinc_partition(d)
+    ]
 
 
-def _rank_from(complex_: GradedComplex, gradings, level: int) -> int:
-    """Rank of the differential restricted to grading ``level``."""
-    return _gf2_rank(
-        _column(complex_.matrix, j) for j, g in enumerate(complex_.order) if gradings[g] == level
-    )
+def _graded_ranks(complex_: GradedComplex) -> tuple[tuple[int, int], ...]:
+    """(grading k, rank of H_k) for each grading, sorted.
 
-
-def _rank_into(complex_: GradedComplex, gradings, level: int, divisor: int) -> int:
-    """Rank of the differential landing in grading ``level``."""
-    src = level + 1
-    if divisor > 0:
-        src %= divisor
-    rows = sum(1 << i for i, g in enumerate(complex_.order) if gradings[g] == level)
-    return _gf2_rank(
-        _column(complex_.matrix, j) & rows
-        for j, g in enumerate(complex_.order)
-        if gradings[g] == src
-    )
+    The differential lowers the grading by one (mod the divisor), so
+    the part landing in grading k is the part leaving grading k + 1,
+    and H_k = dim_k - r(k) - r(k + 1) with r(k) the F2 rank of the
+    columns at grading k.  Each column is built once, each grading
+    ranked once."""
+    divisor = complex_.spinc.divisor
+    gradings = dict(complex_.spinc.gradings)
+    columns: dict[int, list[int]] = {}
+    for j, g in enumerate(complex_.order):
+        columns.setdefault(gradings[g], []).append(_column(complex_.matrix, j))
+    rank = {k: _gf2_rank(cols) for k, cols in columns.items()}
+    ranks = []
+    for k in sorted(columns):
+        above = (k + 1) % divisor if divisor > 0 else k + 1
+        ranks.append((k, len(columns[k]) - rank[k] - rank.get(above, 0)))
+    return tuple(ranks)

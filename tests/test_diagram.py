@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import random
 
 import pytest
+import sympy
 
 from hfhat import (
     ArcRef,
@@ -11,12 +13,14 @@ from hfhat import (
     HFDFormatError,
     Region,
     connected_sum,
+    homology,
     parse_hfd,
     quadrants,
     serialize_hfd,
     stabilize,
     validate,
 )
+from hfhat.cli import run
 from hfhat.corpus import build
 
 from conftest import SMALL_NAMES, rectangle_diagram
@@ -131,7 +135,8 @@ def test_validate_flags_nullhomologous_curve_system():
     """A beta cycle that closes up but bounds in the surface is rejected.
 
     The local combinatorics (arc coverage, corners, Euler counts) all
-    pass here; only the homology-rank check sees that beta is trivial.
+    pass here; only the curve check sees that beta is trivial: Sigma
+    minus beta, the regions glued along alpha arcs, is in two pieces.
     """
     a = lambda arc, dir: ArcRef("a", 0, arc, dir)
     b = lambda arc, dir: ArcRef("b", 0, arc, dir)
@@ -194,3 +199,166 @@ def test_stabilize_adds_torus():
 
 def test_rectangle_diagram_fixture_is_valid():
     assert validate(rectangle_diagram()).ok
+
+
+def _split_basepoint_region(d):
+    """``d`` with its basepoint region cut in two: a genus-1 region with
+    the first two boundary cycles and a genus-0 region with the rest.
+    The Euler totals do not change."""
+    z = d.regions[d.basepoint]
+    regions = list(d.regions)
+    regions[d.basepoint] = Region(1, z.cycles[:2])
+    regions.append(Region(0, z.cycles[2:]))
+    return dataclasses.replace(d, regions=tuple(regions))
+
+
+def test_validate_flags_disconnected_surface(tmp_path, capsys):
+    """gsph(2) with its four-cycle basepoint region split glues into a
+    genus-2 piece and a torus; every local count still passes."""
+    split = _split_basepoint_region(build("gsph(2)"))
+    report = validate(split)
+    assert [name for name, _ in report.violations] == ["surface_connectivity"]
+    # With a region doubled the complex is no closed surface, and no
+    # connectivity line is reported, although it is still in pieces.
+    doubled = dataclasses.replace(split, regions=split.regions + split.regions[-1:])
+    names = {name for name, _ in validate(doubled).violations}
+    assert "arc_coverage" in names and "surface_connectivity" not in names
+    with pytest.raises(ValueError):
+        homology(split)
+    path = tmp_path / "split.hfd"
+    path.write_text(serialize_hfd(split))
+    assert run(["validate", str(path), "--json"]) == 1
+    assert "surface_connectivity" in capsys.readouterr().out
+
+
+def _mutate(d, rng):
+    """One random edit of ``d``: flip a dir, re-point an arc, merge two
+    regions, move a boundary cycle (possibly into a new region), shuffle
+    a curve, or change a region genus."""
+    regions = [list(r.cycles) for r in d.regions]
+    genera = [r.genus for r in d.regions]
+    alpha, beta = list(d.alpha), list(d.beta)
+    kind = rng.choice(["dir", "arc", "merge", "move", "shuffle", "genus"])
+    ri = rng.randrange(len(regions))
+    if kind in ("dir", "arc") and regions[ri]:
+        ci = rng.randrange(len(regions[ri]))
+        cyc = list(regions[ri][ci])
+        t = rng.randrange(len(cyc))
+        ref = cyc[t]
+        if kind == "dir":
+            cyc[t] = dataclasses.replace(ref, dir=-ref.dir)
+        else:
+            length = len(d.curve(ref.curve, ref.index))
+            cyc[t] = dataclasses.replace(ref, arc=rng.randrange(length))
+        regions[ri][ci] = tuple(cyc)
+    elif kind == "merge" and len(regions) > 1:
+        rj = rng.choice([k for k in range(len(regions)) if k != ri])
+        regions[ri] += regions[rj]
+        genera[ri] += genera[rj]
+        del regions[rj], genera[rj]
+    elif kind == "move" and regions[ri]:
+        cyc = regions[ri].pop(rng.randrange(len(regions[ri])))
+        rj = rng.randrange(len(regions) + 1)
+        if rj == len(regions):
+            regions.append([])
+            genera.append(rng.randrange(2))
+        regions[rj].append(cyc)
+    elif kind == "shuffle":
+        family = rng.choice([alpha, beta])
+        i = rng.randrange(len(family))
+        family[i] = tuple(rng.sample(family[i], len(family[i])))
+    elif kind == "genus":
+        genera[ri] = max(0, genera[ri] + rng.choice([-1, 1]))
+    new = tuple(Region(g, tuple(c)) for g, c in zip(genera, regions))
+    return HeegaardDiagram(
+        d.genus, tuple(alpha), tuple(beta), new, min(d.basepoint, len(new) - 1)
+    )
+
+
+def _glued_pieces(d):
+    """Number of pieces of the regions glued along all shared arcs, by a
+    breadth-first walk."""
+    owners = {}
+    for ri, region in enumerate(d.regions):
+        for cyc in region.cycles:
+            for ref in cyc:
+                owners.setdefault((ref.curve, ref.index, ref.arc), set()).add(ri)
+    unseen, pieces = set(range(len(d.regions))), 0
+    while unseen:
+        pieces += 1
+        frontier = [unseen.pop()]
+        while frontier:
+            ri = frontier.pop()
+            for cyc in d.regions[ri].cycles:
+                for ref in cyc:
+                    for rj in owners[(ref.curve, ref.index, ref.arc)] & unseen:
+                        unseen.discard(rj)
+                        frontier.append(rj)
+    return pieces
+
+
+def _rank_criterion_fails(d):
+    """For alpha and beta: does rank([region boundaries; curves]) -
+    rank(region boundaries) over Q differ from g?  The curve classes
+    live in the cycle space of the graph modulo the region boundaries."""
+    arcs = {}
+    for fam, curves in (("a", d.alpha), ("b", d.beta)):
+        for i, curve in enumerate(curves):
+            for k in range(len(curve)):
+                arcs[(fam, i, k)] = len(arcs)
+    boundaries = []
+    for region in d.regions:
+        row = [0] * len(arcs)
+        for cyc in region.cycles:
+            for ref in cyc:
+                row[arcs[(ref.curve, ref.index, ref.arc)]] += ref.dir
+        boundaries.append(row)
+    base = sympy.Matrix(boundaries).rank() if boundaries else 0
+    out = []
+    for fam, curves in (("a", d.alpha), ("b", d.beta)):
+        rows = [
+            [1 if key[:2] == (fam, i) else 0 for key in arcs] for i in range(len(curves))
+        ]
+        out.append(sympy.Matrix(boundaries + rows).rank() - base != d.genus)
+    return tuple(out)
+
+
+# Violations that leave the glued complex a closed surface, so that the
+# connectivity checks run.
+_CLOSED_SURFACE_NAMES = {
+    "euler_characteristic",
+    "euler_measure",
+    "surface_connectivity",
+    "curve_homology_rank",
+}
+
+
+def test_connectivity_checks_match_rank_criterion():
+    """On seeded mutants of corpus diagrams that pass arc coverage,
+    corners and quadrant closure, the curve lines appear exactly where
+    the Q-rank criterion fails, and the surface line exactly where the
+    regions are not one piece (then in place of the curve lines)."""
+    rng = random.Random(20261020)
+    bases = [build(name) for name in SMALL_NAMES + ["lens(7,3)", "gsph(3)"]]
+    bases.append(rectangle_diagram())
+    seen = {"curve_ok": 0, "curve_bad": 0, "disconnected": 0}
+    for _ in range(1000):
+        m = rng.choice(bases)
+        for _ in range(rng.randint(1, 2)):
+            m = _mutate(m, rng)
+        report = validate(m)
+        names = {name for name, _ in report.violations}
+        if not names <= _CLOSED_SURFACE_NAMES:
+            assert not names & {"surface_connectivity", "curve_homology_rank"}
+            continue
+        details = [detail for name, detail in report.violations if name == "curve_homology_rank"]
+        if _glued_pieces(m) > 1:
+            assert "surface_connectivity" in names and not details
+            seen["disconnected"] += 1
+            continue
+        assert "surface_connectivity" not in names
+        alpha_bad, beta_bad = _rank_criterion_fails(m)
+        assert any(s.startswith("alpha ") for s in details) == alpha_bad
+        assert any(s.startswith("beta ") for s in details) == beta_bad
+        seen["curve_bad" if details else "curve_ok"] += 1
+    assert all(seen.values()), seen

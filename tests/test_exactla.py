@@ -18,7 +18,6 @@ from hfhat.exactla import (
     identity_matrix,
     lp_optimize,
     mat_vec,
-    matrix_rank,
 )
 
 from conftest import smith_solvability
@@ -100,12 +99,6 @@ def test_hermite_solve_matches_snf_solvability():
         else:
             agree_unsolvable += 1
     assert agree_solvable and agree_unsolvable
-
-
-def test_matrix_rank_matches_sympy():
-    for _ in range(30):
-        a = random_matrix(RNG.randint(1, 5), RNG.randint(1, 5))
-        assert matrix_rank(a) == sympy.Matrix(a).rank()
 
 
 def test_canonical_basis_is_canonical():

@@ -27,7 +27,8 @@ from hfhat import (
 )
 from hfhat.corpus import build
 from hfhat.domains import _weak_witness
-from hfhat.floer import BIGON, RECTANGLE, _assert_d_squared_zero, _rank_from, _rank_into
+from hfhat.diagram import ALPHA, BETA, _one_piece
+from hfhat.floer import BIGON, RECTANGLE, _assert_d_squared_zero, _graded_ranks
 
 from conftest import SMALL_NAMES, gen, rectangle_diagram
 
@@ -87,15 +88,34 @@ def test_strict_rectangles_flag():
 
 def test_support_topology_helpers():
     """Disconnected or non-disk supports are what flags a shape Other."""
-    from hfhat.floer import _support_chi, _support_connected
+    from hfhat.floer import _support_chi
 
     d = build("s1s2_g1")
     bigons = {0, 1}
-    assert not _support_connected(d, bigons)
+    assert not _one_piece(d, bigons, (ALPHA, BETA))
     assert _support_chi(d, {0}) == 1
     # annulus whose two boundary circles meet at both points
     assert _support_chi(d, {2}) == -2
     assert _support_chi(d, {0, 1, 2}) == 2 - 2 * d.genus
+
+
+def test_classify_rigid_checks_embedded_euler_char(monkeypatch):
+    """The paper's chi(S) = g + e - n_x - n_y must be g on a bigon and
+    g - 1 on a rectangle; an embedded_euler_char off by one is a fault."""
+    import hfhat.floer
+
+    s1s2, rect = build("s1s2_g1"), rectangle_diagram()
+    cases = [
+        (s1s2, positive_domains(s1s2, gen("theta"), gen("eta"), 1, 0)[0], BIGON),
+        (rect, positive_domains(rect, *enumerate_generators(rect), 1, 0)[0], RECTANGLE),
+    ]
+    for d, dom, tag in cases:
+        assert classify_rigid(d, dom).tag == tag
+    true_chi = hfhat.floer.embedded_euler_char
+    monkeypatch.setattr(hfhat.floer, "embedded_euler_char", lambda d, D: true_chi(d, D) + 1)
+    for d, dom, _ in cases:
+        with pytest.raises(InternalError):
+            classify_rigid(d, dom)
 
 
 @pytest.mark.parametrize("p,q", [(2, 1), (3, 1), (3, 2), (5, 2), (7, 4), (64, 27)])
@@ -300,17 +320,9 @@ def test_f2_ranks_on_nonzero_differentials(divisor):
         complex_, singles = _random_complex(rng, divisor)
         _assert_d_squared_zero(complex_.matrix)
         nonzero += any(any(row) for row in complex_.matrix)
-        gradings = dict(complex_.spinc.gradings)
         brute = _brute_force_homology(complex_, divisor)
         assert brute == {k: singles.get(k, 0) for k in brute}
-        for level, want in brute.items():
-            dim = sum(1 for g in complex_.order if gradings[g] == level)
-            got = (
-                dim
-                - _rank_from(complex_, gradings, level)
-                - _rank_into(complex_, gradings, level, divisor)
-            )
-            assert got == want, (level, complex_.matrix)
+        assert _graded_ranks(complex_) == tuple(sorted(brute.items())), complex_.matrix
     assert nonzero >= 30
 
 
@@ -325,15 +337,8 @@ def test_f2_ranks_past_64_generators(divisor):
         order, matrix = complex_.order, complex_.matrix
         assert len(order) >= 80
         _assert_d_squared_zero(matrix)
-        gradings = dict(complex_.spinc.gradings)
-        for level in set(gradings.values()):
-            dim = sum(1 for g in order if gradings[g] == level)
-            got = (
-                dim
-                - _rank_from(complex_, gradings, level)
-                - _rank_into(complex_, gradings, level, divisor)
-            )
-            assert got == singles.get(level, 0), level
+        levels = sorted(set(dict(complex_.spinc.gradings).values()))
+        assert _graded_ranks(complex_) == tuple((k, singles.get(k, 0)) for k in levels)
         # Flip (i, j) where d e_i != 0: then d'^2 e_j = d e_i, since the
         # diagonal of a graded differential is zero.
         i = next(k for k in range(len(order)) if any(row[k] for row in matrix))
