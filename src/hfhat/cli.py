@@ -12,6 +12,7 @@ witness that caused them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -254,7 +255,11 @@ def _cmd_corpus(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The ``hf`` parser, built on the first ``run`` and kept for the
+    process: building it costs about forty parses, and parsing leaves
+    it unchanged."""
     parser = _Parser(prog="hf", description="exact Heegaard Floer hat calculator")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -319,9 +324,8 @@ def _build_parser() -> _Parser:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -11,12 +11,14 @@ used throughout).
 Matrices are plain lists of rows of Python ints or Fractions.  All
 functions are pure and deterministic: the Hermite form is the canonical
 column-style one with nonnegative pivots, and the simplex uses Bland's
-rule so results are reproducible.  The simplex tableau is a matrix of
-Python ints over one common positive denominator, updated by
-fraction-free pivots (Bareiss, Math. Comp. 22 (1968), in the
-Gauss-Jordan form of Edmonds, J. Res. NBS 71B (1967)); every division
-in a pivot is checked to be exact.  Failed internal checks raise
-``InternalError``.
+rule so results are reproducible.  The simplex starts on the slack
+basis: a row whose slack is a feasible unit column starts on it, and
+only the other rows get an artificial column, so phase 1 runs only
+when some row needs one.  The tableau is a matrix of Python ints over
+one common positive denominator, updated by fraction-free pivots
+(Bareiss, Math. Comp. 22 (1968), in the Gauss-Jordan form of Edmonds,
+J. Res. NBS 71B (1967)); every division in a pivot is checked to be
+exact.  Failed internal checks raise ``InternalError``.
 """
 
 from __future__ import annotations
@@ -239,10 +241,15 @@ def lp_optimize(
     ``constraints`` is a list of ``(coefficients, relation, rhs)`` with
     relation one of ``"<="``, ``">="``, ``"=="``.  Two-phase primal
     simplex with Bland's rule (termination guaranteed with exact
-    arithmetic).  Every constraint is multiplied by the lcm ``L`` of
-    all denominators in the data, so the tableau starts as integers;
-    it is then kept as integers ``N`` over one common denominator
-    ``d > 0`` (the tableau is ``N / d``).  Slack and artificial
+    arithmetic).  The initial basis is the slacks plus one artificial
+    per remaining row: a ``<=`` row with rhs >= 0 and a ``>=`` row with
+    rhs <= 0 start on their own slacks; equality rows and inequality
+    rows with a rhs of the other sign start on an artificial, and
+    phase 1 (minimize their sum) runs only if there is one.  Every
+    constraint is multiplied by the lcm ``L`` of all denominators in
+    the data, so the tableau starts as integers; it is then kept as
+    integers ``N`` over one common denominator ``d > 0`` (the tableau
+    is ``N / d``).  Slack and artificial
     variables are measured in units of ``1/L``, which changes no
     pivot choice, so the vertices visited are those of the rational
     tableau.  Returns Optimal(value, point), Unbounded or Infeasible;
@@ -263,46 +270,59 @@ def lp_optimize(
     ]
 
     # Columns: x = u - w with u, w >= 0 (2n), one slack per inequality,
-    # one artificial per row, then the right-hand side.
+    # one artificial per row that does not start on its slack, then the
+    # right-hand side.  GE rows are negated into LE rows first; a row
+    # that starts on an artificial is negated to rhs >= 0.
     m = len(system)
-    num_slack = sum(1 for _, rel, _ in system if rel != EQ)
+    flipped = [
+        ([-c for c in coeffs], LE, -b) if rel == GE else (coeffs, rel, b)
+        for coeffs, rel, b in system
+    ]
+    num_slack = sum(1 for _, rel, _ in flipped if rel == LE)
     art_at = 2 * n + num_slack
-    total = art_at + m
+    total = art_at + sum(1 for _, rel, b in flipped if rel == EQ or b < 0)
     rows: list[list[int]] = []
-    si = 2 * n
-    for i, (coeffs, rel, b) in enumerate(system):
-        if rel == GE:
-            coeffs, b = [-c for c in coeffs], -b
-        row = coeffs + [-c for c in coeffs] + [0] * (num_slack + m) + [b]
-        if rel != EQ:
+    basis: list[int] = []
+    si, ai = 2 * n, art_at
+    for coeffs, rel, b in flipped:
+        row = coeffs + [-c for c in coeffs] + [0] * (total - 2 * n) + [b]
+        if rel == LE:
             row[si] = 1
             si += 1
-        if b < 0:
-            row = [-c for c in row]
-        row[art_at + i] = 1
+        if rel == LE and b >= 0:
+            basis.append(si - 1)
+        else:
+            if b < 0:
+                row = [-c for c in row]
+            row[ai] = 1
+            basis.append(ai)
+            ai += 1
         rows.append(row)
-    basis = list(range(art_at, total))
-    basic = [False] * art_at + [True] * m
+    basic = [False] * total
+    for j in basis:
+        basic[j] = True
     d = 1
 
-    # Phase 1: maximize -(sum of artificials).  The last row holds the
-    # reduced costs times d; at the artificial basis that is the column
-    # sums, less 1 in every artificial column.
-    phase1 = [sum(col) for col in zip(*rows)] if rows else [0] * (total + 1)
-    for j in range(art_at, total):
-        phase1[j] -= 1
-    rows.append(phase1)
-    status, d = _simplex(rows, basis, basic, d)
-    if status != "optimal":
-        raise InternalError("phase 1 of the simplex is unbounded")
-    if sum(rows[i][-1] for i in range(m) if basis[i] >= art_at) != 0:
-        return LpResult("infeasible")
-    # Pivot remaining artificials out of the basis where possible.
-    for i in range(m):
-        if basis[i] >= art_at:
-            j = next((j for j in range(art_at) if rows[i][j] != 0), None)
-            if j is not None:
-                d = _pivot(rows, basis, basic, d, i, j)
+    if total > art_at:
+        # Phase 1: maximize -(sum of artificials).  The last row holds
+        # the reduced costs times d; at the starting basis that is the
+        # sum of the artificial rows, less 1 in every artificial column.
+        art_rows = [row for row, bj in zip(rows, basis) if bj >= art_at]
+        phase1 = [sum(col) for col in zip(*art_rows)]
+        for j in range(art_at, total):
+            phase1[j] -= 1
+        rows.append(phase1)
+        status, d = _simplex(rows, basis, basic, d)
+        if status != "optimal":
+            raise InternalError("phase 1 of the simplex is unbounded")
+        if sum(rows[i][-1] for i in range(m) if basis[i] >= art_at) != 0:
+            return LpResult("infeasible")
+        # Pivot remaining artificials out of the basis where possible.
+        for i in range(m):
+            if basis[i] >= art_at:
+                j = next((j for j in range(art_at) if rows[i][j] != 0), None)
+                if j is not None:
+                    d = _pivot(rows, basis, basic, d, i, j)
 
     # Phase 2: drop the artificial columns (they stay at zero) and the
     # phase-1 cost row; the new cost row is d * c - c_B . N, with the

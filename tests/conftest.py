@@ -45,6 +45,22 @@ def corpus_small():
 _GRID_CACHE = {}
 
 
+@pytest.fixture
+def simplex_runs(monkeypatch):
+    """Count ``exactla._simplex`` runs: the list gets each run's row count."""
+    from hfhat import exactla
+
+    runs = []
+    real = exactla._simplex
+
+    def counted(rows, basis, basic, d):
+        runs.append(len(rows) - 1)
+        return real(rows, basis, basic, d)
+
+    monkeypatch.setattr(exactla, "_simplex", counted)
+    return runs
+
+
 def _grid_images(d, cap):
     key = (d, cap)
     if key not in _GRID_CACHE:

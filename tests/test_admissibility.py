@@ -104,6 +104,16 @@ def test_lens_vacuously_admissible(name):
         assert all(a > 0 for a in areas)
 
 
+def test_weak_certificate_on_lens_skips_phase_one(simplex_runs):
+    """lens(9,2) has no periodic domain, so its weak certificate LP has
+    only the rows m - a_i <= 0 and a_i <= 1: every row starts on its
+    slack and the simplex runs once, phase 2 alone."""
+    d = build("lens(9,2)")
+    areas = area_certificate(d, "weak")
+    assert simplex_runs == [2 * len(d.regions)]
+    check_weak_certificate(d, areas, periodic_lattice(d).basis)
+
+
 @pytest.mark.parametrize("name", ADMISSIBLE_NAMES)
 def test_admissible_corpus_passes_weak_everywhere(name, corpus_small):
     d = corpus_small[name]

@@ -160,6 +160,24 @@ def test_usage_errors(tmp_path, capsys):
     assert "p=70" in capsys.readouterr().err
 
 
+def test_later_runs_answer_like_the_first(write_corpus, capsys):
+    """The parser is built once per process: after a successful run,
+    flags do not carry over, usage errors still exit 4, and the same
+    command prints the same answer."""
+    path = str(write_corpus("s1s2_wind"))
+    assert run(["admissible", path, "--strong", "--json"]) == 2
+    first = capsys.readouterr().out
+    assert run(["admissible", path]) == 2
+    assert capsys.readouterr().out.startswith("NOT weak admissible (all); witness")
+    assert run(["frobnicate"]) == 4
+    assert run(["admissible"]) == 4
+    assert run(["admissible", path, "--class", "x"]) == 4
+    assert run(["admissible", path, "--strong", "--bogus"]) == 4
+    capsys.readouterr()
+    assert run(["admissible", path, "--strong", "--json"]) == 2
+    assert capsys.readouterr().out == first
+
+
 def test_admissible_strong_solves_one_certificate_lp_per_pairing(write_corpus, capsys, monkeypatch):
     """The 9 classes of lens(9,5) share the empty pairing vector, so
     their strong verdicts and certificates come from one LP."""

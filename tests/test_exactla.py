@@ -187,7 +187,11 @@ def test_lp_random_against_scipy():
 # ---------------------------------------------------------------------------
 
 
-def _reference_lp(objective, constraints):
+def _reference_lp(objective, constraints, start="slack"):
+    """``start="slack"`` is lp_optimize's initial basis: a row whose slack
+    enters with +1 at a nonnegative rhs starts on it, every other row on
+    an artificial.  ``start="artificial"`` gives every row an artificial,
+    a different path to the same optimal value."""
     n = len(objective)
     obj = [Fraction(c) for c in objective]
     rows, rhs, slack_signs = [], [], []
@@ -200,10 +204,14 @@ def _reference_lp(objective, constraints):
         rows.append(row)
         rhs.append(bb)
     m = len(rows)
+    if start == "slack":
+        needs_art = [not s or b < 0 for s, b in zip(slack_signs, rhs)]
+    else:
+        needs_art = [True] * m
     num_slack = sum(slack_signs)
-    total = 2 * n + num_slack + m
     slack_at, art_at = 2 * n, 2 * n + num_slack
-    tableau, basis, si = [], [], 0
+    total = art_at + sum(needs_art)
+    tableau, basis, si, ai = [], [], 0, 0
     for i in range(m):
         row = [Fraction(0)] * (total + 1)
         for j in range(n):
@@ -213,22 +221,27 @@ def _reference_lp(objective, constraints):
             row[slack_at + si] = Fraction(1)
             si += 1
         row[total] = rhs[i]
-        if rhs[i] < 0:
-            row = [-c for c in row]
-        row[art_at + i] = Fraction(1)
+        if needs_art[i]:
+            if rhs[i] < 0:
+                row = [-c for c in row]
+            row[art_at + ai] = Fraction(1)
+            basis.append(art_at + ai)
+            ai += 1
+        else:
+            basis.append(slack_at + si - 1)
         tableau.append(row)
-        basis.append(art_at + i)
-    cost1 = [Fraction(0)] * art_at + [Fraction(-1)] * m
-    assert _reference_simplex(tableau, basis, cost1, total) == "optimal"
-    if sum(tableau[i][total] for i in range(m) if basis[i] >= art_at) != 0:
-        return "infeasible", None, None
-    for i in range(m):
-        if basis[i] >= art_at:
-            for j in range(art_at):
-                if tableau[i][j] != 0:
-                    _reference_pivot(tableau, basis, i, j)
-                    break
-    cost2 = obj + [-c for c in obj] + [Fraction(0)] * (num_slack + m)
+    if total > art_at:
+        cost1 = [Fraction(0)] * art_at + [Fraction(-1)] * (total - art_at)
+        assert _reference_simplex(tableau, basis, cost1, total) == "optimal"
+        if sum(tableau[i][total] for i in range(m) if basis[i] >= art_at) != 0:
+            return "infeasible", None, None
+        for i in range(m):
+            if basis[i] >= art_at:
+                for j in range(art_at):
+                    if tableau[i][j] != 0:
+                        _reference_pivot(tableau, basis, i, j)
+                        break
+    cost2 = obj + [-c for c in obj] + [Fraction(0)] * (total - 2 * n)
     if _reference_simplex(tableau, basis, cost2, total, art_at) == "unbounded":
         return "unbounded", None, None
     solution = [Fraction(0)] * total
@@ -312,7 +325,10 @@ def test_lp_matches_reference_simplex(size):
                 unit[i] = 1
                 cons += [(unit, LE, LP_RNG.randint(0, 5)), (unit, GE, -LP_RNG.randint(0, 5))]
         res = lp_optimize(obj, cons)
-        assert (res.status, res.value, res.point) == _reference_lp(obj, cons)
+        want = _reference_lp(obj, cons)
+        assert (res.status, res.value, res.point) == want
+        # The optimal value does not depend on the starting basis.
+        assert _reference_lp(obj, cons, start="artificial")[:2] == want[:2]
         statuses.add(res.status)
     assert statuses == {"optimal", "unbounded", "infeasible"}
 
@@ -335,7 +351,42 @@ def test_lp_certificate_shape_matches_reference():
             cons += [(gap, GE, 0), (cap, LE, 1)]
         obj = [0] * regions + [1]
         res = lp_optimize(obj, cons)
-        assert (res.status, res.value, res.point) == _reference_lp(obj, cons)
+        want = _reference_lp(obj, cons)
+        assert (res.status, res.value, res.point) == want
+        assert _reference_lp(obj, cons, start="artificial")[:2] == want[:2]
+
+
+def test_lp_on_slack_basis_runs_phase_two_only(simplex_runs):
+    """LE rows with b >= 0 and GE rows with b <= 0 start on their slacks,
+    so there is no phase 1; one EQ row brings it back."""
+    boxed = [([1, 0], LE, 2), ([0, 1], LE, 3), ([1, 1], LE, 4), ([1, 0], GE, 0), ([0, 1], GE, -1)]
+    res = lp_optimize([1, 1], boxed)
+    assert res.optimal and res.value == 4 and res.point == (2, 2)
+    assert simplex_runs == [5]
+    res = lp_optimize([1, 1], boxed + [([1, -1], EQ, -1)])
+    assert res.optimal and res.value == 4 and res.point == (Fraction(3, 2), Fraction(5, 2))
+    assert simplex_runs == [5, 6, 6]
+
+
+def test_phase_two_only_lp_still_checks_pivot_division(monkeypatch):
+    """Hand the slack-basis LP's only simplex run, on a tableau with no
+    artificial column, a wrong denominator: its first pivot divides
+    inexactly and must raise."""
+    from hfhat import exactla
+    from hfhat.exactla import InternalError
+
+    runs = []
+    real = exactla._simplex
+
+    def wrong_denominator(rows, basis, basic, d):
+        runs.append((d, len(rows[0]) - 1))
+        return real(rows, basis, basic, 3 * d)
+
+    monkeypatch.setattr(exactla, "_simplex", wrong_denominator)
+    with pytest.raises(InternalError, match="inexact division"):
+        lp_optimize([1, 1], [([1, 0], LE, 2), ([0, 1], LE, 3)])
+    # d = 1, and the columns are u, w and the two slacks.
+    assert runs == [(1, 6)]
 
 
 def test_pivot_rejects_inexact_division():
