@@ -5,8 +5,9 @@ aligned text report or, with ``--json``, a stable JSON document, and
 exits with 0 on success, 1 for an invalid diagram or unreadable file,
 2 when a computation is blocked by non-admissibility or an unbounded
 enumeration, 3 when a counted domain is not a certified rigid shape,
-and 4 for usage errors.  Nonzero exits still print the structured
-witness that caused them.
+and 4 for usage errors, an output path that cannot be written
+included.  Nonzero exits still print the structured witness that
+caused them.
 """
 
 from __future__ import annotations
@@ -226,11 +227,24 @@ def _cmd_homology(args) -> int:
     return EXIT_OK
 
 
+def _write_output(path: str, d: HeegaardDiagram) -> bool:
+    """Write ``d`` to ``path`` as HFD.  A path that cannot be written is
+    a bad ``-o`` argument, not a bad input: report it and return False."""
+    text = serialize_hfd(d)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_stabilize(args) -> int:
     d = _load(args.file)
     out = stabilize(d)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(serialize_hfd(out))
+    if not _write_output(args.output, out):
+        return EXIT_USAGE
     _emit(
         {"genus": out.genus, "regions": len(out.regions), "output": args.output},
         args.json,
@@ -245,8 +259,8 @@ def _cmd_corpus(args) -> int:
     except ValueError as exc:  # unknown name or parameters out of range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(serialize_hfd(d))
+    if not _write_output(args.output, d):
+        return EXIT_USAGE
     _emit(
         {"name": args.name, "genus": d.genus, "regions": len(d.regions), "output": args.output},
         args.json,

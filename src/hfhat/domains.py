@@ -9,7 +9,12 @@ into its Hermite normal form ``A u = h``.  Since ``b`` is y's stacked
 chain minus x's, each generator's chain is reduced against ``h`` once
 per diagram object: the remainder, canonical modulo the column lattice
 of ``A``, names the generator's Spin^c class, and the quotient gives a
-domain phi_g; the domain from x to y is phi_y - phi_x.
+domain phi_g; the domain from x to y is phi_y - phi_x.  Each diagram
+object also keeps the columns of ``A`` as sparse ``(row, value)``
+pairs, one per region (a region touches a handful of points), and
+the columns of ``u``; so phi_g adds only the columns of ``u`` at the
+nonzero quotient entries, and checking a domain's boundary adds only
+the columns of ``A`` at its nonzero coefficients.
 
 The kernel of that system splits as (periodic lattice with n_z = 0)
 plus the fundamental class [Sigma] (all coefficients 1), split off by
@@ -118,14 +123,6 @@ def boundary_system(d: HeegaardDiagram) -> BoundarySystem:
     )
 
 
-def _chain(points: Sequence[str], gen: Generator) -> list[int]:
-    chi = [0] * len(points)
-    index = {p: i for i, p in enumerate(points)}
-    for p in gen.points:
-        chi[index[p]] += 1
-    return chi
-
-
 @derived
 def _factored(d: HeegaardDiagram) -> tuple:
     """``(a, h, u, pivots)``: the stacked system ``a = [l_alpha; l_beta]``
@@ -135,10 +132,29 @@ def _factored(d: HeegaardDiagram) -> tuple:
     return (a, *hermite_normal_form(a))
 
 
+@derived
+def _columns(d: HeegaardDiagram) -> tuple:
+    """``(index, a_columns, u_columns)``: each point's row in a chain, the
+    columns of ``a`` as ``(row, value)`` pairs of their nonzero entries,
+    and the columns of ``u`` as plain int tuples (``u`` is dense on lens
+    spaces)."""
+    a, _, u, _ = _factored(d)
+    index = {p: i for i, p in enumerate(boundary_system(d).points)}
+    a_columns = tuple(
+        tuple((i, row[j]) for i, row in enumerate(a) if row[j]) for j in range(len(d.regions))
+    )
+    return index, a_columns, tuple(zip(*u))
+
+
 def _stacked_chain(d: HeegaardDiagram, g: Generator) -> list[int]:
     """``[chi_g; -chi_g]``, so that ``b(x, y)`` is y's minus x's."""
-    chi = _chain(boundary_system(d).points, g)
-    return chi + [-c for c in chi]
+    index = _columns(d)[0]
+    m = len(index)
+    b = [0] * (2 * m)
+    for p in g.points:
+        b[index[p]] += 1
+        b[m + index[p]] -= 1
+    return b
 
 
 def _connecting_rhs(d: HeegaardDiagram, x: Generator, y: Generator) -> list[int]:
@@ -148,9 +164,26 @@ def _connecting_rhs(d: HeegaardDiagram, x: Generator, y: Generator) -> list[int]
 
 def _assert_mirror(d: HeegaardDiagram, dom: Domain) -> None:
     """Raise InternalError unless ``dom``'s alpha and beta boundaries
-    are ``to - from`` and ``from - to``."""
-    a = _factored(d)[0]
-    if mat_vec(a, dom.coefficients) != _connecting_rhs(d, dom.from_gen, dom.to_gen):
+    are ``to - from`` and ``from - to``.
+
+    Sums only the sparse columns of the nonzero coefficients, then takes
+    ``to - from`` off the alpha rows and ``from - to`` off the beta rows
+    by point index, so the check costs O(nonzeros).
+    """
+    index, a_columns, _ = _columns(d)
+    m = len(index)
+    left = [0] * (2 * m)
+    for c, column in zip(dom.coefficients, a_columns):
+        if c:
+            for row, v in column:
+                left[row] += c * v
+    for p in dom.to_gen.points:
+        left[index[p]] -= 1
+        left[m + index[p]] += 1
+    for p in dom.from_gen.points:
+        left[index[p]] += 1
+        left[m + index[p]] -= 1
+    if any(left):
         raise InternalError(f"domain {dom.coefficients} has the wrong boundary")
 
 
@@ -159,10 +192,14 @@ def _reduction(d: HeegaardDiagram, g: Generator) -> tuple[tuple[int, ...], tuple
     """``(remainder, phi)`` for g's stacked chain ``b_g = h q + remainder``:
     the remainder names g's Spin^c class, and ``phi = u q`` with n_z made
     0.  Within a class ``b_y - b_x = h (q_y - q_x)``, so ``phi_y - phi_x``
-    is the domain that reducing ``b(x, y)`` itself would give."""
-    _, h, u, pivots = _factored(d)
+    is the domain that reducing ``b(x, y)`` itself would give.  ``phi``
+    adds up the columns of ``u`` at the nonzero entries of ``q`` only."""
+    _, h, _, pivots = _factored(d)
     quotient, remainder = hermite_reduce(h, pivots, _stacked_chain(d, g))
-    phi = mat_vec(u, quotient)
+    phi = [0] * len(d.regions)
+    for q, column in zip(quotient, _columns(d)[2]):
+        if q:
+            phi = [p + q * v for p, v in zip(phi, column)]
     nz = phi[d.basepoint]
     return tuple(remainder), tuple(c - nz for c in phi)
 

@@ -119,16 +119,18 @@ def hermite_reduce(
     Returns ``(y, r)`` with ``b == h y + r`` and ``0 <= r[row] < pivot``
     at every pivot row.  ``r`` depends only on the class of ``b`` modulo
     the column lattice of ``h``, so ``b`` lies in that lattice exactly
-    when ``r`` is zero.
+    when ``r`` is zero.  A pivot column whose quotient is 0 leaves ``r``
+    as it is, so the rows are updated only for nonzero quotients.
     """
     m = len(h)
     r = list(b)
     y = [0] * (len(h[0]) if m else 0)
     for row, col in pivots:
         q = y[col] = r[row] // h[row][col]
-        # Column echelon form: h[i][col] == 0 above the pivot row.
-        for i in range(row, m):
-            r[i] -= q * h[i][col]
+        if q:
+            # Column echelon form: h[i][col] == 0 above the pivot row.
+            for i in range(row, m):
+                r[i] -= q * h[i][col]
     return y, r
 
 

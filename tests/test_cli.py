@@ -160,6 +160,19 @@ def test_usage_errors(tmp_path, capsys):
     assert "p=70" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["corpus", "stabilize"])
+def test_unwritable_output_is_a_usage_error(write_corpus, tmp_path, capsys, command):
+    """An -o path that cannot be written exits 4 and names the output;
+    it is not reported as an invalid diagram."""
+    source = [str(write_corpus("lens(2,1)"))] if command == "stabilize" else ["lens", "-p", "5", "-q", "2"]
+    out = tmp_path / "missing" / "x.hfd"
+    assert run([command, *source, "-o", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_later_runs_answer_like_the_first(write_corpus, capsys):
     """The parser is built once per process: after a successful run,
     flags do not carry over, usage errors still exit 4, and the same

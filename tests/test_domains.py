@@ -17,8 +17,8 @@ from hfhat import (
     positive_domains,
 )
 from hfhat.corpus import build
-from hfhat.domains import _connecting_rhs, _factored
-from hfhat.exactla import hermite_reduce, mat_vec
+from hfhat.domains import _assert_mirror, _connecting_rhs, _factored
+from hfhat.exactla import InternalError, hermite_reduce, mat_vec
 
 from conftest import ADMISSIBLE_NAMES, SMALL_NAMES, brute_force_domains
 
@@ -75,6 +75,45 @@ def test_connecting_domain_equals_per_pair_reduction(name):
             particular = mat_vec(u, quotient)
             nz = particular[d.basepoint]
             assert dom == Domain(tuple(c - nz for c in particular), x, y)
+
+
+@pytest.mark.parametrize("name", SMALL_NAMES + ["lens(11,3)", "gsph(2)#lens(5,2)"])
+def test_mirror_check_agrees_with_dense_product(name):
+    """The sparse-column mirror check raises exactly when the dense
+    product of the stacked system with the coefficients differs from
+    b(x, y): on every pair's connecting domain, on that domain with one
+    coefficient moved by 1 or with its ends swapped, and on seeded
+    random vectors."""
+    d = _lens_sum() if name == "gsph(2)#lens(5,2)" else build(name)
+    a = _factored(d)[0]
+    rng = random.Random(f"mirror {name}")
+    n = len(d.regions)
+    gens = enumerate_generators(d)
+    outcomes = set()
+    for x in gens:
+        for y in gens:
+            candidates = [(tuple(rng.randint(-2, 2) for _ in range(n)), x, y)]
+            dom = connecting_domain(d, x, y)
+            if dom is not None:
+                moved = list(dom.coefficients)
+                moved[rng.randrange(n)] += rng.choice((-1, 1))
+                candidates += [
+                    (dom.coefficients, x, y),
+                    (tuple(moved), x, y),
+                    (dom.coefficients, y, x),
+                ]
+            for coeffs, start, end in candidates:
+                wrong = mat_vec(a, coeffs) != _connecting_rhs(d, start, end)
+                try:
+                    _assert_mirror(d, Domain(coeffs, start, end))
+                    raised = False
+                except InternalError:
+                    raised = True
+                assert raised == wrong, (coeffs, start, end)
+                outcomes.add(raised)
+    # On s3_g1 both curves run from its one point back to it, so every
+    # boundary vanishes and no corruption can show.
+    assert outcomes == ({True, False} if any(map(any, a)) else {False})
 
 
 def test_homology_reduces_each_generator_once(monkeypatch):

@@ -25,6 +25,8 @@ from conftest import smith_solvability
 RNG = random.Random(20260824)
 # Draws for the back-substitution cases, kept apart so RNG's sequence is unchanged.
 REDUCE_RNG = random.Random(20261017)
+# Draws for already-reduced right-hand sides, kept apart from both.
+REDUCED_RNG = random.Random(20261018)
 
 
 def random_matrix(rows, cols, lo=-4, hi=4):
@@ -60,6 +62,14 @@ def test_hnf_properties(shape):
         z = [REDUCE_RNG.randint(-3, 3) for _ in range(cols)]
         shifted = [v + w for v, w in zip(b, mat_vec(a, z))]
         assert hermite_reduce(h, pivots, shifted)[1] == rem
+        # Already reduced: every quotient is 0 and nothing moves.
+        pivot_of = {r: h[r][c] for r, c in pivots}
+        reduced = [
+            REDUCED_RNG.randrange(pivot_of[i]) if i in pivot_of else REDUCED_RNG.randint(-9, 9)
+            for i in range(rows)
+        ]
+        for vec in (rem, reduced):
+            assert hermite_reduce(h, pivots, vec) == ([0] * cols, vec)
 
 
 def test_hermite_solve_constructed_solutions():
