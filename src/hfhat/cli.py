@@ -161,20 +161,24 @@ def _cmd_domains(args) -> int:
     return EXIT_OK
 
 
-def _pick_class(d: HeegaardDiagram, index: Optional[int]):
+def _targets(d: HeegaardDiagram, index: Optional[int], strong: bool) -> list:
+    """The classes ``hf admissible`` reports on: the one ``--class``
+    names, every class with ``--strong``, else ``[None]`` for the
+    class-free weak verdict, which needs no Spin^c partition."""
+    if index is None and not strong:
+        return [None]
     classes = spinc_partition(d)
     if index is None:
-        return classes, None
+        return classes
     if not 0 <= index < len(classes):
         print(f"error: --class {index} is out of range 0..{len(classes) - 1}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    return classes, classes[index]
+    return [classes[index]]
 
 
 def _cmd_admissible(args) -> int:
     d = _load(args.file)
-    classes, chosen = _pick_class(d, getattr(args, "class"))
-    targets = [chosen] if chosen is not None else (classes if args.strong else [None])
+    targets = _targets(d, getattr(args, "class"), args.strong)
     reports = []
     for c in targets:
         if args.strong:

@@ -107,10 +107,11 @@ def derived(build: Callable[..., T]) -> Callable[..., T]:
     The key is whatever hashable arguments follow ``d``; most derived
     data takes none.  The result is stored on ``d`` and freed with it;
     a call that raises stores nothing.  This is how the validation
-    report, quadrant map, factored boundary system, periodic lattice
-    and weak witness are kept, and, keyed, the reduction per generator,
-    the positive lattice points per starting domain and the
-    admissibility verdicts and certificates per Chern pairing vector.
+    report, corner slots, quadrant map, factored boundary system,
+    periodic lattice and weak witness are kept, and, keyed, the
+    reduction and the domain phi_g per generator, the positive lattice
+    points per starting domain and the admissibility verdicts and
+    certificates per Chern pairing vector.
     """
 
     @wraps(build)
@@ -469,8 +470,10 @@ def _connectivity_violations(d: HeegaardDiagram) -> list[tuple[str, str]]:
     ]
 
 
+@derived
 def _corner_slots(d: HeegaardDiagram) -> dict[str, list[tuple[int, int]]]:
-    """Corner incidences per point as (slot, region index) pairs."""
+    """Corner incidences per point as (slot, region index) pairs, read
+    by ``validate`` and ``quadrants``."""
     out: dict[str, list[tuple[int, int]]] = {}
     for ri, region in enumerate(d.regions):
         for cyc in region.cycles:

@@ -2,19 +2,23 @@
 
 A domain is an integer vector of region coefficients.  Its alpha
 boundary, pushed to a 0-chain on the intersection points, must equal
-``to - from``; the beta boundary gives the mirror ``from - to``.  Both
-conditions form one integer linear system ``A n = b`` per diagram, with
-``A = [l_alpha; l_beta]``.  ``A`` is factored once per diagram object
-into its Hermite normal form ``A u = h``.  Since ``b`` is y's stacked
-chain minus x's, each generator's chain is reduced against ``h`` once
-per diagram object: the remainder, canonical modulo the column lattice
-of ``A``, names the generator's Spin^c class, and the quotient gives a
-domain phi_g; the domain from x to y is phi_y - phi_x.  Each diagram
-object also keeps the columns of ``A`` as sparse ``(row, value)``
-pairs, one per region (a region touches a handful of points), and
-the columns of ``u``; so phi_g adds only the columns of ``u`` at the
-nonzero quotient entries, and checking a domain's boundary adds only
-the columns of ``A`` at its nonzero coefficients.
+``to - from``: ``l_alpha n = chi_y - chi_x``, where ``chi_g`` is the
+0-chain of g's points.  Each region's boundary is a closed cycle, so
+its beta boundary is the negated alpha boundary (``l_beta =
+-l_alpha``), and the beta condition ``from - to`` holds exactly when
+the alpha one does.  That invariant is checked once per diagram
+object, where ``l_alpha`` alone is factored into its Hermite normal
+form ``l_alpha u = h``.  Each generator's chain is reduced against
+``h`` once per diagram object: the remainder, canonical modulo the
+column lattice of ``l_alpha``, names the generator's Spin^c class, and
+the quotient q_g gives a domain phi_g = u q_g, built only when a
+connecting domain needs it; the domain from x to y is phi_y - phi_x.
+Each diagram object also keeps the columns of ``l_alpha`` as sparse
+``(row, value)`` pairs, one per region (a region touches a handful of
+points), and the columns of ``u``; so phi_g adds only the columns of
+``u`` at the nonzero quotient entries, and checking a domain's
+boundary adds only the columns of ``l_alpha`` at its nonzero
+coefficients.
 
 The kernel of that system splits as (periodic lattice with n_z = 0)
 plus the fundamental class [Sigma] (all coefficients 1), split off by
@@ -91,7 +95,8 @@ class BoundarySystem:
     ``l_alpha @ n`` is the alpha boundary of the domain ``n`` as a
     0-chain over ``points`` (in canonical order); ``l_beta`` the beta
     one.  ``D`` connects x to y exactly when ``l_alpha @ n = y - x``
-    and ``l_beta @ n = x - y``.
+    and ``l_beta @ n = x - y``.  On a valid diagram ``l_beta =
+    -l_alpha``, so the first condition implies the second.
     """
 
     points: tuple[str, ...]
@@ -125,10 +130,19 @@ def boundary_system(d: HeegaardDiagram) -> BoundarySystem:
 
 @derived
 def _factored(d: HeegaardDiagram) -> tuple:
-    """``(a, h, u, pivots)``: the stacked system ``a = [l_alpha; l_beta]``
-    and its Hermite form ``a u = h``."""
+    """``(a, h, u, pivots)``: ``a = l_alpha`` and its Hermite form ``a u = h``.
+
+    Raises InternalError unless ``l_beta == -l_alpha``, the invariant
+    that lets the alpha rows stand for the whole boundary system.  With
+    the alpha rows first, the beta rows of the stacked system would
+    give no pivot, so ``u``, the pivots and these rows of ``h`` are
+    those of the stacked form.
+    """
     sys = boundary_system(d)
-    a = [list(r) for r in sys.l_alpha] + [list(r) for r in sys.l_beta]
+    for p, alpha_row, beta_row in zip(sys.points, sys.l_alpha, sys.l_beta):
+        if any(a + b for a, b in zip(alpha_row, beta_row)):
+            raise InternalError(f"the beta boundary at {p} is not the negated alpha boundary")
+    a = [list(r) for r in sys.l_alpha]
     return (a, *hermite_normal_form(a))
 
 
@@ -146,62 +160,63 @@ def _columns(d: HeegaardDiagram) -> tuple:
     return index, a_columns, tuple(zip(*u))
 
 
-def _stacked_chain(d: HeegaardDiagram, g: Generator) -> list[int]:
-    """``[chi_g; -chi_g]``, so that ``b(x, y)`` is y's minus x's."""
+def _chain(d: HeegaardDiagram, g: Generator) -> list[int]:
+    """``chi_g``, g's points as a 0-chain, so that ``b(x, y)`` is
+    ``chi_y - chi_x``."""
     index = _columns(d)[0]
-    m = len(index)
-    b = [0] * (2 * m)
+    b = [0] * len(index)
     for p in g.points:
         b[index[p]] += 1
-        b[m + index[p]] -= 1
     return b
 
 
 def _connecting_rhs(d: HeegaardDiagram, x: Generator, y: Generator) -> list[int]:
-    """Right-hand side ``b(x, y)`` of ``A n = b`` for domains from x to y."""
-    return [b - a for a, b in zip(_stacked_chain(d, x), _stacked_chain(d, y))]
+    """Right-hand side ``b(x, y)`` of ``l_alpha n = b`` for domains from x to y."""
+    return [b - a for a, b in zip(_chain(d, x), _chain(d, y))]
 
 
 def _assert_mirror(d: HeegaardDiagram, dom: Domain) -> None:
-    """Raise InternalError unless ``dom``'s alpha and beta boundaries
-    are ``to - from`` and ``from - to``.
+    """Raise InternalError unless ``dom``'s alpha boundary is ``to - from``
+    (its beta boundary is then ``from - to``, since ``l_beta = -l_alpha``).
 
     Sums only the sparse columns of the nonzero coefficients, then takes
-    ``to - from`` off the alpha rows and ``from - to`` off the beta rows
-    by point index, so the check costs O(nonzeros).
+    ``to - from`` off by point index, so the check costs O(nonzeros).
     """
     index, a_columns, _ = _columns(d)
-    m = len(index)
-    left = [0] * (2 * m)
+    left = [0] * len(index)
     for c, column in zip(dom.coefficients, a_columns):
         if c:
             for row, v in column:
                 left[row] += c * v
     for p in dom.to_gen.points:
         left[index[p]] -= 1
-        left[m + index[p]] += 1
     for p in dom.from_gen.points:
         left[index[p]] += 1
-        left[m + index[p]] -= 1
     if any(left):
         raise InternalError(f"domain {dom.coefficients} has the wrong boundary")
 
 
 @derived
 def _reduction(d: HeegaardDiagram, g: Generator) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``(remainder, phi)`` for g's stacked chain ``b_g = h q + remainder``:
-    the remainder names g's Spin^c class, and ``phi = u q`` with n_z made
-    0.  Within a class ``b_y - b_x = h (q_y - q_x)``, so ``phi_y - phi_x``
-    is the domain that reducing ``b(x, y)`` itself would give.  ``phi``
-    adds up the columns of ``u`` at the nonzero entries of ``q`` only."""
+    """``(remainder, quotient)`` for g's chain ``chi_g = h q + remainder``.
+    The remainder names g's Spin^c class; the quotient gives ``_phi``."""
     _, h, _, pivots = _factored(d)
-    quotient, remainder = hermite_reduce(h, pivots, _stacked_chain(d, g))
+    quotient, remainder = hermite_reduce(h, pivots, _chain(d, g))
+    return tuple(remainder), tuple(quotient)
+
+
+@derived
+def _phi(d: HeegaardDiagram, g: Generator) -> tuple[int, ...]:
+    """``phi_g = u q_g`` with n_z made 0.  Within a class ``chi_y - chi_x
+    = h (q_y - q_x)``, so ``phi_y - phi_x`` is the domain that reducing
+    ``b(x, y)`` itself would give.  Adds up the columns of ``u`` at the
+    nonzero entries of ``q_g`` only."""
     phi = [0] * len(d.regions)
-    for q, column in zip(quotient, _columns(d)[2]):
+    for q, column in zip(_reduction(d, g)[1], _columns(d)[2]):
         if q:
             phi = [p + q * v for p, v in zip(phi, column)]
     nz = phi[d.basepoint]
-    return tuple(remainder), tuple(c - nz for c in phi)
+    return tuple(c - nz for c in phi)
 
 
 def connecting_domain(
@@ -211,13 +226,11 @@ def connecting_domain(
 
     One exists exactly when x and y reduce to the same remainder, that
     is when they lie in the same Spin^c class; it is then
-    ``phi_y - phi_x`` from their stored reductions.
+    ``phi_y - phi_x`` from their stored domains.
     """
-    rx, phi_x = _reduction(d, x)
-    ry, phi_y = _reduction(d, y)
-    if rx != ry:
+    if _reduction(d, x)[0] != _reduction(d, y)[0]:
         return None
-    dom = Domain(tuple(b - a for a, b in zip(phi_x, phi_y)), x, y)
+    dom = Domain(tuple(b - a for a, b in zip(_phi(d, x), _phi(d, y))), x, y)
     _assert_mirror(d, dom)
     return dom
 

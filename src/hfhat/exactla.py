@@ -98,10 +98,11 @@ def _swap_cols(h: list[list[int]], u: list[list[int]], j: int, k: int) -> None:
 
 
 def _add_col(h: list[list[int]], u: list[list[int]], dst: int, src: int, q: int) -> None:
-    for row in h:
-        row[dst] += q * row[src]
-    for row in u:
-        row[dst] += q * row[src]
+    for rows in (h, u):
+        for row in rows:
+            v = row[src]
+            if v:
+                row[dst] += q * v
 
 
 def _scale_col(h: list[list[int]], u: list[list[int]], j: int, s: int) -> None:

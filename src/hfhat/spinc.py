@@ -1,16 +1,19 @@
 """Spin^c decomposition of the generator set and relative gradings.
 
 Two generators lie in the same Spin^c class exactly when a connecting
-domain exists, that is when their stacked chains ``[chi_x; -chi_x]``
-differ by an element of the column lattice of the boundary system.
-The classes are the groups of equal remainders of the per-generator
+domain exists, that is when their point chains ``chi_x`` and ``chi_y``
+differ by an element of the column lattice of ``l_alpha`` (the beta
+boundary is the negated alpha one, so it adds no condition).  The
+classes are the groups of equal remainders of the per-generator
 reductions stored by ``domains._reduction``, the same reductions that
 every connecting domain is read from.  Gradings inside a class are
 relative: gr(x) - gr(y) is the Maslov index of any n_z = 0 domain from
 x to y, read mod the divisor gcd |<c_1, P>| over the periodic basis
-when that is nonzero.  A class's Chern pairings on the periodic
-basis are computed once per diagram object and class; the divisor
-and the admissibility questions both read them.
+when that is nonzero.  A class of one generator has grading 0 by
+normalization, so it needs no connecting domain and no index.  A
+class's Chern pairings on the periodic basis are computed once per
+diagram object and class; the divisor and the admissibility questions
+both read them.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ def _divisor(d: HeegaardDiagram, x: Generator) -> int:
 def _gradings(
     d: HeegaardDiagram, members: tuple[Generator, ...], divisor: int
 ) -> tuple[tuple[Generator, int], ...]:
+    if len(members) == 1:
+        return ((members[0], 0),)
     base = members[0]
     raw = {}
     for x in members:

@@ -212,6 +212,30 @@ def test_admissible_strong_solves_one_certificate_lp_per_pairing(write_corpus, c
     assert len(calls) == 1
 
 
+def test_class_free_weak_verdict_skips_the_partition(write_corpus, capsys, monkeypatch):
+    """``hf admissible`` without --class or --strong reports the
+    class-free weak verdict without partitioning the generators; the
+    partition runs once --class or --strong asks for classes."""
+    import hfhat.cli
+
+    f = write_corpus("lens(5,2)")
+    calls = []
+    real = hfhat.cli.spinc_partition
+
+    def counted(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(hfhat.cli, "spinc_partition", counted)
+    assert run(["admissible", str(f), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"kind": "weak", "reports": [{"class": None, "verdict": True, "areas": ["1"] * 5}]}
+    assert calls == []
+    assert run(["admissible", str(f), "--class", "1"]) == 0
+    assert run(["admissible", str(f), "--strong"]) == 0
+    assert len(calls) == 2
+
+
 def test_admissible_class_out_of_range(write_corpus, capsys):
     f = write_corpus("s1s2_g1")
     assert run(["admissible", str(f), "--class", "9"]) == 4

@@ -1,6 +1,10 @@
 """Domain equation, periodic lattice, and positive enumeration."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,10 +19,11 @@ from hfhat import (
     homology,
     periodic_lattice,
     positive_domains,
+    spinc_partition,
 )
 from hfhat.corpus import build
-from hfhat.domains import _assert_mirror, _connecting_rhs, _factored
-from hfhat.exactla import InternalError, hermite_reduce, mat_vec
+from hfhat.domains import _assert_mirror, _connecting_rhs, _factored, _reduction
+from hfhat.exactla import InternalError, hermite_normal_form, hermite_reduce, mat_vec
 
 from conftest import ADMISSIBLE_NAMES, SMALL_NAMES, brute_force_domains
 
@@ -77,13 +82,81 @@ def test_connecting_domain_equals_per_pair_reduction(name):
             assert dom == Domain(tuple(c - nz for c in particular), x, y)
 
 
+def _seeded_sums():
+    """Four seeded connected sums of two small corpus diagrams."""
+    rng = random.Random("alpha factorization sums")
+    pool = ["s1s2_g1", "s1s2_wind", "lens(3,1)", "lens(5,2)", "lens(7,3)", "gsph(2)"]
+    return [tuple(rng.sample(pool, 2)) for _ in range(4)]
+
+
+@pytest.mark.parametrize(
+    "name",
+    SMALL_NAMES + ["lens(11,3)", "lens(9,5)", "gsph(3)", "gsph(4)"]
+    + ["#".join(pair) for pair in _seeded_sums()],
+)
+def test_alpha_factorization_matches_stacked(name):
+    """Factoring l_alpha alone gives the stacked system's transform u,
+    its pivots and its alpha rows of h; per-generator remainders are
+    the alpha half of the stacked ones (the beta half is their
+    negation), so the Spin^c grouping is the stacked one."""
+    d = connected_sum(*map(build, name.split("#"))) if "#" in name else build(name)
+    sys_ = boundary_system(d)
+    m = len(sys_.points)
+    stacked = [list(r) for r in sys_.l_alpha] + [list(r) for r in sys_.l_beta]
+    h, u, pivots = hermite_normal_form(stacked)
+    a, h_alpha, u_alpha, pivots_alpha = _factored(d)
+    assert a == stacked[:m]
+    assert u_alpha == u
+    assert pivots_alpha == pivots
+    assert h_alpha == h[:m]
+    groups = {}
+    index = {p: i for i, p in enumerate(sys_.points)}
+    for g in enumerate_generators(d):
+        chain = [0] * (2 * m)
+        for p in g.points:
+            chain[index[p]] += 1
+            chain[m + index[p]] -= 1
+        _, remainder = hermite_reduce(h, pivots, chain)
+        alpha_remainder = _reduction(d, g)[0]
+        assert tuple(remainder) == alpha_remainder + tuple(-r for r in alpha_remainder)
+        groups.setdefault(tuple(remainder), []).append(g)
+    want = sorted(tuple(sorted(group)) for group in groups.values())
+    assert [c.members for c in spinc_partition(d)] == want
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_factored_refuses_beta_that_is_not_negated_alpha(flags):
+    """With one beta entry of the boundary system flipped, factoring
+    raises InternalError, also with asserts stripped."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import dataclasses\n"
+        "import hfhat.domains as domains\n"
+        "from hfhat import InternalError, build\n"
+        "real = domains.boundary_system\n"
+        "def flipped(d):\n"
+        "    sys_ = real(d)\n"
+        "    rows = [list(r) for r in sys_.l_beta]\n"
+        "    i, j = next((i, j) for i, r in enumerate(rows) for j, v in enumerate(r) if v)\n"
+        "    rows[i][j] = -rows[i][j]\n"
+        "    return dataclasses.replace(sys_, l_beta=tuple(map(tuple, rows)))\n"
+        "domains.boundary_system = flipped\n"
+        "try:\n"
+        "    domains._factored(build('lens(5,2)'))\n"
+        "except InternalError:\n"
+        "    raise SystemExit(7)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True)
+    assert proc.returncode == 7, proc.stderr.decode()
+
+
 @pytest.mark.parametrize("name", SMALL_NAMES + ["lens(11,3)", "gsph(2)#lens(5,2)"])
 def test_mirror_check_agrees_with_dense_product(name):
     """The sparse-column mirror check raises exactly when the dense
-    product of the stacked system with the coefficients differs from
-    b(x, y): on every pair's connecting domain, on that domain with one
-    coefficient moved by 1 or with its ends swapped, and on seeded
-    random vectors."""
+    product of l_alpha with the coefficients differs from b(x, y): on
+    every pair's connecting domain, on that domain with one coefficient
+    moved by 1 or with its ends swapped, and on seeded random vectors."""
     d = _lens_sum() if name == "gsph(2)#lens(5,2)" else build(name)
     a = _factored(d)[0]
     rng = random.Random(f"mirror {name}")

@@ -2,6 +2,9 @@
 
 import pytest
 
+import hfhat.domains
+import hfhat.measures
+import hfhat.spinc
 from hfhat import (
     connecting_domain,
     enumerate_generators,
@@ -114,3 +117,26 @@ def test_grading_difference_is_connecting_index():
         for y in c.members:
             dom = connecting_domain(d, x, y)
             assert grade[x] - grade[y] == maslov_index(d, dom)
+
+
+@pytest.mark.parametrize("name", ["lens(2,1)", "lens(5,2)", "lens(11,3)", "lens(20,9)"])
+def test_lens_partition_builds_no_domain(name, monkeypatch):
+    """Every class of lens(p,q) has one generator, graded 0 by
+    normalization: no connecting domain and no Maslov index is built."""
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("not needed for a one-generator class")
+
+    for module in (hfhat.spinc, hfhat.domains):
+        monkeypatch.setattr(module, "connecting_domain", refuse)
+    for module in (hfhat.spinc, hfhat.measures):
+        monkeypatch.setattr(module, "maslov_index", refuse)
+    d = build(name)
+    classes = spinc_partition(d)
+    assert calls == []
+    assert len(classes) == len(enumerate_generators(d))
+    for c in classes:
+        assert c.gradings == ((c.members[0], 0),)
+        assert c.divisor == 0
