@@ -46,7 +46,6 @@ class AdmissibilityReport:
     kind: str  # "weak" | "strong"
     verdict: bool
     witness: Optional[tuple[int, ...]] = None
-    certificate: Optional[tuple[Fraction, ...]] = None
 
 
 def _pairings(

@@ -24,8 +24,10 @@ The kernel of that system splits as (periodic lattice with n_z = 0)
 plus the fundamental class [Sigma] (all coefficients 1), split off by
 n_z.  Positive domains of a prescribed index and n_z are enumerated by
 walking the integer points of the polytope D0 + lattice >= 0 (once per
-diagram object and D0), with exact-LP bounds certifying completeness;
-an unbounded polytope is reported as an error naming a recession
+diagram object and D0), one lattice coordinate at a time: the walk
+carries the residual of the coordinates already fixed, and exact LPs
+over the free ones bound the next, which certifies completeness; an
+unbounded polytope is reported as an error naming a recession
 direction, which is precisely a failure of weak admissibility.
 """
 
@@ -38,7 +40,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .diagram import ALPHA, HeegaardDiagram, derived, validate
-from .exactla import EQ, GE, InternalError, hermite_normal_form, hermite_reduce, kernel_basis
+from .exactla import GE, InternalError, hermite_normal_form, hermite_reduce, kernel_basis
 from .exactla import _scaled, lp_optimize, mat_vec, vanishing_sublattice
 from .generators import Generator
 
@@ -303,32 +305,34 @@ def _lattice_points(
 ) -> tuple[tuple[int, ...], ...]:
     """All nonnegative points of ``d0 + span(periodic basis)``, sorted.
 
-    They depend on the pair (x, y) only through the starting domain
-    ``d0``, so pairs whose connecting domains coincide share one sweep.
+    The sweep fixes ``t_0, t_1, ...`` in turn and carries the residual
+    ``base = d0 + sum_{j < k} t_j P_j`` down to coordinate k.  Two exact
+    LPs over the free ``t_k..t_{r-1}`` alone, with rows ``sum_{j >= k}
+    P_j[i] t_j >= -base[i]``, bound ``t_k``; the last range is read off
+    those rows, and a leaf's ``base`` is the point.  The points depend
+    on the pair (x, y) only through ``d0``, so pairs whose connecting
+    domains coincide share one sweep.
     """
     basis = periodic_lattice(d).basis
     witness = _weak_witness(d)
     if witness is not None:
         raise UnboundedEnumeration(witness)
 
-    n = len(d0)
     r = len(basis)
     results: list[tuple[int, ...]] = []
 
-    def last_bounds(fixed: list[int]) -> Optional[tuple[int, int]]:
+    def last_bounds(base: list[int]) -> Optional[tuple[int, int]]:
         """One free variable left: read its range off each constraint."""
         low, high = None, None
-        for i in range(n):
-            base = d0[i] + sum(v * basis[j][i] for j, v in enumerate(fixed))
-            coef = basis[r - 1][i]
+        for b, coef in zip(base, basis[r - 1]):
             if coef == 0:
-                if base < 0:
+                if b < 0:
                     return None
             elif coef > 0:
-                cand = math.ceil(Fraction(-base, coef))
+                cand = math.ceil(Fraction(-b, coef))
                 low = cand if low is None else max(low, cand)
             else:
-                cand = math.floor(Fraction(-base, coef))
+                cand = math.floor(Fraction(-b, coef))
                 high = cand if high is None else min(high, cand)
         if low is None or high is None:
             raise InternalError("positive-domain polytope is unbounded along the last basis vector")
@@ -336,47 +340,37 @@ def _lattice_points(
             return None
         return low, high
 
-    def lp_bounds(fixed: list[int], coord: int) -> Optional[tuple[int, int]]:
-        """Integer range of c[coord] over the polytope with c[:coord] fixed."""
-        constraints = []
-        for i in range(n):
-            row = [vec[i] for vec in basis]
-            constraints.append((row, GE, -d0[i]))
-        for j, val in enumerate(fixed):
-            unit = [0] * r
-            unit[j] = 1
-            constraints.append((unit, EQ, val))
-        obj = [0] * r
-        obj[coord] = 1
+    def lp_bounds(base: list[int], coord: int) -> Optional[tuple[int, int]]:
+        """Integer range of t_coord over the fiber above ``base``."""
+        free = basis[coord:]
+        constraints = [([vec[i] for vec in free], GE, -b) for i, b in enumerate(base)]
+        obj = [0] * len(free)
+        obj[0] = 1
         hi = lp_optimize(obj, constraints)
         if hi.status == "infeasible":
             return None
         if not hi.optimal:
             raise InternalError(f"bounding LP is {hi.status} with no recession direction")
-        obj[coord] = -1
+        obj[0] = -1
         lo = lp_optimize(obj, constraints)
         if not lo.optimal:
             raise InternalError(f"bounding LP is {lo.status} with no recession direction")
         return math.ceil(-lo.value), math.floor(hi.value)
 
-    def sweep(fixed: list[int]) -> None:
-        coord = len(fixed)
+    def sweep(coord: int, base: list[int]) -> None:
         if coord == r:
-            coeffs = list(d0)
-            for val, vec in zip(fixed, basis):
-                for i in range(n):
-                    coeffs[i] += val * vec[i]
-            if all(c >= 0 for c in coeffs):
-                results.append(tuple(coeffs))
+            if all(c >= 0 for c in base):
+                results.append(tuple(base))
             return
-        rng = last_bounds(fixed) if coord == r - 1 else lp_bounds(fixed, coord)
+        rng = last_bounds(base) if coord == r - 1 else lp_bounds(base, coord)
         if rng is None:
             return
         low, high = rng
+        vec = basis[coord]
         for val in range(low, high + 1):
-            sweep(fixed + [val])
+            sweep(coord + 1, [b + val * v for b, v in zip(base, vec)])
 
-    sweep([])
+    sweep(0, list(d0))
     results.sort()
     return tuple(results)
 

@@ -2,7 +2,11 @@
 
 An index-1 positive domain with n_z = 0 contributes a count of 1 mod 2
 when it is a rigid embedded disk: a bigon (two corners) or a rectangle
-(four corners).  Bigons are certified by the Riemann mapping theorem;
+(four corners).  The support S is a disk when it is one piece, its
+covered quadrants at each point are contiguous, and chi(S) = 1, read
+off the corners as 4 e(D) + #acute - #obtuse = 4 (the support covers
+one quadrant at an acute corner, three at an obtuse one).  Bigons are
+certified by the Riemann mapping theorem;
 rectangles are the standard extension adopted by the combinatorial
 literature and can be disabled with ``strict_rectangles`` (they then
 classify as Other).  Any Other domain aborts the computation with a
@@ -19,7 +23,7 @@ from .diagram import ALPHA, BETA, HeegaardDiagram, _one_piece, quadrants, valida
 from .domains import Domain, UnboundedEnumeration, _weak_witness, positive_domains
 from .exactla import InternalError
 from .generators import Generator
-from .measures import embedded_euler_char, maslov_index
+from .measures import _quarter_euler, embedded_euler_char, maslov_index
 from .spinc import SpincClass, spinc_partition
 
 BIGON = "Bigon"
@@ -63,35 +67,16 @@ class NotCombinatorial(Exception):
         )
 
 
-def _support_chi(d: HeegaardDiagram, support: set[int]) -> int:
-    """Euler characteristic of the closed support surface.
-
-    Glue the closures of the support regions along shared arcs:
-    chi = sum chi(region) + #points on used arcs - #used arcs.
-    """
-    arcs: set[tuple[str, int, int]] = set()
-    for ri in support:
-        for cyc in d.regions[ri].cycles:
-            for ref in cyc:
-                arcs.add((ref.curve, ref.index, ref.arc))
-    pts: set[str] = set()
-    for curve_tag, index, k in arcs:
-        curve = d.curve(curve_tag, index)
-        pts.add(curve[k])
-        pts.add(curve[(k + 1) % len(curve)])
-    chi = sum(d.regions[ri].euler_char for ri in support)
-    return chi + len(pts) - len(arcs)
-
-
 def classify_rigid(d: HeegaardDiagram, D: Domain) -> RigidShape:
     """Classify an index-1 nonnegative n_z = 0 domain.
 
     Bigon and Rectangle require coefficients in {0,1}, connected disk
     support with locally contiguous quadrants, and a corner census
     matching the moving points of the generator pair; everything else
-    is Other.  A Bigon must have the paper's embedded Euler
-    characteristic g + e - n_x - n_y equal to g, a Rectangle g - 1;
-    otherwise InternalError is raised.
+    is Other.  One pass over the points finds the acute and obtuse
+    corners and any pinched point.  A Bigon must have the paper's
+    embedded Euler characteristic g + e - n_x - n_y equal to g, a
+    Rectangle g - 1; otherwise InternalError is raised.
     """
     coeffs = D.coefficients
     if any(c < 0 for c in coeffs) or coeffs[d.basepoint] != 0 or maslov_index(d, D) != 1:
@@ -104,6 +89,7 @@ def classify_rigid(d: HeegaardDiagram, D: Domain) -> RigidShape:
     sup = tuple(sorted(support))
     qs = quadrants(d)
     corner_pts = []
+    obtuse = 0
     for p in d.points:
         covered = frozenset(
             s for s, ri in enumerate(qs.quadrant_regions(p)) if ri in support
@@ -112,9 +98,13 @@ def classify_rigid(d: HeegaardDiagram, D: Domain) -> RigidShape:
             return RigidShape(OTHER, sup, ())  # pinched point
         if len(covered) == 1:
             corner_pts.append(p)
+        elif len(covered) == 3:
+            obtuse += 1
     if not _one_piece(d, support, (ALPHA, BETA)):
         return RigidShape(OTHER, sup, tuple(corner_pts))
-    if _support_chi(d, support) != 1:
+    # Gauss-Bonnet: 4 chi(S) = 4 e(D) + #acute - #obtuse.
+    quarter_euler = _quarter_euler(d)
+    if sum(quarter_euler[ri] for ri in support) + len(corner_pts) - obtuse != 4:
         return RigidShape(OTHER, sup, tuple(corner_pts))
     moving_from = set(D.from_gen.points) - set(D.to_gen.points)
     moving_to = set(D.to_gen.points) - set(D.from_gen.points)

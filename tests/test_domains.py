@@ -11,6 +11,7 @@ import pytest
 import hfhat.domains
 from hfhat import (
     Domain,
+    PeriodicLattice,
     UnboundedEnumeration,
     boundary_system,
     connected_sum,
@@ -23,7 +24,7 @@ from hfhat import (
 )
 from hfhat.corpus import build
 from hfhat.domains import _assert_mirror, _connecting_rhs, _factored, _reduction
-from hfhat.exactla import InternalError, hermite_normal_form, hermite_reduce, mat_vec
+from hfhat.exactla import GE, InternalError, hermite_normal_form, hermite_reduce, mat_vec
 
 from conftest import ADMISSIBLE_NAMES, SMALL_NAMES, brute_force_domains
 
@@ -244,10 +245,12 @@ def test_lattice_basis_is_canonical_under_region_order():
     assert periodic_lattice(d).basis == ((1, -1, 0),)
 
 
-@pytest.mark.parametrize("name", ADMISSIBLE_NAMES)
+# gsph(3) has periodic rank 3, so its sweep bounds an interior
+# coordinate by LP with the first one carried in the residual.
+@pytest.mark.parametrize("name", ADMISSIBLE_NAMES + ["gsph(3)"])
 @pytest.mark.parametrize("index,nz", [(1, 0), (2, 0), (1, 1), (2, 1)])
 def test_positive_domains_match_brute_force(name, index, nz, corpus_small):
-    d = corpus_small[name]
+    d = corpus_small[name] if name in corpus_small else build(name)
     if len(d.regions) > 8:
         pytest.skip("oracle grid too large")
     gens = enumerate_generators(d)
@@ -257,6 +260,68 @@ def test_positive_domains_match_brute_force(name, index, nz, corpus_small):
             want = brute_force_domains(d, x, y, index, nz, cap=3)
             kept = [dom for dom in got if max(dom.coefficients) <= 3]
             assert kept == want, (name, x, y, index, nz)
+
+
+@pytest.mark.parametrize("name", ["gsph(3)", "gsph(4)"])
+def test_lattice_points_do_not_depend_on_the_basis(name, monkeypatch):
+    """A unimodular shear of the periodic basis, Q_0 = P_0 and Q_k = P_k +
+    P_{k-1}, spans the same lattice, so the sweep must find the same
+    points from every starting domain.  The corpus basis vectors have
+    disjoint supports; the sheared ones overlap, so each coordinate's
+    bounds depend on the coordinates fixed before it."""
+    d = build(name)
+    gens = enumerate_generators(d)
+    starts = {
+        tuple(c + nz for c in connecting_domain(d, x, y).coefficients)
+        for x in gens
+        for y in gens
+        for nz in (0, 1)
+    }
+    want = {d0: hfhat.domains._lattice_points(d, d0) for d0 in starts}
+    lattice = periodic_lattice(d)
+    basis = lattice.basis
+    sheared = (basis[0],) + tuple(
+        tuple(a + b for a, b in zip(vec, prev)) for prev, vec in zip(basis, basis[1:])
+    )
+    monkeypatch.setattr(
+        hfhat.domains, "periodic_lattice", lambda d: PeriodicLattice(sheared, lattice.sigma)
+    )
+    fresh = build(name)
+    assert sum(map(len, want.values())) > len(starts)
+    for d0, points in want.items():
+        assert hfhat.domains._lattice_points(fresh, d0) == points, d0
+
+
+def test_sweep_lps_run_over_the_free_coordinates_only(monkeypatch):
+    """Every bounding LP of the sweep has only >= rows, one per region,
+    over the coordinates t_k..t_{r-1} not yet fixed: its rows are the
+    columns P_k..P_{r-1} of the periodic basis and its objective is
+    +-t_k.  On gsph(4) (rank 4) the sweep runs LPs at coordinates 0, 1
+    and 2."""
+    d = build("gsph(4)")
+    basis = periodic_lattice(d).basis
+    r = len(basis)
+    hfhat.domains._weak_witness(d)  # its recession LP is not a sweep LP
+    calls = []
+    real = hfhat.domains.lp_optimize
+
+    def spy(objective, constraints):
+        calls.append((list(objective), list(constraints)))
+        return real(objective, constraints)
+
+    monkeypatch.setattr(hfhat.domains, "lp_optimize", spy)
+    x, y = enumerate_generators(d)[:2]
+    positive_domains(d, x, y, 2, 1)
+    coords = set()
+    for objective, constraints in calls:
+        k = r - len(objective)
+        coords.add(k)
+        assert objective in ([1] + [0] * (r - k - 1), [-1] + [0] * (r - k - 1))
+        assert len(constraints) == len(d.regions)
+        for i, (row, rel, _) in enumerate(constraints):
+            assert rel == GE
+            assert row == [vec[i] for vec in basis[k:]]
+    assert coords == set(range(r - 1))
 
 
 @pytest.mark.parametrize("name", ["s1s2_bad", "s1s2_wind"])

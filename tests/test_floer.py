@@ -5,12 +5,13 @@ import os
 import random
 import subprocess
 import sys
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
 
 from hfhat import (
+    Domain,
     Generator,
     GradedComplex,
     InternalError,
@@ -18,6 +19,7 @@ from hfhat import (
     SpincClass,
     UnboundedEnumeration,
     classify_rigid,
+    connected_sum,
     differential,
     enumerate_generators,
     homology,
@@ -27,8 +29,9 @@ from hfhat import (
 )
 from hfhat.corpus import build
 from hfhat.domains import _weak_witness
-from hfhat.diagram import ALPHA, BETA, _one_piece
-from hfhat.floer import BIGON, RECTANGLE, _assert_d_squared_zero, _graded_ranks
+from hfhat.diagram import ALPHA, BETA, _one_piece, quadrants
+from hfhat.floer import _CONTIGUOUS, BIGON, RECTANGLE, _assert_d_squared_zero, _graded_ranks
+from hfhat.measures import _quarter_euler
 
 from conftest import SMALL_NAMES, gen, rectangle_diagram
 
@@ -86,17 +89,113 @@ def test_strict_rectangles_flag():
     assert len(exc.value.offenders) == 2
 
 
+def _glue_chi(d, support):
+    """Euler characteristic of the closed support surface, by gluing the
+    closures of the support regions along shared arcs: chi = sum
+    chi(region) + #points on used arcs - #used arcs.  An oracle for the
+    corner census that classify_rigid reads chi off."""
+    arcs = set()
+    for ri in support:
+        for cyc in d.regions[ri].cycles:
+            for ref in cyc:
+                arcs.add((ref.curve, ref.index, ref.arc))
+    pts = set()
+    for curve_tag, index, k in arcs:
+        curve = d.curve(curve_tag, index)
+        pts.add(curve[k])
+        pts.add(curve[(k + 1) % len(curve)])
+    chi = sum(d.regions[ri].euler_char for ri in support)
+    return chi + len(pts) - len(arcs)
+
+
 def test_support_topology_helpers():
     """Disconnected or non-disk supports are what flags a shape Other."""
-    from hfhat.floer import _support_chi
-
     d = build("s1s2_g1")
     bigons = {0, 1}
     assert not _one_piece(d, bigons, (ALPHA, BETA))
-    assert _support_chi(d, {0}) == 1
+    assert _glue_chi(d, {0}) == 1
     # annulus whose two boundary circles meet at both points
-    assert _support_chi(d, {2}) == -2
-    assert _support_chi(d, {0, 1, 2}) == 2 - 2 * d.genus
+    assert _glue_chi(d, {2}) == -2
+    assert _glue_chi(d, {0, 1, 2}) == 2 - 2 * d.genus
+
+
+def _census_diagrams():
+    names = SMALL_NAMES + ["lens(8,3)", "gsph(3)", "gsph(4)"]
+    return [build(n) for n in names] + [
+        rectangle_diagram(),
+        connected_sum(build("lens(5,2)"), build("gsph(2)")),
+        stabilize(build("lens(3,1)")),
+    ]
+
+
+def test_census_chi_matches_glue_walk():
+    """On every support whose covered quadrants are contiguous at each
+    point, 4 e(D) + #acute - #obtuse, the census classify_rigid tests,
+    is 4 chi(S) of the glued support surface."""
+    compared, pinched, chis, obtuse_seen = 0, 0, set(), 0
+    for d in _census_diagrams():
+        qs = quadrants(d)
+        quarter_euler = _quarter_euler(d)
+        for size in range(1, len(d.regions) + 1):
+            for support in map(set, combinations(range(len(d.regions)), size)):
+                census = [
+                    frozenset(s for s, ri in enumerate(qs.quadrant_regions(p)) if ri in support)
+                    for p in d.points
+                ]
+                if any(c and c not in _CONTIGUOUS for c in census):
+                    pinched += 1
+                    continue
+                acute = sum(len(c) == 1 for c in census)
+                obtuse = sum(len(c) == 3 for c in census)
+                chi = _glue_chi(d, support)
+                assert sum(quarter_euler[ri] for ri in support) + acute - obtuse == 4 * chi, (
+                    d, support
+                )
+                compared += 1
+                chis.add(chi)
+                obtuse_seen += obtuse
+    assert compared >= 200 and pinched >= 200
+    assert obtuse_seen and {1, 0} <= chis and min(chis) < 0
+
+
+def test_classify_rigid_disk_test_matches_glue_walk(monkeypatch):
+    """classify_rigid's own census: on every support with contiguous
+    quadrants and two or four acute corners, made a domain between
+    generators that move exactly at those corners (index and embedded
+    chi stubbed to a disk's), the shape is a Bigon or Rectangle exactly
+    when the glued support is one piece of Euler characteristic 1."""
+    import hfhat.floer
+
+    monkeypatch.setattr(hfhat.floer, "maslov_index", lambda d, D: 1)
+    monkeypatch.setattr(
+        hfhat.floer,
+        "embedded_euler_char",
+        lambda d, D: d.genus - len(D.from_gen.points) + 1,
+    )
+    checked, disks, obtuse_seen = 0, 0, 0
+    for d in _census_diagrams():
+        qs = quadrants(d)
+        regions = [ri for ri in range(len(d.regions)) if ri != d.basepoint]
+        for size in range(1, len(regions) + 1):
+            for support in map(set, combinations(regions, size)):
+                census = [
+                    frozenset(s for s, ri in enumerate(qs.quadrant_regions(p)) if ri in support)
+                    for p in d.points
+                ]
+                if any(c and c not in _CONTIGUOUS for c in census):
+                    continue
+                corners = [p for p, c in zip(d.points, census) if len(c) == 1]
+                if len(corners) not in (2, 4):
+                    continue
+                half = len(corners) // 2
+                coeffs = tuple(int(ri in support) for ri in range(len(d.regions)))
+                dom = Domain(coeffs, Generator(tuple(corners[:half])), Generator(tuple(corners[half:])))
+                disk = _one_piece(d, support, (ALPHA, BETA)) and _glue_chi(d, support) == 1
+                assert (classify_rigid(d, dom).tag in (BIGON, RECTANGLE)) == disk, (d, support)
+                checked += 1
+                disks += disk
+                obtuse_seen += sum(len(c) == 3 for c in census)
+    assert checked > disks > 0 and obtuse_seen
 
 
 def test_classify_rigid_checks_embedded_euler_char(monkeypatch):
