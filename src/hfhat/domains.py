@@ -26,9 +26,13 @@ n_z.  Positive domains of a prescribed index and n_z are enumerated by
 walking the integer points of the polytope D0 + lattice >= 0 (once per
 diagram object and D0), one lattice coordinate at a time: the walk
 carries the residual of the coordinates already fixed, and exact LPs
-over the free ones bound the next, which certifies completeness; an
-unbounded polytope is reported as an error naming a recession
-direction, which is precisely a failure of weak admissibility.
+over the free ones bound the next, which certifies completeness.  From
+the first coordinate whose free basis vectors have pairwise disjoint
+supports (found once per diagram object) the fiber is a box, and each
+remaining coordinate is read off its own vector's rows with no LP; on
+a sum of S^1 x S^2 summands that is every coordinate.  An unbounded
+polytope is reported as an error naming a recession direction, which
+is precisely a failure of weak admissibility.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from typing import Optional, Sequence
 
@@ -300,45 +305,74 @@ def _positive_solutions(
 
 
 @derived
+def _box_split(d: HeegaardDiagram) -> tuple:
+    """``(split, columns, outside)``: the first coordinate k* from which
+    the periodic basis vectors P_k*..P_{r-1} have pairwise disjoint
+    supports (k* <= r - 1 when r > 0), those vectors as ``(row, value)``
+    pairs of their nonzero entries, and the rows outside every one of
+    their supports."""
+    basis = periodic_lattice(d).basis
+    supports = [{i for i, v in enumerate(vec) if v} for vec in basis]
+    split, covered = len(basis), set()
+    while split and not supports[split - 1] & covered:
+        split -= 1
+        covered |= supports[split]
+    columns = tuple(
+        tuple((i, vec[i]) for i in sorted(support))
+        for vec, support in zip(basis[split:], supports[split:])
+    )
+    outside = tuple(i for i in range(len(d.regions)) if i not in covered)
+    return split, columns, outside
+
+
+@derived
 def _lattice_points(
     d: HeegaardDiagram, d0: tuple[int, ...]
 ) -> tuple[tuple[int, ...], ...]:
     """All nonnegative points of ``d0 + span(periodic basis)``, sorted.
 
     The sweep fixes ``t_0, t_1, ...`` in turn and carries the residual
-    ``base = d0 + sum_{j < k} t_j P_j`` down to coordinate k.  Two exact
-    LPs over the free ``t_k..t_{r-1}`` alone, with rows ``sum_{j >= k}
-    P_j[i] t_j >= -base[i]``, bound ``t_k``; the last range is read off
-    those rows, and a leaf's ``base`` is the point.  The points depend
-    on the pair (x, y) only through ``d0``, so pairs whose connecting
-    domains coincide share one sweep.
+    ``base = d0 + sum_{j < k} t_j P_j`` down to coordinate k.  Below the
+    split k* (see ``_box_split``) two exact LPs over the free
+    ``t_k..t_{r-1}`` alone, with rows ``sum_{j >= k} P_j[i] t_j >=
+    -base[i]``, bound ``t_k``.  From k* on the free vectors have
+    disjoint supports, so the fiber is a box: each ``t_j`` is read off
+    the rows of P_j's support, and a row outside every free support
+    needs ``base[i] >= 0``; this is exactly what those LPs would give.
+    Each point of the box gives the leaf ``base + sum_{j >= k*} t_j
+    P_j``, kept when nonnegative.  The points depend on the pair
+    (x, y) only through ``d0``, so pairs whose connecting domains
+    coincide share one sweep.
     """
     basis = periodic_lattice(d).basis
     witness = _weak_witness(d)
     if witness is not None:
         raise UnboundedEnumeration(witness)
 
-    r = len(basis)
+    split, columns, outside = _box_split(d)
     results: list[tuple[int, ...]] = []
 
-    def last_bounds(base: list[int]) -> Optional[tuple[int, int]]:
-        """One free variable left: read its range off each constraint."""
-        low, high = None, None
-        for b, coef in zip(base, basis[r - 1]):
-            if coef == 0:
-                if b < 0:
-                    return None
-            elif coef > 0:
-                cand = math.ceil(Fraction(-b, coef))
-                low = cand if low is None else max(low, cand)
-            else:
-                cand = math.floor(Fraction(-b, coef))
-                high = cand if high is None else min(high, cand)
-        if low is None or high is None:
-            raise InternalError("positive-domain polytope is unbounded along the last basis vector")
-        if low > high:
+    def box_bounds(base: list[int]) -> Optional[list[tuple[int, int]]]:
+        """Integer ranges of t_split..t_{r-1} over the fiber above ``base``."""
+        if any(base[i] < 0 for i in outside):
             return None
-        return low, high
+        box = []
+        for j, column in enumerate(columns, split):
+            low, high = None, None
+            for i, coef in column:
+                # base[i] + coef t_j >= 0
+                if coef > 0:
+                    cand = -(base[i] // coef)
+                    low = cand if low is None else max(low, cand)
+                else:
+                    cand = base[i] // -coef
+                    high = cand if high is None else min(high, cand)
+            if low is None or high is None:
+                raise InternalError(f"positive-domain polytope is unbounded along basis vector {j}")
+            if low > high:
+                return None
+            box.append((low, high))
+        return box
 
     def lp_bounds(base: list[int], coord: int) -> Optional[tuple[int, int]]:
         """Integer range of t_coord over the fiber above ``base``."""
@@ -358,11 +392,19 @@ def _lattice_points(
         return math.ceil(-lo.value), math.floor(hi.value)
 
     def sweep(coord: int, base: list[int]) -> None:
-        if coord == r:
-            if all(c >= 0 for c in base):
-                results.append(tuple(base))
+        if coord == split:
+            box = box_bounds(base)
+            if box is None:
+                return
+            for ts in product(*(range(low, high + 1) for low, high in box)):
+                leaf = list(base)
+                for t, column in zip(ts, columns):
+                    for i, coef in column:
+                        leaf[i] += t * coef
+                if all(c >= 0 for c in leaf):
+                    results.append(tuple(leaf))
             return
-        rng = last_bounds(base) if coord == r - 1 else lp_bounds(base, coord)
+        rng = lp_bounds(base, coord)
         if rng is None:
             return
         low, high = rng
@@ -386,7 +428,8 @@ def positive_domains(
 
     Complete by the bounded-polytope argument: absence of a recession
     direction (checked first, by one exact LP per diagram) makes the
-    positive polytope compact, and per-coordinate LP bounds with
+    positive polytope compact, and per-coordinate bounds (exact LPs, or
+    a box read off the rows once the free vectors split) with
     depth-first re-tightening sweep every integer point.  Raises
     UnboundedEnumeration otherwise.  The sweep runs once per diagram
     object and starting domain ``D0 + n_z [Sigma]``.

@@ -17,9 +17,8 @@ count the combinatorics cannot certify (annuli in particular).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
-from .diagram import ALPHA, BETA, HeegaardDiagram, _one_piece, quadrants, validate
+from .diagram import ALPHA, BETA, HeegaardDiagram, _one_piece, derived, quadrants, validate
 from .domains import Domain, UnboundedEnumeration, _weak_witness, positive_domains
 from .exactla import InternalError
 from .generators import Generator
@@ -67,16 +66,27 @@ class NotCombinatorial(Exception):
         )
 
 
+@derived
+def _region_points(d: HeegaardDiagram) -> tuple[frozenset[str], ...]:
+    """Per region, the points where it fills at least one quadrant."""
+    points: list[set[str]] = [set() for _ in d.regions]
+    for p, regions in quadrants(d).corners.items():
+        for ri in regions:
+            points[ri].add(p)
+    return tuple(frozenset(ps) for ps in points)
+
+
 def classify_rigid(d: HeegaardDiagram, D: Domain) -> RigidShape:
     """Classify an index-1 nonnegative n_z = 0 domain.
 
     Bigon and Rectangle require coefficients in {0,1}, connected disk
     support with locally contiguous quadrants, and a corner census
     matching the moving points of the generator pair; everything else
-    is Other.  One pass over the points finds the acute and obtuse
-    corners and any pinched point.  A Bigon must have the paper's
-    embedded Euler characteristic g + e - n_x - n_y equal to g, a
-    Rectangle g - 1; otherwise InternalError is raised.
+    is Other.  One pass over the corner points of the support's regions
+    finds the acute and obtuse corners and any pinched point; a point
+    off those regions covers no quadrant of the support.  A Bigon must
+    have the paper's embedded Euler characteristic g + e - n_x - n_y
+    equal to g, a Rectangle g - 1; otherwise InternalError is raised.
     """
     coeffs = D.coefficients
     if any(c < 0 for c in coeffs) or coeffs[d.basepoint] != 0 or maslov_index(d, D) != 1:
@@ -90,7 +100,8 @@ def classify_rigid(d: HeegaardDiagram, D: Domain) -> RigidShape:
     qs = quadrants(d)
     corner_pts = []
     obtuse = 0
-    for p in d.points:
+    region_points = _region_points(d)
+    for p in sorted({p for ri in sup for p in region_points[ri]}):
         covered = frozenset(
             s for s, ri in enumerate(qs.quadrant_regions(p)) if ri in support
         )
@@ -134,17 +145,22 @@ def differential(
     Entry (y, x) counts the rigid index-1 positive n_z = 0 domains from
     x to y mod 2.  Only pairs with gr(x) - gr(y) = 1 (mod the divisor)
     are enumerated: such a domain has index 1, and gradings are
-    relative Maslov indices, so every other pair has none.  Raises
-    NotCombinatorial when any such domain is not rigid.  A class with
-    two or more generators on a diagram that is not weakly admissible
-    raises UnboundedEnumeration with the periodic witness, before any
-    pair is enumerated.
+    relative Maslov indices, so every other pair has none.  The members
+    are bucketed by grading, in member order, and each x is paired with
+    the bucket at gr(x) - 1 only.  Raises NotCombinatorial when any
+    such domain is not rigid.  A class with two or more generators on a
+    diagram that is not weakly admissible raises UnboundedEnumeration
+    with the periodic witness, before any pair is enumerated.
     ``threads`` is accepted for compatibility and ignored: the work is
     pure Python, so worker threads only added contention.
     """
     order = c.members
     idx = {g: i for i, g in enumerate(order)}
     gradings = dict(c.gradings)
+    level = (lambda k: k % c.divisor) if c.divisor > 0 else (lambda k: k)
+    by_level: dict[int, list[Generator]] = {}
+    for g in order:
+        by_level.setdefault(level(gradings[g]), []).append(g)
     counted_tags = (BIGON,) if strict_rectangles else (BIGON, RECTANGLE)
     matrix = [[0] * len(order) for _ in order]
     audit = []
@@ -153,10 +169,8 @@ def differential(
         witness = _weak_witness(d)
         if witness is not None:
             raise UnboundedEnumeration(witness)
-    for x, y in permutations(order, 2):
-        drop = gradings[x] - gradings[y] - 1
-        if (drop % c.divisor if c.divisor > 0 else drop) != 0:
-            continue
+    pairs = ((x, y) for x in order for y in by_level.get(level(gradings[x] - 1), ()) if y is not x)
+    for x, y in pairs:
         for dom in positive_domains(d, x, y, 1, 0):
             shape = classify_rigid(d, dom)
             if shape.tag in counted_tags:

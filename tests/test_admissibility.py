@@ -199,7 +199,7 @@ def test_stored_checks_survive_optimize():
         from hfhat import (Domain, InternalError, area_certificate, build,
                            enumerate_generators, positive_domains, spinc_partition,
                            strong_admissible, weak_admissible)
-        from hfhat.domains import _assert_mirror, _weak_witness
+        from hfhat.domains import _assert_mirror, _weak_witness, periodic_lattice
         from hfhat.exactla import LpResult, lp_optimize
 
         def corrupt(change):
@@ -227,7 +227,13 @@ def test_stored_checks_survive_optimize():
             weak_admissible(build("s1s2_bad"))
 
         def bounding_lp():
+            # The corpus basis of gsph(2) splits, so its sweep runs no
+            # LP; the coupled basis (P_0, P_1 + P_0) bounds t_0 by LP.
             d = build("gsph(2)")
+            lattice = dom.periodic_lattice(d)
+            p0, p1 = lattice.basis
+            coupled = replace(lattice, basis=(p0, tuple(a + b for a, b in zip(p1, p0))))
+            dom.periodic_lattice = lambda d: coupled
             _weak_witness(d)
             dom.lp_optimize = lambda objective, constraints: LpResult("unbounded")
             x, y = spinc_partition(d)[0].members[:2]
@@ -252,6 +258,7 @@ def test_stored_checks_survive_optimize():
                       recession_sign, bounding_lp, last_bound, mirror, gradings):
             adm.lp_optimize = dom.lp_optimize = lp_optimize
             dom._weak_witness = _weak_witness
+            dom.periodic_lattice = periodic_lattice
             spinc.connecting_domain = dom.connecting_domain
             try:
                 check()

@@ -262,46 +262,38 @@ def test_positive_domains_match_brute_force(name, index, nz, corpus_small):
             assert kept == want, (name, x, y, index, nz)
 
 
-@pytest.mark.parametrize("name", ["gsph(3)", "gsph(4)"])
-def test_lattice_points_do_not_depend_on_the_basis(name, monkeypatch):
-    """A unimodular shear of the periodic basis, Q_0 = P_0 and Q_k = P_k +
-    P_{k-1}, spans the same lattice, so the sweep must find the same
-    points from every starting domain.  The corpus basis vectors have
-    disjoint supports; the sheared ones overlap, so each coordinate's
-    bounds depend on the coordinates fixed before it."""
-    d = build(name)
+def _sum(vec, other):
+    return tuple(a + b for a, b in zip(vec, other))
+
+
+def _sheared(basis):
+    """Q_0 = P_0 and Q_k = P_k + P_{k-1}: the same lattice, with every two
+    neighbouring vectors overlapping."""
+    return (basis[0],) + tuple(_sum(vec, prev) for prev, vec in zip(basis, basis[1:]))
+
+
+def _use_basis(monkeypatch, d, basis):
+    """Make ``periodic_lattice`` return ``basis`` (same span as d's) on
+    every diagram object built afterwards."""
+    lattice = periodic_lattice(d)
+    monkeypatch.setattr(
+        hfhat.domains, "periodic_lattice", lambda d: PeriodicLattice(basis, lattice.sigma)
+    )
+
+
+def _starts(d):
+    """Every starting domain D0 + n_z [Sigma] of d, at n_z 0 and 1."""
     gens = enumerate_generators(d)
-    starts = {
+    return {
         tuple(c + nz for c in connecting_domain(d, x, y).coefficients)
         for x in gens
         for y in gens
         for nz in (0, 1)
     }
-    want = {d0: hfhat.domains._lattice_points(d, d0) for d0 in starts}
-    lattice = periodic_lattice(d)
-    basis = lattice.basis
-    sheared = (basis[0],) + tuple(
-        tuple(a + b for a, b in zip(vec, prev)) for prev, vec in zip(basis, basis[1:])
-    )
-    monkeypatch.setattr(
-        hfhat.domains, "periodic_lattice", lambda d: PeriodicLattice(sheared, lattice.sigma)
-    )
-    fresh = build(name)
-    assert sum(map(len, want.values())) > len(starts)
-    for d0, points in want.items():
-        assert hfhat.domains._lattice_points(fresh, d0) == points, d0
 
 
-def test_sweep_lps_run_over_the_free_coordinates_only(monkeypatch):
-    """Every bounding LP of the sweep has only >= rows, one per region,
-    over the coordinates t_k..t_{r-1} not yet fixed: its rows are the
-    columns P_k..P_{r-1} of the periodic basis and its objective is
-    +-t_k.  On gsph(4) (rank 4) the sweep runs LPs at coordinates 0, 1
-    and 2."""
-    d = build("gsph(4)")
-    basis = periodic_lattice(d).basis
-    r = len(basis)
-    hfhat.domains._weak_witness(d)  # its recession LP is not a sweep LP
+def _spy_lps(monkeypatch):
+    """Record the (objective, constraints) of every LP the sweep solves."""
     calls = []
     real = hfhat.domains.lp_optimize
 
@@ -310,18 +302,106 @@ def test_sweep_lps_run_over_the_free_coordinates_only(monkeypatch):
         return real(objective, constraints)
 
     monkeypatch.setattr(hfhat.domains, "lp_optimize", spy)
-    x, y = enumerate_generators(d)[:2]
-    positive_domains(d, x, y, 2, 1)
-    coords = set()
+    return calls
+
+
+@pytest.mark.parametrize("name", ["gsph(3)", "gsph(4)"])
+def test_lattice_points_do_not_depend_on_the_basis(name, monkeypatch):
+    """A unimodular shear of the periodic basis spans the same lattice, so
+    the sweep must find the same points from every starting domain.  The
+    corpus basis vectors have disjoint supports; the sheared ones
+    overlap, so each coordinate's bounds depend on the coordinates fixed
+    before it."""
+    d = build(name)
+    starts = _starts(d)
+    want = {d0: hfhat.domains._lattice_points(d, d0) for d0 in starts}
+    _use_basis(monkeypatch, d, _sheared(periodic_lattice(d).basis))
+    fresh = build(name)
+    assert sum(map(len, want.values())) > len(starts)
+    for d0, points in want.items():
+        assert hfhat.domains._lattice_points(fresh, d0) == points, d0
+
+
+def _check_sweep_lps(calls, d, basis):
+    """Each sweep LP has only >= rows, one per region, over the free
+    t_k..t_{r-1}: its rows are the columns P_k..P_{r-1} and its
+    objective is +-t_k.  Returns the variable count per coordinate."""
+    r = len(basis)
+    sizes = {}
     for objective, constraints in calls:
         k = r - len(objective)
-        coords.add(k)
+        sizes[k] = len(objective)
         assert objective in ([1] + [0] * (r - k - 1), [-1] + [0] * (r - k - 1))
         assert len(constraints) == len(d.regions)
         for i, (row, rel, _) in enumerate(constraints):
             assert rel == GE
             assert row == [vec[i] for vec in basis[k:]]
-    assert coords == set(range(r - 1))
+    return sizes
+
+
+def test_sweep_lps_run_over_the_free_coordinates_only(monkeypatch):
+    """On the sheared gsph(4) basis (rank 4) no tail of two or more
+    vectors has disjoint supports, so the sweep bounds coordinates 0, 1
+    and 2 by LP and reads only the last one off its rows."""
+    d = build("gsph(4)")
+    basis = _sheared(periodic_lattice(d).basis)
+    _use_basis(monkeypatch, d, basis)
+    fresh = build("gsph(4)")
+    hfhat.domains._weak_witness(fresh)  # its recession LP is not a sweep LP
+    calls = _spy_lps(monkeypatch)
+    x, y = enumerate_generators(fresh)[:2]
+    positive_domains(fresh, x, y, 2, 1)
+    assert set(_check_sweep_lps(calls, fresh, basis)) == {0, 1, 2}
+
+
+@pytest.mark.parametrize(
+    "name", ["gsph(1)", "gsph(2)", "gsph(3)", "gsph(4)", "lens(5,2)#gsph(2)", "gsph(3)#lens(7,3)"]
+)
+def test_split_bases_sweep_without_lps(name, monkeypatch):
+    """The corpus bases of gsph(g) and of lens#gsph sums have pairwise
+    disjoint supports, one vector per S^1 x S^2 summand, so the whole
+    fiber is a box read off the rows: no sweep LP runs."""
+    d = connected_sum(*map(build, name.split("#"))) if "#" in name else build(name)
+    assert hfhat.domains._box_split(d)[0] == 0
+    hfhat.domains._weak_witness(d)
+    calls = _spy_lps(monkeypatch)
+    gens = enumerate_generators(d)
+    found = 0
+    for x in gens[:8]:
+        for y in gens:
+            for index, nz in ((1, 0), (2, 1)):
+                found += len(positive_domains(d, x, y, index, nz))
+    assert found and calls == []
+
+
+def test_mixed_basis_runs_lps_only_above_the_split(monkeypatch):
+    """Q = (P_0, P_1, P_2 + P_1, P_3) on gsph(4): Q_2 and Q_3 are disjoint
+    but Q_1 meets Q_2, so LPs bound t_0 (4 variables) and t_1 (3
+    variables) and the box t_2, t_3 is read off the rows.  The points
+    are the corpus basis's, and the brute-force grid's."""
+    d = build("gsph(4)")
+    starts = _starts(d)
+    want = {d0: hfhat.domains._lattice_points(d, d0) for d0 in starts}
+    p = periodic_lattice(d).basis
+    basis = (p[0], p[1], _sum(p[2], p[1]), p[3])
+    _use_basis(monkeypatch, d, basis)
+    fresh = build("gsph(4)")
+    assert hfhat.domains._box_split(fresh)[0] == 2
+    hfhat.domains._weak_witness(fresh)
+    calls = _spy_lps(monkeypatch)
+    for d0, points in want.items():
+        assert hfhat.domains._lattice_points(fresh, d0) == points, d0
+    assert _check_sweep_lps(calls, fresh, basis) == {0: 4, 1: 3}
+    gens = enumerate_generators(fresh)
+    compared = 0
+    for x in gens[::3]:
+        for y in gens:
+            for index, nz in ((1, 0), (2, 1)):
+                got = positive_domains(fresh, x, y, index, nz)
+                oracle = brute_force_domains(fresh, x, y, index, nz, cap=3)
+                assert [dom for dom in got if max(dom.coefficients) <= 3] == oracle, (x, y)
+                compared += len(oracle)
+    assert compared > 100
 
 
 @pytest.mark.parametrize("name", ["s1s2_bad", "s1s2_wind"])

@@ -30,7 +30,15 @@ from hfhat import (
 from hfhat.corpus import build
 from hfhat.domains import _weak_witness
 from hfhat.diagram import ALPHA, BETA, _one_piece, quadrants
-from hfhat.floer import _CONTIGUOUS, BIGON, RECTANGLE, _assert_d_squared_zero, _graded_ranks
+from hfhat.floer import (
+    _CONTIGUOUS,
+    BIGON,
+    OTHER,
+    RECTANGLE,
+    RigidShape,
+    _assert_d_squared_zero,
+    _graded_ranks,
+)
 from hfhat.measures import _quarter_euler
 
 from conftest import SMALL_NAMES, gen, rectangle_diagram
@@ -198,6 +206,85 @@ def test_classify_rigid_disk_test_matches_glue_walk(monkeypatch):
     assert checked > disks > 0 and obtuse_seen
 
 
+def _classify_all_points(d, D):
+    """classify_rigid past its preconditions, with the corner census over
+    every point of the diagram: the oracle for the census over the
+    support's corner points only."""
+    import hfhat.floer
+
+    coeffs = D.coefficients
+    if any(c not in (0, 1) for c in coeffs):
+        return RigidShape(OTHER, (), ())
+    support = {i for i, c in enumerate(coeffs) if c == 1}
+    if not support:
+        return RigidShape(OTHER, (), ())
+    sup = tuple(sorted(support))
+    qs = quadrants(d)
+    corner_pts = []
+    obtuse = 0
+    for p in d.points:
+        covered = frozenset(s for s, ri in enumerate(qs.quadrant_regions(p)) if ri in support)
+        if covered and covered not in _CONTIGUOUS:
+            return RigidShape(OTHER, sup, ())
+        if len(covered) == 1:
+            corner_pts.append(p)
+        elif len(covered) == 3:
+            obtuse += 1
+    if not _one_piece(d, support, (ALPHA, BETA)):
+        return RigidShape(OTHER, sup, tuple(corner_pts))
+    quarter_euler = _quarter_euler(d)
+    if sum(quarter_euler[ri] for ri in support) + len(corner_pts) - obtuse != 4:
+        return RigidShape(OTHER, sup, tuple(corner_pts))
+    moving_from = set(D.from_gen.points) - set(D.to_gen.points)
+    moving_to = set(D.to_gen.points) - set(D.from_gen.points)
+    if set(corner_pts) != moving_from | moving_to:
+        return RigidShape(OTHER, sup, tuple(corner_pts))
+    if len(moving_from) == 1 and len(moving_to) == 1:
+        tag, chi = BIGON, d.genus
+    elif len(moving_from) == 2 and len(moving_to) == 2:
+        tag, chi = RECTANGLE, d.genus - 1
+    else:
+        return RigidShape(OTHER, sup, tuple(corner_pts))
+    assert hfhat.floer.embedded_euler_char(d, D) == chi
+    return RigidShape(tag, sup, tuple(sorted(corner_pts)))
+
+
+def test_support_census_matches_all_points_census(monkeypatch):
+    """On every 0/1 support away from the basepoint, pinched ones
+    included, made a domain between generators that move at its acute
+    corners (index and embedded chi stubbed to a disk's), classify_rigid
+    gives the shape and corners that a census over every point gives."""
+    import hfhat.floer
+
+    monkeypatch.setattr(hfhat.floer, "maslov_index", lambda d, D: 1)
+    monkeypatch.setattr(
+        hfhat.floer,
+        "embedded_euler_char",
+        lambda d, D: d.genus - len(D.from_gen.points) + 1,
+    )
+    diagrams = [build(n) for n in SMALL_NAMES + ["lens(8,3)", "gsph(3)"]] + [rectangle_diagram()]
+    tags, pinched, listed = set(), 0, 0
+    for d in diagrams:
+        qs = quadrants(d)
+        regions = [ri for ri in range(len(d.regions)) if ri != d.basepoint]
+        for size in range(len(regions) + 1):
+            for support in map(set, combinations(regions, size)):
+                corners = [
+                    p
+                    for p in d.points
+                    if sum(ri in support for ri in qs.quadrant_regions(p)) == 1
+                ]
+                half = len(corners) // 2
+                coeffs = tuple(int(ri in support) for ri in range(len(d.regions)))
+                dom = Domain(coeffs, Generator(tuple(corners[:half])), Generator(tuple(corners[half:])))
+                shape = classify_rigid(d, dom)
+                assert shape == _classify_all_points(d, dom), (d, support)
+                tags.add(shape.tag)
+                pinched += bool(shape.support) and not shape.corners
+                listed += bool(shape.corners) and shape.tag == OTHER
+    assert tags == {BIGON, RECTANGLE, OTHER} and pinched and listed
+
+
 def test_classify_rigid_checks_embedded_euler_char(monkeypatch):
     """The paper's chi(S) = g + e - n_x - n_y must be g on a bigon and
     g - 1 on a rectangle; an embedded_euler_char off by one is a fault."""
@@ -285,6 +372,30 @@ def test_grading_prune_skips_only_empty_pairs(name, corpus_small):
             else:
                 with pytest.raises(UnboundedEnumeration):
                     positive_domains(d, x, y, 1, 0)
+
+
+@pytest.mark.parametrize("divisor", [0, 1, 2, 3])
+def test_grading_buckets_keep_the_pair_order(divisor, monkeypatch):
+    """differential enumerates exactly the ordered pairs with gr(x) -
+    gr(y) = 1 (mod the divisor), in permutation order, also for
+    gradings given unreduced."""
+    import hfhat.floer
+
+    d = build("gsph(4)")
+    rng = random.Random(divisor)
+    (c,) = spinc_partition(d)
+    c = dataclasses.replace(
+        c, divisor=divisor, gradings=tuple((g, rng.randrange(-2, 3)) for g in c.members)
+    )
+    gradings = dict(c.gradings)
+    drops = {(x, y): gradings[x] - gradings[y] - 1 for x, y in permutations(c.members, 2)}
+    want = [pair for pair, drop in drops.items() if (drop % divisor if divisor else drop) == 0]
+    seen = []
+    monkeypatch.setattr(
+        hfhat.floer, "positive_domains", lambda d, x, y, index, nz: seen.append((x, y)) or []
+    )
+    differential(d, c)
+    assert seen == want and len(want) > len(c.members)
 
 
 @pytest.mark.parametrize("name", ["s1s2_bad", "s1s2_wind"])
