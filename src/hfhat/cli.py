@@ -75,8 +75,6 @@ def _emit(report: dict, as_json: bool, text_lines: list[str]) -> None:
 
 
 def _table(rows: list[Sequence[str]]) -> list[str]:
-    if not rows:
-        return []
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
 

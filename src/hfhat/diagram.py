@@ -367,6 +367,7 @@ def validate(d: HeegaardDiagram) -> ValidationReport:
         return ValidationReport(tuple(bad))
 
     # Arc coverage: every arc referenced exactly twice, once per side.
+    # Every ref names an existing arc: _structural_violations said so.
     usage: dict[tuple[str, int, int], list[int]] = {}
     for region in d.regions:
         for cyc in region.cycles:
@@ -384,14 +385,6 @@ def validate(d: HeegaardDiagram) -> ValidationReport:
                             f"expected one +1 and one -1",
                         )
                     )
-    extra = set(usage) - {
-        (fam, i, k)
-        for fam, family in ((ALPHA, d.alpha), (BETA, d.beta))
-        for i, curve in enumerate(family)
-        for k in range(len(curve))
-    }
-    for key in sorted(extra):
-        bad.append(("arc_coverage", f"reference to nonexistent arc {key}"))
 
     # Cycle connectivity: consecutive refs share the point where one
     # arrives and the next departs.

@@ -20,19 +20,20 @@ points), and the columns of ``u``; so phi_g adds only the columns of
 boundary adds only the columns of ``l_alpha`` at its nonzero
 coefficients.
 
-The kernel of that system splits as (periodic lattice with n_z = 0)
-plus the fundamental class [Sigma] (all coefficients 1), split off by
-n_z.  Positive domains of a prescribed index and n_z are enumerated by
-walking the integer points of the polytope D0 + lattice >= 0 (once per
-diagram object and D0), one lattice coordinate at a time: the walk
-carries the residual of the coordinates already fixed, and exact LPs
-over the free ones bound the next, which certifies completeness.  From
-the first coordinate whose free basis vectors have pairwise disjoint
-supports (found once per diagram object) the fiber is a box, and each
-remaining coordinate is read off its own vector's rows with no LP; on
-a sum of S^1 x S^2 summands that is every coordinate.  An unbounded
-polytope is reported as an error naming a recession direction, which
-is precisely a failure of weak admissibility.
+The columns of ``u`` past the pivots span the kernel of ``l_alpha``:
+the periodic lattice (n_z = 0) plus [Sigma] (all coefficients 1).
+Less n_z [Sigma] each, as for phi_g, they span the lattice.  Positive
+domains of a prescribed index and n_z are enumerated by walking the
+integer points of the polytope D0 + lattice >= 0 (once per diagram
+object and D0), one lattice coordinate at a time: the walk carries the
+residual of the coordinates already fixed, and exact LPs over the free
+ones bound the next, which certifies completeness.  From the first
+coordinate whose free basis vectors have pairwise disjoint supports
+(found once per diagram object) the fiber is a box, and each remaining
+coordinate is read off its own vector's rows with no LP; on a sum of
+S^1 x S^2 summands that is every coordinate.  An unbounded polytope is
+reported as an error naming a recession direction, which is precisely
+a failure of weak admissibility.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .diagram import ALPHA, HeegaardDiagram, derived, validate
-from .exactla import GE, InternalError, hermite_normal_form, hermite_reduce, kernel_basis
-from .exactla import _scaled, lp_optimize, mat_vec, vanishing_sublattice
+from .exactla import GE, InternalError, canonical_basis, hermite_normal_form, hermite_reduce
+from .exactla import _scaled, lp_optimize, mat_vec
 from .generators import Generator
 
 
@@ -244,12 +245,14 @@ def connecting_domain(
 
 @derived
 def periodic_lattice(d: HeegaardDiagram) -> PeriodicLattice:
-    """Canonical basis of the n_z = 0 kernel, with [Sigma] split off."""
-    a, _, u, pivots = _factored(d)
-    kernel = kernel_basis(u, len(pivots))
-    if any(any(mat_vec(a, vec)) for vec in kernel):
-        raise InternalError("periodic lattice vector with a nonzero boundary")
-    basis = vanishing_sublattice(kernel, [vec[d.basepoint] for vec in kernel])
+    """Canonical Hermite basis of the kernel columns of ``u``, less n_z
+    [Sigma] each as in ``_phi`` (empty on a lens space: kernel span [Sigma])."""
+    a, _, _, pivots = _factored(d)
+    z = d.basepoint
+    basis = canonical_basis([[c - col[z] for c in col] for col in _columns(d)[2][len(pivots):]])
+    for vec in basis:
+        if vec[z] or any(mat_vec(a, vec)):
+            raise InternalError(f"periodic vector {vec}: n_z {vec[z]}, boundary {mat_vec(a, vec)}")
     return PeriodicLattice(tuple(tuple(v) for v in basis), tuple([1] * len(d.regions)))
 
 

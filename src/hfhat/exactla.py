@@ -135,15 +135,6 @@ def hermite_reduce(
     return y, r
 
 
-def kernel_basis(u: Sequence[Sequence[int]], rank: int) -> list[list[int]]:
-    """Canonical kernel basis from the transform ``u`` of a Hermite form.
-
-    The columns of ``u`` past the ``rank`` pivot columns span the kernel.
-    """
-    n = len(u)
-    return canonical_basis([[u[i][j] for i in range(n)] for j in range(rank, n)])
-
-
 def hermite_solve(
     a: Sequence[Sequence[int]], b: Sequence[int]
 ) -> Optional[tuple[list[int], list[list[int]]]]:
@@ -161,7 +152,8 @@ def hermite_solve(
     if any(r):
         return None
     particular = mat_vec(u, y)
-    kernel = kernel_basis(u, len(pivots))
+    # The columns of u past the pivot columns span the kernel.
+    kernel = canonical_basis(list(zip(*u))[len(pivots):])
     if mat_vec(a, particular) != list(b):
         raise InternalError("Hermite solve returned a non-solution")
     if any(any(mat_vec(a, vec)) for vec in kernel):

@@ -1,10 +1,24 @@
 """Command line interface: subcommands, exit codes, JSON stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from hfhat import (
+    UnboundedEnumeration,
+    connected_sum,
+    enumerate_generators,
+    positive_domains,
+    serialize_hfd,
+)
 from hfhat.cli import run
+from hfhat.corpus import build
+
+from conftest import rectangle_diagram
 
 
 @pytest.fixture
@@ -117,6 +131,78 @@ def test_homology_inadmissible_exits_2(write_corpus, capsys):
     f = write_corpus("s1s2_bad")
     assert run(["homology", str(f)]) == 2
     assert "witness" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_strict_rectangles_refusal_exits_3(tmp_path, capsys, json_flag):
+    """The rectangle fixture's two index-1 domains are rectangles, so
+    ``--strict-rectangles`` refuses them: exit 3, both named on stderr,
+    nothing on stdout."""
+    path = tmp_path / "rectangle.hfd"
+    path.write_text(serialize_hfd(rectangle_diagram()))
+    assert run(["homology", str(path), "--strict-rectangles", *json_flag]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "not combinatorial:\n"
+        "index-1 domains without a certified count:\n"
+        "  {p00,p11} -> {p01,p10}: coefficients (0, 0, 1)\n"
+        "  {p00,p11} -> {p01,p10}: coefficients (1, 0, 0)\n"
+    )
+
+
+def test_domains_unbounded_exits_2(write_corpus, capsys):
+    """s1s2_bad is not weakly admissible: ``hf domains`` prints the
+    periodic witness on stdout and exits 2."""
+    f = write_corpus("s1s2_bad")
+    argv = ["domains", str(f), "--from", "eta", "--to", "theta", "--index", "1", "--nz", "0"]
+    assert run(argv + ["--json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"unbounded": True, "witness": [0, 2, 1]}
+    assert run(argv) == 2
+    assert capsys.readouterr().out == "unbounded enumeration; periodic witness [0, 2, 1]\n"
+
+
+def _index_one_pair(d):
+    """The first pair with an index-1 positive domain at n_z = 0, or the
+    first and last generators when the enumeration is unbounded."""
+    gens = enumerate_generators(d)
+    try:
+        return next((x, y) for x in gens for y in gens if positive_domains(d, x, y, 1, 0))
+    except UnboundedEnumeration:
+        return gens[0], gens[-1]
+
+
+@pytest.mark.parametrize("name", ["gsph(3)", "gsph(2)#lens(5,2)", "s1s2_wind"])
+def test_json_output_does_not_depend_on_the_hash_seed(name, tmp_path):
+    """String hashing is randomized per process, and hfhat keeps sets of
+    point names; ``--json`` output must still be the same bytes, with
+    the same stderr and exit code, under two hash seeds."""
+    d = connected_sum(*map(build, name.split("#"))) if "#" in name else build(name)
+    path = tmp_path / "diagram.hfd"
+    path.write_text(serialize_hfd(d))
+    x, y = _index_one_pair(d)
+    commands = [
+        ["spinc"],
+        ["homology"],
+        ["admissible", "--strong"],
+        ["domains", "--from", ",".join(x.points), "--to", ",".join(y.points),
+         "--index", "1", "--nz", "0"],
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    for command in commands:
+        argv = [sys.executable, "-m", "hfhat.cli", command[0], str(path), *command[1:], "--json"]
+        runs = [
+            subprocess.Popen(
+                argv,
+                env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+            )
+            for seed in ("0", "1")
+        ]
+        (out0, err0), (out1, err1) = (proc.communicate() for proc in runs)
+        assert out0 or err0, command
+        assert (out0, err0, runs[0].returncode) == (out1, err1, runs[1].returncode), command
 
 
 def test_homology_threads_deterministic(write_corpus, capsys):

@@ -12,7 +12,9 @@ from hfhat import (
     HeegaardDiagram,
     HFDFormatError,
     Region,
+    boundary_system,
     connected_sum,
+    enumerate_generators,
     homology,
     parse_hfd,
     quadrants,
@@ -199,6 +201,169 @@ def test_stabilize_adds_torus():
 
 def test_rectangle_diagram_fixture_is_valid():
     assert validate(rectangle_diagram()).ok
+
+
+def _with_first_ref(d, **changes):
+    """``d`` with the first arc reference of region 0 changed."""
+    cycle = d.regions[0].cycles[0]
+    cycle = (dataclasses.replace(cycle[0], **changes),) + cycle[1:]
+    return dataclasses.replace(d, regions=(Region(d.regions[0].genus, (cycle,)),) + d.regions[1:])
+
+
+_S3 = build("s3_g1")
+
+
+@pytest.mark.parametrize(
+    "broken,violations",
+    [
+        (
+            dataclasses.replace(_S3, genus=0),
+            [
+                ("genus", "genus 0 < 1"),
+                ("curve_count", "expected 0 curves per family, got 1 alpha / 1 beta"),
+            ],
+        ),
+        (
+            dataclasses.replace(_S3, genus=2),
+            [("curve_count", "expected 2 curves per family, got 1 alpha / 1 beta")],
+        ),
+        (
+            dataclasses.replace(_S3, regions=(Region(-1, _S3.regions[0].cycles),)),
+            [("region_genus", "region 0 has negative genus")],
+        ),
+        (_with_first_ref(_S3, curve="c"), [("arc_ref", "region 0 cycle 0: bad curve tag")]),
+        (
+            _with_first_ref(_S3, index=1),
+            [("arc_ref", "region 0 cycle 0: curve index out of range")],
+        ),
+        (
+            _with_first_ref(_S3, arc=1),
+            [("arc_ref", "region 0 cycle 0: arc index out of range")],
+        ),
+        (_with_first_ref(_S3, dir=2), [("arc_ref", "region 0 cycle 0: dir not +-1")]),
+        (
+            _with_first_ref(_S3, curve="b"),
+            [
+                (
+                    "alternation",
+                    "region 0 cycle 0: consecutive refs on the same curve family at position 0",
+                ),
+                (
+                    "alternation",
+                    "region 0 cycle 0: consecutive refs on the same curve family at position 3",
+                ),
+            ],
+        ),
+    ],
+    ids=[
+        "genus",
+        "curve_count",
+        "region_genus",
+        "curve_tag",
+        "curve_index",
+        "arc_index",
+        "dir",
+        "alternation",
+    ],
+)
+def test_structural_violations_are_reported_alone(broken, violations):
+    """Each structural fault is reported exactly, and validation stops
+    there: an arc index out of range is an arc_ref line, never an
+    arc_coverage line about an arc that does not exist."""
+    assert list(validate(broken).violations) == violations
+
+
+@pytest.mark.parametrize(
+    "function",
+    [boundary_system, quadrants, enumerate_generators],
+    ids=lambda f: f.__name__,
+)
+def test_derived_data_refuses_an_invalid_diagram(function):
+    broken = dataclasses.replace(build("s3_g1"), basepoint=5)
+    want = f"{function.__name__}() requires a valid diagram:\nbasepoint: basepoint region 5 out of range"
+    with pytest.raises(ValueError) as exc:
+        function(broken)
+    assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("broken_first", [True, False])
+def test_connected_sum_refuses_an_invalid_summand(broken_first):
+    broken = dataclasses.replace(build("s3_g1"), basepoint=5)
+    pair = (broken, build("lens(3,1)")) if broken_first else (build("lens(3,1)"), broken)
+    with pytest.raises(ValueError) as exc:
+        connected_sum(*pair)
+    want = "connected_sum() requires valid diagrams:\nbasepoint: basepoint region 5 out of range"
+    assert str(exc.value) == want
+
+
+def _edit(doc, path, value):
+    """Set (or, for ``value is None``, delete) the field at ``path``."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda doc: [doc], "top level must be an object"),
+        (lambda doc: _edit(doc, ("regions",), None), "missing top-level fields: ['regions']"),
+        (lambda doc: _edit(doc, ("regions",), {}), "regions must be a list"),
+        (lambda doc: _edit(doc, ("alpha",), "x0"), "alpha must be a list of curves"),
+        (lambda doc: _edit(doc, ("beta", 0), "x0"), "beta[0] must be a nonempty list of point ids"),
+        (lambda doc: _edit(doc, ("alpha", 0), []), "alpha[0] must be a nonempty list of point ids"),
+        (lambda doc: _edit(doc, ("beta", 0, 0), 0), "beta[0] contains a non-string point id"),
+        (lambda doc: _edit(doc, ("regions", 0), 3), "regions[0] must be an object"),
+        (
+            lambda doc: _edit(doc, ("regions", 0, "color"), "blue"),
+            "regions[0] unknown fields: ['color']",
+        ),
+        (
+            lambda doc: _edit(doc, ("regions", 0, "boundary"), None),
+            "regions[0] must have fields genus and boundary",
+        ),
+        (
+            lambda doc: _edit(doc, ("regions", 0, "boundary"), {}),
+            "regions[0].boundary must be a list of cycles",
+        ),
+        (
+            lambda doc: _edit(doc, ("regions", 0, "boundary", 0), []),
+            "regions[0].boundary[0] must be a nonempty list",
+        ),
+        (
+            lambda doc: _edit(doc, ("regions", 0, "boundary", 0, 0, "curve"), "c"),
+            "regions[0]: curve must be 'a' or 'b'",
+        ),
+    ],
+    ids=[
+        "top_level",
+        "missing_field",
+        "regions",
+        "curve_family",
+        "curve",
+        "empty_curve",
+        "point_id",
+        "region",
+        "region_unknown_field",
+        "region_missing_field",
+        "boundary",
+        "empty_cycle",
+        "curve_tag",
+    ],
+)
+def test_validate_refuses_malformed_hfd(edit, message, tmp_path, capsys):
+    """``hf validate`` exits 1 on a malformed document and names the fault."""
+    path = tmp_path / "bad.hfd"
+    path.write_text(json.dumps(edit(json.loads(serialize_hfd(build("s3_g1"))))))
+    assert run(["validate", str(path), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "violations": [message]}
+    assert run(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == f"invalid: {message}\n"
 
 
 def _split_basepoint_region(d):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -21,10 +22,12 @@ from hfhat import (
     periodic_lattice,
     positive_domains,
     spinc_partition,
+    stabilize,
 )
 from hfhat.corpus import build
 from hfhat.domains import _assert_mirror, _connecting_rhs, _factored, _reduction
-from hfhat.exactla import GE, InternalError, hermite_normal_form, hermite_reduce, mat_vec
+from hfhat.exactla import GE, InternalError, canonical_basis, hermite_normal_form, hermite_reduce
+from hfhat.exactla import mat_vec, vanishing_sublattice
 
 from conftest import ADMISSIBLE_NAMES, SMALL_NAMES, brute_force_domains
 
@@ -245,14 +248,85 @@ def test_lattice_basis_is_canonical_under_region_order():
     assert periodic_lattice(d).basis == ((1, -1, 0),)
 
 
-# gsph(3) has periodic rank 3, so its sweep bounds an interior
-# coordinate by LP with the first one carried in the residual.
+def _lattice_diagrams():
+    """The corpus singles, gsph(1..5), every ordered connected sum of two
+    small diagrams, and the stabilization of each of those."""
+    singles = ["s3_g1", "s1s2_g1", "s1s2_bad", "s1s2_wind"]
+    singles += [f"lens({p},{q})" for p in range(2, 8) for q in range(1, p) if gcd(p, q) == 1]
+    singles += [f"gsph({g})" for g in range(1, 6)]
+    pool = ["s3_g1", "s1s2_g1", "s1s2_bad", "s1s2_wind", "lens(3,1)", "lens(5,2)", "gsph(2)", "gsph(3)"]
+    diagrams = {name: build(name) for name in singles}
+    for first in pool:
+        for second in pool:
+            diagrams[f"{first}#{second}"] = connected_sum(build(first), build(second))
+    for name in list(diagrams):
+        diagrams[f"stabilize({name})"] = stabilize(diagrams[name])
+    return diagrams
+
+
+def test_periodic_basis_matches_two_step_route():
+    """The basis read off the kernel columns of the one factorization
+    equals the one a second route builds: the canonical kernel basis,
+    then the sublattice on which n_z vanishes, found by its own Hermite
+    solve.  Both are the canonical basis of one lattice."""
+    ranks = set()
+    for name, d in _lattice_diagrams().items():
+        _, _, u, pivots = _factored(d)
+        kernel = canonical_basis(list(zip(*u))[len(pivots):])
+        want = vanishing_sublattice(kernel, [vec[d.basepoint] for vec in kernel])
+        basis = periodic_lattice(d).basis
+        assert basis == tuple(map(tuple, want)), name
+        ranks.add(len(basis))
+    assert ranks == set(range(7))
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize(
+    "fault,name,message",
+    [("boundary", "lens(5,2)", "n_z 0, boundary [0,"), ("nz", "gsph(2)", "n_z 1, boundary [0, 0")],
+)
+def test_periodic_lattice_refuses_a_wrong_vector(flags, fault, name, message):
+    """A kernel column of u moved by one region gives a basis vector with
+    a nonzero alpha boundary; a canonical basis shifted by [Sigma] gives
+    vectors with n_z = 1.  Either raises InternalError, also with asserts
+    stripped."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import hfhat.domains as domains\n"
+        "from hfhat import InternalError, build\n"
+        "def moved(d, real=domains._columns):\n"
+        "    index, a_columns, u_columns = real(d)\n"
+        "    rank = len(domains._factored(d)[3])\n"
+        "    i = next(j for j, col in enumerate(a_columns) if col and j != d.basepoint)\n"
+        "    column = list(u_columns[rank])\n"
+        "    column[i] += 1\n"
+        "    return index, a_columns, u_columns[:rank] + (tuple(column),) + u_columns[rank + 1:]\n"
+        "def shifted(vectors, real=domains.canonical_basis):\n"
+        "    return [[c + 1 for c in vec] for vec in real(vectors)]\n"
+        f"if {fault!r} == 'boundary':\n"
+        "    domains._columns = moved\n"
+        "else:\n"
+        "    domains.canonical_basis = shifted\n"
+        "try:\n"
+        f"    domains.periodic_lattice(build({name!r}))\n"
+        "except InternalError as exc:\n"
+        "    print(exc)\n"
+        "    raise SystemExit(7)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 7, proc.stderr
+    assert message in proc.stdout
+
+
+# gsph(3) has periodic rank 3 with pairwise disjoint supports, so its
+# sweep reads all three coordinates off the basis vectors' own rows.
 @pytest.mark.parametrize("name", ADMISSIBLE_NAMES + ["gsph(3)"])
 @pytest.mark.parametrize("index,nz", [(1, 0), (2, 0), (1, 1), (2, 1)])
 def test_positive_domains_match_brute_force(name, index, nz, corpus_small):
     d = corpus_small[name] if name in corpus_small else build(name)
-    if len(d.regions) > 8:
-        pytest.skip("oracle grid too large")
+    # The oracle grid has 4^regions points; keep it within reach.
+    assert len(d.regions) <= 8, "oracle grid too large"
     gens = enumerate_generators(d)
     for x in gens:
         for y in gens:
