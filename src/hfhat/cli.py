@@ -6,8 +6,14 @@ exits with 0 on success, 1 for an invalid diagram or unreadable file,
 2 when a computation is blocked by non-admissibility or an unbounded
 enumeration, 3 when a counted domain is not a certified rigid shape,
 and 4 for usage errors, an output path that cannot be written
-included.  Nonzero exits still print the structured witness that
-caused them.
+included.  Every nonzero exit names its cause, but not always in the
+document: ``hf validate`` lists the violations, and ``hf domains`` and
+``hf admissible`` give their witness, in the report on stdout (JSON
+with ``--json``).  Every other refusal (an unreadable or invalid
+diagram given to another command, ``hf homology``'s periodic witness
+at exit 2 or its offending domains at exit 3, a usage error) is
+printed as text on stderr, with nothing on stdout, also with
+``--json``.
 """
 
 from __future__ import annotations

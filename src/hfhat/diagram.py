@@ -12,11 +12,13 @@ From this the module derives the quadrant structure at every point (the
 four local cells used by point measures), validates the long list of
 consistency invariants a genuine diagram must satisfy, and implements
 stabilization and connected sum at the basepoints.  Validation is
-local counting (arcs, corners, quadrants, Euler totals) plus gluing:
-one union-find over arc references says whether regions glued along
-given arcs form one piece, which decides that the surface is connected
-and that each curve family has connected complement, so spans rank g
-in H1.  ``floer.classify_rigid`` glues a domain's support the same way.
+local counting (arcs, corners, quadrants, Euler totals) plus gluing,
+all read off one walk over the arc references: it gives each point's
+corners and each arc's sides, and a union-find over the sides of given
+arcs says whether the regions glued along them form one piece, which
+decides that the surface is connected and that each curve family has
+connected complement, so spans rank g in H1.  ``floer.classify_rigid``
+glues a domain's support by a union-find over its arc references.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ BETA = "b"
 # slots follow one another around the point.
 SLOT_ORDER = (("out", "out"), ("in", "out"), ("in", "in"), ("out", "in"))
 _SLOT_OF = {halves: s for s, halves in enumerate(SLOT_ORDER)}
+_ALL_SLOTS = set(range(len(SLOT_ORDER)))
 
 T = TypeVar("T")
 
@@ -107,11 +110,11 @@ def derived(build: Callable[..., T]) -> Callable[..., T]:
     The key is whatever hashable arguments follow ``d``; most derived
     data takes none.  The result is stored on ``d`` and freed with it;
     a call that raises stores nothing.  This is how the validation
-    report, corner slots, quadrant map, factored boundary system,
-    periodic lattice and weak witness are kept, and, keyed, the
-    reduction and the domain phi_g per generator, the positive lattice
-    points per starting domain and the admissibility verdicts and
-    certificates per Chern pairing vector.
+    report, the arc walk (corner slots and arc sides), quadrant map,
+    factored boundary system, periodic lattice and weak witness are
+    kept, and, keyed, the reduction and the domain phi_g per generator,
+    the positive lattice points per starting domain and the
+    admissibility verdicts and certificates per Chern pairing vector.
     """
 
     @wraps(build)
@@ -307,24 +310,75 @@ def _structural_violations(d: HeegaardDiagram) -> list[tuple[str, str]]:
     return bad
 
 
-def _arrival_point(d: HeegaardDiagram, ref: ArcRef) -> str:
-    tail, head = d.arc_endpoints(ref)
-    return head if ref.dir == 1 else tail
+# The quadrant slot of the corner where ``ref`` arrives and ``nxt``
+# departs, keyed by (ref's family, ref.dir, nxt.dir); nxt is on the other
+# family.  Arriving along the orientation uses the head half-edge
+# ("in"), against it the tail half-edge ("out"); departing along it uses
+# the tail half-edge ("out"), against it the head ("in").
+_CORNER_SLOT: dict[tuple[str, int, int], int] = {}
+for _arrive, _arrival_half in ((1, "in"), (-1, "out")):
+    for _depart, _departure_half in ((1, "out"), (-1, "in")):
+        _CORNER_SLOT[ALPHA, _arrive, _depart] = _SLOT_OF[_arrival_half, _departure_half]
+        _CORNER_SLOT[BETA, _arrive, _depart] = _SLOT_OF[_departure_half, _arrival_half]
 
 
-def _departure_point(d: HeegaardDiagram, ref: ArcRef) -> str:
-    tail, head = d.arc_endpoints(ref)
-    return tail if ref.dir == 1 else head
+@dataclass(frozen=True)
+class _ArcWalk:
+    """What one walk over every region's arc references reads off.
+
+    ``slots``: corner incidences per point as (slot, region index)
+    pairs, in walk order.  ``sides``: for each arc, in family, curve and
+    arc order (alpha first), the (region index, dir) of every reference
+    to it.  ``breaks``: the cycle-connectivity violations, in walk order.
+    """
+
+    slots: dict[str, list[tuple[int, int]]]
+    sides: list[list[tuple[int, int]]]
+    breaks: list[tuple[str, str]]
 
 
-def _arrival_half(ref: ArcRef) -> str:
-    # Arriving along the orientation uses the head half-edge (pointing
-    # into the point); arriving against it uses the tail half-edge.
-    return "in" if ref.dir == 1 else "out"
-
-
-def _departure_half(ref: ArcRef) -> str:
-    return "out" if ref.dir == 1 else "in"
+@derived
+def _arc_walk(d: HeegaardDiagram) -> _ArcWalk:
+    """Walk each boundary cycle once, looking up each reference's
+    endpoints once.  Consecutive references must share the point where
+    one arrives and the next departs; that point is a corner of the
+    region.  Needs every reference to name an existing arc."""
+    first_arc: dict[tuple[str, int], int] = {}
+    count = 0
+    for family, curves in ((ALPHA, d.alpha), (BETA, d.beta)):
+        for i, curve in enumerate(curves):
+            first_arc[family, i] = count
+            count += len(curve)
+    sides: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+    slots: dict[str, list[tuple[int, int]]] = {}
+    breaks: list[tuple[str, str]] = []
+    for ri, region in enumerate(d.regions):
+        for ci, cyc in enumerate(region.cycles):
+            arrivals, departures = [], []
+            for ref in cyc:
+                curve = (d.alpha if ref.curve == ALPHA else d.beta)[ref.index]
+                tail, head = curve[ref.arc], curve[(ref.arc + 1) % len(curve)]
+                if ref.dir == 1:
+                    arrivals.append(head)
+                    departures.append(tail)
+                else:
+                    arrivals.append(tail)
+                    departures.append(head)
+                sides[first_arc[ref.curve, ref.index] + ref.arc].append((ri, ref.dir))
+            for t, ref in enumerate(cyc):
+                s = (t + 1) % len(cyc)
+                p = arrivals[t]
+                if p != departures[s]:
+                    breaks.append(
+                        (
+                            "cycle_connectivity",
+                            f"region {ri} cycle {ci}: ref {t} arrives at "
+                            f"{p} but ref {s} departs from {departures[s]}",
+                        )
+                    )
+                slot = _CORNER_SLOT[ref.curve, ref.dir, cyc[s].dir]
+                slots.setdefault(p, []).append((slot, ri))
+    return _ArcWalk(slots, sides, breaks)
 
 
 @derived
@@ -337,7 +391,11 @@ def validate(d: HeegaardDiagram) -> ValidationReport:
     regions glue into a closed surface, and it must be one piece
     (``surface_connectivity``); on a connected surface, Sigma minus
     alpha (the regions glued along beta arcs) and Sigma minus beta must
-    each be one piece too (``curve_homology_rank``).
+    each be one piece too (``curve_homology_rank``).  After the checks
+    on structure and point membership, one walk over the arc references
+    (``_arc_walk``) gives the corners, the sides of every arc and the
+    connectivity breaks; the arc coverage and the three gluings are
+    read from the sides, and the Euler measure is summed in quarters.
     """
     bad = _structural_violations(d)
     if bad:
@@ -365,56 +423,41 @@ def validate(d: HeegaardDiagram) -> ValidationReport:
         )
     if bad:
         return ValidationReport(tuple(bad))
+    points = sorted(apts)
 
     # Arc coverage: every arc referenced exactly twice, once per side.
     # Every ref names an existing arc: _structural_violations said so.
-    usage: dict[tuple[str, int, int], list[int]] = {}
-    for region in d.regions:
-        for cyc in region.cycles:
-            for ref in cyc:
-                usage.setdefault((ref.curve, ref.index, ref.arc), []).append(ref.dir)
+    walk = _arc_walk(d)
+    arc = 0
     for fam, family in ((ALPHA, d.alpha), (BETA, d.beta)):
         for i, curve in enumerate(family):
             for k in range(len(curve)):
-                dirs = sorted(usage.get((fam, i, k), []))
-                if dirs != [-1, 1]:
+                dirs = [direction for _, direction in walk.sides[arc]]
+                arc += 1
+                if len(dirs) != 2 or dirs[0] + dirs[1]:
                     bad.append(
                         (
                             "arc_coverage",
-                            f"arc {fam}{i}[{k}] referenced with dirs {dirs}, "
+                            f"arc {fam}{i}[{k}] referenced with dirs {sorted(dirs)}, "
                             f"expected one +1 and one -1",
                         )
                     )
 
     # Cycle connectivity: consecutive refs share the point where one
     # arrives and the next departs.
-    for ri, region in enumerate(d.regions):
-        for ci, cyc in enumerate(region.cycles):
-            for t, ref in enumerate(cyc):
-                nxt = cyc[(t + 1) % len(cyc)]
-                if _arrival_point(d, ref) != _departure_point(d, nxt):
-                    bad.append(
-                        (
-                            "cycle_connectivity",
-                            f"region {ri} cycle {ci}: ref {t} arrives at "
-                            f"{_arrival_point(d, ref)} but ref {(t + 1) % len(cyc)} "
-                            f"departs from {_departure_point(d, nxt)}",
-                        )
-                    )
-    if any(name == "cycle_connectivity" for name, _ in bad):
-        return ValidationReport(tuple(bad))
+    if walk.breaks:
+        return ValidationReport(tuple(bad + walk.breaks))
 
     # Corner count and quadrant closure at every point.
-    slots = _corner_slots(d)
-    for p in d.points:
-        incidences = slots.get(p, [])
+    for p in points:
+        incidences = walk.slots.get(p, [])
         if len(incidences) != 4:
             bad.append(
                 ("corner_count", f"point {p} has {len(incidences)} corners, expected 4")
             )
             continue
-        seen = sorted(slot for slot, _ in incidences)
-        if seen != [0, 1, 2, 3]:
+        if {slot for slot, _ in incidences} != _ALL_SLOTS:
+            seen = sorted(slot for slot, _ in incidences)
             bad.append(
                 (
                     "quadrant_closure",
@@ -423,8 +466,9 @@ def validate(d: HeegaardDiagram) -> ValidationReport:
                 )
             )
 
-    # Euler characteristic of the glued surface.
-    v = len(d.points)
+    # Euler characteristic of the glued surface; the Euler measure
+    # e(D_i) = chi(D_i) - corners(D_i) / 4 in quarters.
+    v = len(points)
     e = 2 * v
     chi_sum = sum(r.euler_char for r in d.regions)
     if chi_sum + v - e != 2 - 2 * d.genus:
@@ -434,49 +478,56 @@ def validate(d: HeegaardDiagram) -> ValidationReport:
                 f"sum chi + V - E = {chi_sum + v - e}, expected {2 - 2 * d.genus}",
             )
         )
-    em = sum((r.euler_measure for r in d.regions), Fraction(0))
-    if em != 2 - 2 * d.genus:
+    quarters = 4 * chi_sum - sum(r.corner_count for r in d.regions)
+    if quarters != 4 * (2 - 2 * d.genus):
         bad.append(
-            ("euler_measure", f"sum e(D_i) = {em}, expected {2 - 2 * d.genus}")
+            (
+                "euler_measure",
+                f"sum e(D_i) = {Fraction(quarters, 4)}, expected {2 - 2 * d.genus}",
+            )
         )
 
     # Connectivity means something only once the regions glue into a
     # closed surface: every arc with two sides, every point with four
     # quadrants.
     if not any(name in ("arc_coverage", "corner_count", "quadrant_closure") for name, _ in bad):
-        bad.extend(_connectivity_violations(d))
+        bad.extend(_connectivity_violations(d, walk.sides))
     return ValidationReport(tuple(bad))
 
 
-def _connectivity_violations(d: HeegaardDiagram) -> list[tuple[str, str]]:
+def _connectivity_violations(
+    d: HeegaardDiagram, sides: list[list[tuple[int, int]]]
+) -> list[tuple[str, str]]:
     """The closed surface must be connected.  Then g disjoint curves on
     it span rank g in H1 exactly when their complement is connected,
     and the complement of one family is the regions glued along the
-    other family's arcs alone."""
-    everything = range(len(d.regions))
-    if not _one_piece(d, everything, (ALPHA, BETA)):
+    other family's arcs alone (``sides`` lists the alpha arcs first)."""
+    alpha_arcs = sum(len(curve) for curve in d.alpha)
+    count = len(d.regions)
+    if not _glue_one_piece(count, sides):
         return [("surface_connectivity", "the regions do not glue into one connected surface")]
     return [
         ("curve_homology_rank", f"{label} curve classes do not have rank {d.genus} in H1")
-        for label, other in (("alpha", BETA), ("beta", ALPHA))
-        if not _one_piece(d, everything, (other,))
+        for label, arcs in (("alpha", sides[alpha_arcs:]), ("beta", sides[:alpha_arcs]))
+        if not _glue_one_piece(count, arcs)
     ]
 
 
-@derived
-def _corner_slots(d: HeegaardDiagram) -> dict[str, list[tuple[int, int]]]:
-    """Corner incidences per point as (slot, region index) pairs, read
-    by ``validate`` and ``quadrants``."""
-    out: dict[str, list[tuple[int, int]]] = {}
-    for ri, region in enumerate(d.regions):
-        for cyc in region.cycles:
-            for t, ref in enumerate(cyc):
-                nxt = cyc[(t + 1) % len(cyc)]
-                p = _arrival_point(d, ref)
-                halves = {ref.curve: _arrival_half(ref), nxt.curve: _departure_half(nxt)}
-                slot = _SLOT_OF[(halves[ALPHA], halves[BETA])]
-                out.setdefault(p, []).append((slot, ri))
-    return out
+def _glue_one_piece(count: int, arcs: Iterable[list[tuple[int, int]]]) -> bool:
+    """Do regions ``0..count-1``, glued where two of them are sides of one
+    of ``arcs``, form one piece?  A union-find over the sides."""
+    parent = list(range(count))
+
+    def root(ri: int) -> int:
+        while parent[ri] != ri:
+            parent[ri] = parent[parent[ri]]
+            ri = parent[ri]
+        return ri
+
+    for arc_sides in arcs:
+        for ri, _ in arc_sides[1:]:
+            parent[root(ri)] = root(arc_sides[0][0])
+    return len({root(ri) for ri in range(count)}) <= 1
 
 
 def _one_piece(d: HeegaardDiagram, regions: Iterable[int], families: tuple[str, ...]) -> bool:
@@ -526,9 +577,8 @@ def quadrants(d: HeegaardDiagram) -> QuadrantStructure:
     report = validate(d)
     if not report.ok:
         raise ValueError(f"quadrants() requires a valid diagram:\n{report}")
-    slots = _corner_slots(d)
     corners = {}
-    for p, incidences in slots.items():
+    for p, incidences in _arc_walk(d).slots.items():
         by_slot = dict(incidences)
         corners[p] = tuple(by_slot[s] for s in range(4))
     return QuadrantStructure(corners)

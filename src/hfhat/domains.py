@@ -7,12 +7,17 @@ boundary, pushed to a 0-chain on the intersection points, must equal
 its beta boundary is the negated alpha boundary (``l_beta =
 -l_alpha``), and the beta condition ``from - to`` holds exactly when
 the alpha one does.  That invariant is checked once per diagram
-object, where ``l_alpha`` alone is factored into its Hermite normal
-form ``l_alpha u = h``.  Each generator's chain is reduced against
-``h`` once per diagram object: the remainder, canonical modulo the
-column lattice of ``l_alpha``, names the generator's Spin^c class, and
-the quotient q_g gives a domain phi_g = u q_g, built only when a
-connecting domain needs it; the domain from x to y is phi_y - phi_x.
+object, where ``l_alpha`` alone is brought to a column echelon form
+``l_alpha u = h`` with positive pivots; the canonical (reduced) Hermite
+form is not needed, since no answer reads ``h`` or the pivot columns of
+``u`` directly.  Each generator's chain is reduced against ``h`` once
+per diagram object: the remainder, canonical modulo the column lattice
+of ``l_alpha`` for any such echelon form, names the generator's Spin^c
+class, and the quotient q_g gives a domain phi_g = u q_g, built only
+when a connecting domain needs it; the domain from x to y is phi_y -
+phi_x.  Another echelon form changes ``h`` and ``u`` by a unimodular
+change V of the pivot columns and q_g by V^-1, so phi_g does not
+change.
 Each diagram object also keeps the columns of ``l_alpha`` as sparse
 ``(row, value)`` pairs, one per region (a region touches a handful of
 points), and the columns of ``u``; so phi_g adds only the columns of
@@ -46,7 +51,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .diagram import ALPHA, HeegaardDiagram, derived, validate
-from .exactla import GE, InternalError, canonical_basis, hermite_normal_form, hermite_reduce
+from .exactla import GE, InternalError, canonical_basis, column_echelon, hermite_reduce
 from .exactla import _scaled, lp_optimize, mat_vec
 from .generators import Generator
 
@@ -138,20 +143,21 @@ def boundary_system(d: HeegaardDiagram) -> BoundarySystem:
 
 @derived
 def _factored(d: HeegaardDiagram) -> tuple:
-    """``(a, h, u, pivots)``: ``a = l_alpha`` and its Hermite form ``a u = h``.
+    """``(a, h, u, pivots)``: ``a = l_alpha`` and its column echelon form
+    ``a u = h``.
 
     Raises InternalError unless ``l_beta == -l_alpha``, the invariant
     that lets the alpha rows stand for the whole boundary system.  With
     the alpha rows first, the beta rows of the stacked system would
     give no pivot, so ``u``, the pivots and these rows of ``h`` are
-    those of the stacked form.
+    those of the stacked echelon form.
     """
     sys = boundary_system(d)
     for p, alpha_row, beta_row in zip(sys.points, sys.l_alpha, sys.l_beta):
         if any(a + b for a, b in zip(alpha_row, beta_row)):
             raise InternalError(f"the beta boundary at {p} is not the negated alpha boundary")
     a = [list(r) for r in sys.l_alpha]
-    return (a, *hermite_normal_form(a))
+    return (a, *column_echelon(a))
 
 
 @derived

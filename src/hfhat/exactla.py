@@ -1,16 +1,18 @@
 """Exact integer and rational linear algebra.
 
-Provides the arithmetic backbone for the rest of the package: the
-Hermite normal form over the integers (arbitrary precision), integer
-linear system solving with kernel bases, and an exact simplex for
-linear programs with rational data.  No floating point appears
-anywhere; rationals are ``fractions.Fraction`` (always stored in lowest
-terms with positive denominator, which matches the Rational contract
-used throughout).
+Provides the arithmetic backbone for the rest of the package: column
+echelon and Hermite normal forms over the integers (arbitrary
+precision), integer linear system solving with kernel bases, and an
+exact simplex for linear programs with rational data.  No floating
+point appears anywhere; rationals are ``fractions.Fraction`` (always
+stored in lowest terms with positive denominator, which matches the
+Rational contract used throughout).
 
 Matrices are plain lists of rows of Python ints or Fractions.  All
 functions are pure and deterministic: the Hermite form is the canonical
-column-style one with nonnegative pivots, and the simplex uses Bland's
+column-style one with nonnegative pivots, the echelon form is the
+Hermite form's loop without its reduction step (enough wherever only a
+coset or some solution is read), and the simplex uses Bland's
 rule so results are reproducible.  The simplex starts on the slack
 basis: a row whose slack is a feasible unit column starts on it, and
 only the other rows get an artificial column, so phase 1 runs only
@@ -41,15 +43,16 @@ def mat_vec(a: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
     return [sum(r * v for r, v in zip(row, x)) for row in a]
 
 
-def hermite_normal_form(
+def column_echelon(
     a: Sequence[Sequence[int]],
 ) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
-    """Column-style Hermite normal form.
+    """Column echelon form with positive pivots.
 
-    Returns ``(h, u, pivots)`` with ``a . u == h``, ``u`` unimodular,
-    ``h`` in column echelon form with positive pivots and the entries to
-    the left of each pivot reduced into ``[0, pivot)``.  ``pivots`` is
-    the list of (row, column) pivot positions in order.
+    Returns ``(h, u, pivots)`` with ``a . u == h``, ``u`` unimodular and
+    ``h`` in column echelon form with positive pivots; the entries to
+    the left of each pivot are not reduced.  ``pivots`` is the list of
+    (row, column) pivot positions in order, and the columns of ``u``
+    past the pivot columns span the kernel of ``a``.
     """
     h = _copy_matrix(a)
     m = len(h)
@@ -81,12 +84,32 @@ def hermite_normal_form(
             continue
         if h[i][c] < 0:
             _scale_col(h, u, c, -1)
+        pivots.append((i, c))
+        c += 1
+    return h, u, pivots
+
+
+def hermite_normal_form(
+    a: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
+    """Column-style Hermite normal form.
+
+    Returns ``(h, u, pivots)`` with ``a . u == h``, ``u`` unimodular,
+    ``h`` in column echelon form with positive pivots and the entries to
+    the left of each pivot reduced into ``[0, pivot)``.  ``pivots`` is
+    the list of (row, column) pivot positions in order.
+
+    ``column_echelon``, then one top-down pass over the pivots.  The
+    pass adds pivot column c to columns left of it only, which no later
+    echelon step touches, so it gives the form that reducing at each
+    pivot as it is found would give.
+    """
+    h, u, pivots = column_echelon(a)
+    for i, c in pivots:
         for k in range(c):
             q = h[i][k] // h[i][c]
             if q != 0:
                 _add_col(h, u, k, c, -q)
-        pivots.append((i, c))
-        c += 1
     return h, u, pivots
 
 
@@ -115,13 +138,15 @@ def _scale_col(h: list[list[int]], u: list[list[int]], j: int, s: int) -> None:
 def hermite_reduce(
     h: Sequence[Sequence[int]], pivots: Sequence[tuple[int, int]], b: Sequence[int]
 ) -> tuple[list[int], list[int]]:
-    """Floor-reduce ``b`` against the pivots of a Hermite form ``h``.
+    """Floor-reduce ``b`` against the pivots of ``h``, any column echelon
+    form with positive pivots (``column_echelon`` or the Hermite form).
 
     Returns ``(y, r)`` with ``b == h y + r`` and ``0 <= r[row] < pivot``
     at every pivot row.  ``r`` depends only on the class of ``b`` modulo
-    the column lattice of ``h``, so ``b`` lies in that lattice exactly
-    when ``r`` is zero.  A pivot column whose quotient is 0 leaves ``r``
-    as it is, so the rows are updated only for nonzero quotients.
+    the column lattice of ``h``, not on which echelon basis of that
+    lattice ``h`` is, so ``b`` lies in the lattice exactly when ``r`` is
+    zero.  A pivot column whose quotient is 0 leaves ``r`` as it is, so
+    the rows are updated only for nonzero quotients.
     """
     m = len(h)
     r = list(b)
@@ -142,12 +167,16 @@ def hermite_solve(
 
     Returns ``None`` when no integer solution exists, otherwise a pair
     of (particular solution, kernel basis).  The kernel basis is in
-    canonical Hermite form so the output is deterministic.
+    canonical Hermite form so the output is deterministic.  ``a`` is
+    only brought to column echelon form: reducing the entries left of
+    its pivots would change ``u`` and ``y`` only by a unimodular change
+    of the pivot columns, which leaves ``u y`` and the kernel columns
+    as they are.
     """
     m = len(a)
     if len(b) != m:
         raise ValueError("dimension mismatch")
-    h, u, pivots = hermite_normal_form(a)
+    h, u, pivots = column_echelon(a)
     y, r = hermite_reduce(h, pivots, b)
     if any(r):
         return None

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -24,6 +25,15 @@ from hfhat import (
 )
 from hfhat.cli import run
 from hfhat.corpus import build
+from hfhat.diagram import (
+    ALPHA,
+    BETA,
+    SLOT_ORDER,
+    ValidationReport,
+    _arc_walk,
+    _one_piece,
+    _structural_violations,
+)
 
 from conftest import SMALL_NAMES, rectangle_diagram
 
@@ -527,3 +537,286 @@ def test_connectivity_checks_match_rank_criterion():
         assert any(s.startswith("beta ") for s in details) == beta_bad
         seen["curve_bad" if details else "curve_ok"] += 1
     assert all(seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# Reference validation: the walks that validate's one walk over the arc
+# references replaced, one per check, with the Euler measure in Fractions.
+# ---------------------------------------------------------------------------
+
+
+def _reference_arrival(d, ref):
+    tail, head = d.arc_endpoints(ref)
+    return head if ref.dir == 1 else tail
+
+
+def _reference_departure(d, ref):
+    tail, head = d.arc_endpoints(ref)
+    return tail if ref.dir == 1 else head
+
+
+def _reference_corner_slots(d):
+    out = {}
+    for ri, region in enumerate(d.regions):
+        for cyc in region.cycles:
+            for t, ref in enumerate(cyc):
+                nxt = cyc[(t + 1) % len(cyc)]
+                p = _reference_arrival(d, ref)
+                halves = {
+                    ref.curve: "in" if ref.dir == 1 else "out",
+                    nxt.curve: "out" if nxt.dir == 1 else "in",
+                }
+                slot = SLOT_ORDER.index((halves[ALPHA], halves[BETA]))
+                out.setdefault(p, []).append((slot, ri))
+    return out
+
+
+def _reference_validate(d):
+    bad = _structural_violations(d)
+    if bad:
+        return ValidationReport(tuple(bad))
+    for label, family in ((ALPHA, d.alpha), (BETA, d.beta)):
+        counts = {}
+        for curve in family:
+            for p in curve:
+                counts[p] = counts.get(p, 0) + 1
+        for p, c in sorted(counts.items()):
+            if c != 1:
+                bad.append(("point_membership", f"point {p} occurs {c} times on {label} curves"))
+    apts = {p for curve in d.alpha for p in curve}
+    bpts = {p for curve in d.beta for p in curve}
+    if apts != bpts:
+        bad.append(("point_membership", f"alpha/beta point sets differ: {sorted(apts ^ bpts)}"))
+    if bad:
+        return ValidationReport(tuple(bad))
+    usage = {}
+    for region in d.regions:
+        for cyc in region.cycles:
+            for ref in cyc:
+                usage.setdefault((ref.curve, ref.index, ref.arc), []).append(ref.dir)
+    for fam, family in ((ALPHA, d.alpha), (BETA, d.beta)):
+        for i, curve in enumerate(family):
+            for k in range(len(curve)):
+                dirs = sorted(usage.get((fam, i, k), []))
+                if dirs != [-1, 1]:
+                    bad.append(
+                        (
+                            "arc_coverage",
+                            f"arc {fam}{i}[{k}] referenced with dirs {dirs}, "
+                            f"expected one +1 and one -1",
+                        )
+                    )
+    for ri, region in enumerate(d.regions):
+        for ci, cyc in enumerate(region.cycles):
+            for t, ref in enumerate(cyc):
+                nxt = cyc[(t + 1) % len(cyc)]
+                if _reference_arrival(d, ref) != _reference_departure(d, nxt):
+                    bad.append(
+                        (
+                            "cycle_connectivity",
+                            f"region {ri} cycle {ci}: ref {t} arrives at "
+                            f"{_reference_arrival(d, ref)} but ref {(t + 1) % len(cyc)} "
+                            f"departs from {_reference_departure(d, nxt)}",
+                        )
+                    )
+    if any(name == "cycle_connectivity" for name, _ in bad):
+        return ValidationReport(tuple(bad))
+    slots = _reference_corner_slots(d)
+    for p in d.points:
+        incidences = slots.get(p, [])
+        if len(incidences) != 4:
+            bad.append(("corner_count", f"point {p} has {len(incidences)} corners, expected 4"))
+            continue
+        seen = sorted(slot for slot, _ in incidences)
+        if seen != [0, 1, 2, 3]:
+            bad.append(
+                (
+                    "quadrant_closure",
+                    f"quadrant closure at point {p}: slots {seen} "
+                    f"do not cover all four quadrants",
+                )
+            )
+    v = len(d.points)
+    e = 2 * v
+    chi_sum = sum(r.euler_char for r in d.regions)
+    if chi_sum + v - e != 2 - 2 * d.genus:
+        bad.append(
+            (
+                "euler_characteristic",
+                f"sum chi + V - E = {chi_sum + v - e}, expected {2 - 2 * d.genus}",
+            )
+        )
+    em = sum((r.euler_measure for r in d.regions), Fraction(0))
+    if em != 2 - 2 * d.genus:
+        bad.append(("euler_measure", f"sum e(D_i) = {em}, expected {2 - 2 * d.genus}"))
+    if not any(name in ("arc_coverage", "corner_count", "quadrant_closure") for name, _ in bad):
+        everything = range(len(d.regions))
+        if not _one_piece(d, everything, (ALPHA, BETA)):
+            bad.append(
+                ("surface_connectivity", "the regions do not glue into one connected surface")
+            )
+        else:
+            bad.extend(
+                ("curve_homology_rank", f"{label} curve classes do not have rank {d.genus} in H1")
+                for label, other in (("alpha", BETA), ("beta", ALPHA))
+                if not _one_piece(d, everything, (other,))
+            )
+    return ValidationReport(tuple(bad))
+
+
+def _oracle_mutant(d, rng):
+    """One seeded edit of ``d``: drop a ref (alone, with its successor so
+    the families still alternate, or with its whole cycle), flip a dir,
+    swap the arc indices of two refs to one curve, rename a point on one
+    curve, bump a region's genus, split a region's boundary in two (a
+    cycle at a point it passes twice when it does, else at two refs, or
+    the region's cycles), or break the structure (genus, a curve, the
+    basepoint, a ref's arc or curve).  A split-off piece stays, goes to
+    a new region or joins another one."""
+    regions = [list(r.cycles) for r in d.regions]
+    genera = [r.genus for r in d.regions]
+    alpha, beta = list(d.alpha), list(d.beta)
+    genus, basepoint = d.genus, d.basepoint
+    refs = [
+        (ri, ci, t)
+        for ri, r in enumerate(regions)
+        for ci, c in enumerate(r)
+        for t in range(len(c))
+    ]
+    if not refs:
+        return d
+    kind = rng.choice(["drop", "flip", "swap", "rename", "genus", "split", "structure"])
+    ri, ci, t = rng.choice(refs)
+    cyc = list(regions[ri][ci])
+    if kind == "drop":
+        how = rng.choice(["ref", "pair", "cycle"])
+        if how == "cycle":
+            cyc = []
+        elif how == "pair" and len(cyc) > 2:
+            cyc = [ref for k, ref in enumerate(cyc) if k not in (t, (t + 1) % len(cyc))]
+        elif len(cyc) > 1:
+            del cyc[t]
+    elif kind == "flip":
+        cyc[t] = dataclasses.replace(cyc[t], dir=-cyc[t].dir)
+    elif kind == "swap":
+        ref = cyc[t]
+        same = [
+            k for k in refs
+            if (regions[k[0]][k[1]][k[2]].curve, regions[k[0]][k[1]][k[2]].index)
+            == (ref.curve, ref.index)
+        ]
+        rj, cj, u = rng.choice(same)
+        other = regions[rj][cj][u]
+        cyc[t] = dataclasses.replace(ref, arc=other.arc)
+        regions[ri][ci] = tuple(cyc)
+        moved = list(regions[rj][cj])
+        moved[u] = dataclasses.replace(other, arc=ref.arc)
+        cyc = moved
+        ri, ci = rj, cj
+    elif kind == "rename":
+        family = rng.choice([alpha, beta])
+        i = rng.randrange(len(family))
+        curve = list(family[i])
+        k = rng.randrange(len(curve))
+        curve[k] = rng.choice(["fresh"] + [p for p in d.points if p != curve[k]])
+        family[i] = tuple(curve)
+    elif kind == "genus":
+        genera[ri] += rng.choice([-1, 1])
+    elif kind == "split":
+        if len(cyc) > 1 and rng.random() < 0.6:
+            arrivals = [d.arc_endpoints(ref)[ref.dir == 1] for ref in cyc]
+            repeats = [
+                (a, b)
+                for a in range(len(cyc))
+                for b in range(a + 1, len(cyc))
+                if arrivals[a] == arrivals[b]
+            ]
+            a, b = rng.choice(repeats) if repeats else sorted(rng.sample(range(len(cyc)), 2))
+            piece = tuple(cyc[a + 1 : b + 1])
+            cyc = cyc[: a + 1] + cyc[b + 1 :]
+            where = rng.choice(["same", "new", "other"])
+        else:
+            piece, cyc = tuple(cyc), []
+            where = rng.choice(["new", "other"])
+        if where == "same":
+            regions[ri].append(piece)
+        elif where == "new" or len(regions) == 1:
+            regions.append([piece])
+            genera.append(rng.randrange(2))
+        else:
+            regions[rng.choice([k for k in range(len(regions)) if k != ri])].append(piece)
+    elif kind == "structure":
+        fault = rng.choice(["genus", "curve", "basepoint", "arc", "index", "tag"])
+        if fault == "genus":
+            genus = 0
+        elif fault == "curve":
+            del beta[-1]
+        elif fault == "basepoint":
+            basepoint = len(regions)
+        else:
+            change = {"arc": {"arc": 99}, "index": {"index": 99}, "tag": {"curve": "c"}}[fault]
+            cyc[t] = dataclasses.replace(cyc[t], **change)
+    regions[ri][ci] = tuple(cyc)
+    new = tuple(Region(g, tuple(c for c in cycles if c)) for g, cycles in zip(genera, regions))
+    return HeegaardDiagram(genus, tuple(alpha), tuple(beta), new, basepoint)
+
+
+def _oracle_bases():
+    """Corpus singles, seeded sums of two of them, and their stabilizations."""
+    names = SMALL_NAMES + ["lens(7,3)", "lens(11,3)", "gsph(3)"]
+    bases = [build(name) for name in names] + [rectangle_diagram()]
+    rng = random.Random("validate oracle sums")
+    for _ in range(5):
+        first, second = rng.sample(names, 2)
+        bases.append(connected_sum(build(first), build(second)))
+    bases += [stabilize(d) for d in bases[:: 3]]
+    return bases
+
+
+def _early_return(report):
+    names = {name for name, _ in report.violations}
+    if names and names <= _STRUCTURAL_NAMES:
+        return "structure"
+    if names == {"point_membership"}:
+        return "point_membership"
+    if "cycle_connectivity" in names:
+        return "cycle_connectivity"
+    return "full"
+
+
+_STRUCTURAL_NAMES = {"genus", "curve_count", "basepoint", "region_genus", "arc_ref", "alternation"}
+
+
+def test_one_walk_validate_matches_reference():
+    """On valid diagrams and on seeded mutants of them, validate gives
+    the reference's report (same violations, same order) and the walk's
+    corner slots are the reference's.  The mutants reach every
+    violation kind and every early return."""
+    rng = random.Random(20261019)
+    bases = _oracle_bases()
+    kinds, returns = set(), set()
+    for i in range(1600):
+        m = bases[i] if i < len(bases) else rng.choice(bases)
+        if i >= len(bases):
+            for _ in range(rng.randint(1, 2)):
+                m = _oracle_mutant(m, rng)
+                if _structural_violations(m):
+                    break
+        want = _reference_validate(m)
+        assert validate(m) == want, m
+        if not _structural_violations(m):
+            assert _arc_walk(m).slots == _reference_corner_slots(m)
+        kinds |= {name for name, _ in want.violations}
+        returns.add(_early_return(want))
+    assert kinds == _STRUCTURAL_NAMES | {
+        "point_membership",
+        "arc_coverage",
+        "cycle_connectivity",
+        "corner_count",
+        "quadrant_closure",
+        "euler_characteristic",
+        "euler_measure",
+        "surface_connectivity",
+        "curve_homology_rank",
+    }
+    assert returns == {"structure", "point_membership", "cycle_connectivity", "full"}

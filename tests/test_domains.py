@@ -25,9 +25,9 @@ from hfhat import (
     stabilize,
 )
 from hfhat.corpus import build
-from hfhat.domains import _assert_mirror, _connecting_rhs, _factored, _reduction
-from hfhat.exactla import GE, InternalError, canonical_basis, hermite_normal_form, hermite_reduce
-from hfhat.exactla import mat_vec, vanishing_sublattice
+from hfhat.domains import _assert_mirror, _connecting_rhs, _factored, _phi, _reduction
+from hfhat.exactla import GE, InternalError, canonical_basis, column_echelon, hermite_normal_form
+from hfhat.exactla import hermite_reduce, mat_vec, vanishing_sublattice
 
 from conftest import ADMISSIBLE_NAMES, SMALL_NAMES, brute_force_domains
 
@@ -99,15 +99,16 @@ def _seeded_sums():
     + ["#".join(pair) for pair in _seeded_sums()],
 )
 def test_alpha_factorization_matches_stacked(name):
-    """Factoring l_alpha alone gives the stacked system's transform u,
-    its pivots and its alpha rows of h; per-generator remainders are
-    the alpha half of the stacked ones (the beta half is their
-    negation), so the Spin^c grouping is the stacked one."""
+    """Factoring l_alpha alone gives the stacked system's echelon
+    transform u, its pivots and its alpha rows of h (the beta rows add
+    no pivot, so the echelon steps are the same); per-generator
+    remainders are the alpha half of the stacked ones (the beta half is
+    their negation), so the Spin^c grouping is the stacked one."""
     d = connected_sum(*map(build, name.split("#"))) if "#" in name else build(name)
     sys_ = boundary_system(d)
     m = len(sys_.points)
     stacked = [list(r) for r in sys_.l_alpha] + [list(r) for r in sys_.l_beta]
-    h, u, pivots = hermite_normal_form(stacked)
+    h, u, pivots = column_echelon(stacked)
     a, h_alpha, u_alpha, pivots_alpha = _factored(d)
     assert a == stacked[:m]
     assert u_alpha == u
@@ -126,6 +127,45 @@ def test_alpha_factorization_matches_stacked(name):
         groups.setdefault(tuple(remainder), []).append(g)
     want = sorted(tuple(sorted(group)) for group in groups.values())
     assert [c.members for c in spinc_partition(d)] == want
+
+
+def _canonical_route_diagrams():
+    """The corpus singles, gsph(1..4) and the seeded sums."""
+    names = ["s3_g1", "s1s2_g1", "s1s2_bad", "s1s2_wind"]
+    names += [f"lens({p},{q})" for p in range(2, 8) for q in range(1, p) if gcd(p, q) == 1]
+    names += ["lens(11,3)", "lens(29,12)"] + [f"gsph({g})" for g in range(1, 5)]
+    diagrams = {name: build(name) for name in names}
+    for pair in _seeded_sums():
+        diagrams["#".join(pair)] = connected_sum(*map(build, pair))
+    return diagrams
+
+
+def test_echelon_factorization_matches_canonical_route():
+    """Factoring l_alpha to an echelon form only gives, for every
+    generator, the remainder and the domain u q that the canonical
+    Hermite form gives, hence the same phi_g, and the same periodic
+    lattice."""
+    non_canonical = 0
+    for name, d in _canonical_route_diagrams().items():
+        a = [list(r) for r in boundary_system(d).l_alpha]
+        h, u, pivots = hermite_normal_form(a)
+        assert _factored(d)[0] == a
+        non_canonical += _factored(d)[1] != h
+        z = d.basepoint
+        index = {p: i for i, p in enumerate(boundary_system(d).points)}
+        for g in enumerate_generators(d):
+            chain = [0] * len(a)
+            for p in g.points:
+                chain[index[p]] += 1
+            quotient, remainder = hermite_reduce(h, pivots, chain)
+            phi = mat_vec(u, quotient)
+            got_remainder, got_quotient = _reduction(d, g)
+            assert got_remainder == tuple(remainder), (name, g)
+            assert mat_vec(_factored(d)[2], got_quotient) == phi, (name, g)
+            assert _phi(d, g) == tuple(c - phi[z] for c in phi), (name, g)
+        kernel = [[c - col[z] for c in col] for col in list(zip(*u))[len(pivots):]]
+        assert periodic_lattice(d).basis == tuple(map(tuple, canonical_basis(kernel))), name
+    assert non_canonical > 10
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])

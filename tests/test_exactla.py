@@ -12,6 +12,7 @@ from hfhat.exactla import (
     GE,
     LE,
     canonical_basis,
+    column_echelon,
     hermite_normal_form,
     hermite_reduce,
     hermite_solve,
@@ -117,6 +118,124 @@ def test_canonical_basis_is_canonical():
     b2 = canonical_basis(list(reversed(vecs)) + [[4, 14, 0]])
     assert b1 == b2
     assert len(b1) == 2
+
+
+# ---------------------------------------------------------------------------
+# Reference Hermite form: the loop that reduces the entries left of each
+# pivot as soon as the pivot is found, which hermite_normal_form split
+# into column_echelon and one pass over the pivots afterwards.
+# ---------------------------------------------------------------------------
+
+
+def _reference_hnf(a):
+    h = [list(row) for row in a]
+    m = len(h)
+    n = len(h[0]) if m else 0
+    u = identity_matrix(n)
+
+    def swap(j, k):
+        for rows in (h, u):
+            for row in rows:
+                row[j], row[k] = row[k], row[j]
+
+    def add(dst, src, q):
+        for rows in (h, u):
+            for row in rows:
+                row[dst] += q * row[src]
+
+    pivots = []
+    c = 0
+    for i in range(m):
+        if c >= n:
+            break
+        while True:
+            nz = [j for j in range(c, n) if h[i][j] != 0]
+            if not nz:
+                break
+            if len(nz) == 1:
+                if nz[0] != c:
+                    swap(nz[0], c)
+                break
+            j = min(nz, key=lambda k: (abs(h[i][k]), k))
+            if j != c:
+                swap(j, c)
+            for k in range(c + 1, n):
+                if h[i][k] != 0:
+                    add(k, c, -(h[i][k] // h[i][c]))
+        if h[i][c] == 0:
+            continue
+        if h[i][c] < 0:
+            for rows in (h, u):
+                for row in rows:
+                    row[c] = -row[c]
+        for k in range(c):
+            q = h[i][k] // h[i][c]
+            if q != 0:
+                add(k, c, -q)
+        pivots.append((i, c))
+        c += 1
+    return h, u, pivots
+
+
+def _oracle_matrix(rng):
+    """A seeded integer matrix of 1..7 rows and columns: entries in
+    [-5, 5], sometimes scaled so no pivot is a unit, sometimes with zero
+    rows or columns, sometimes with rows that combine earlier rows."""
+    rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+    a = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+    kind = rng.randrange(5)
+    if kind == 1:
+        scale = rng.choice((2, 3, -2, 6))
+        a = [[scale * v for v in row] for row in a]
+    elif kind == 2:
+        for i in rng.sample(range(rows), rng.randint(1, rows)):
+            a[i] = [0] * cols
+        for j in rng.sample(range(cols), rng.randint(0, cols - 1)):
+            for row in a:
+                row[j] = 0
+    elif kind == 3 and rows > 1:
+        for i in range(1, rows):
+            if rng.random() < 0.6:
+                f, g = rng.randint(-2, 2), rng.randint(-2, 2)
+                k = rng.randrange(i)
+                a[i] = [f * x + g * y for x, y in zip(a[k], a[0])]
+    elif kind == 4:
+        a = [[v if rng.random() < 0.3 else 0 for v in row] for row in a]
+    return a
+
+
+def test_hnf_and_echelon_match_the_interleaved_loop():
+    """hermite_normal_form returns exactly the interleaved loop's
+    (h, u, pivots); column_echelon has its pivots and kernel columns,
+    reduces every right-hand side to the same remainder, and its
+    quotient gives the same u y."""
+    rng = random.Random(20261019)
+    ranks, unit_free, deficient = set(), 0, 0
+    for _ in range(2400):
+        a = _oracle_matrix(rng)
+        rows, cols = len(a), len(a[0])
+        want = _reference_hnf(a)
+        assert hermite_normal_form(a) == want, a
+        h_ref, u_ref, pivots = want
+        h, u, echelon_pivots = column_echelon(a)
+        assert echelon_pivots == pivots, a
+        assert mat_mul(a, u) == h
+        for r, c in pivots:
+            assert h[r][c] > 0
+            assert all(h[i][c] == 0 for i in range(r))
+        rank = len(pivots)
+        assert [row[rank:] for row in u] == [row[rank:] for row in u_ref], a
+        for _ in range(3):
+            b = [rng.randint(-12, 12) for _ in range(rows)]
+            y_ref, r_ref = hermite_reduce(h_ref, pivots, b)
+            y, r = hermite_reduce(h, pivots, b)
+            assert r == r_ref, (a, b)
+            assert mat_vec(u, y) == mat_vec(u_ref, y_ref), (a, b)
+        ranks.add(rank)
+        unit_free += bool(pivots) and all(h[r][c] > 1 for r, c in pivots)
+        deficient += rank < min(rows, cols)
+    assert ranks == set(range(8))
+    assert unit_free > 100 and deficient > 500
 
 
 def test_identity_and_mat_ops():
