@@ -195,17 +195,12 @@ def vanishing_sublattice(
 ) -> list[list[int]]:
     """Canonical basis of the sublattice of ``span(basis)`` where a functional vanishes.
 
-    ``values[j]`` is the functional evaluated on ``basis[j]``.
+    ``values[j]`` is the functional evaluated on ``basis[j]``.  The raw kernel
+    columns of its echelon transform are combined, then canonicalized once.
     """
-    if not basis:
-        return []
-    _, combos = hermite_solve([list(values)], [0])
-    n = len(basis[0])
-    vectors = [
-        [sum(c * vec[i] for c, vec in zip(combo, basis)) for i in range(n)]
-        for combo in combos
-    ]
-    return canonical_basis(vectors)
+    _, u, pivots = column_echelon([list(values)])
+    span = list(zip(*basis))
+    return canonical_basis([mat_vec(span, combo) for combo in list(zip(*u))[len(pivots):]])
 
 
 def canonical_basis(vectors: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -9,9 +9,12 @@ one quadrant at an acute corner, three at an obtuse one).  Bigons are
 certified by the Riemann mapping theorem;
 rectangles are the standard extension adopted by the combinatorial
 literature and can be disabled with ``strict_rectangles`` (they then
-classify as Other).  Any Other domain aborts the computation with a
+count as offenders).  Any Other domain aborts the computation with a
 NotCombinatorial error listing the offenders, rather than guessing a
 count the combinatorics cannot certify (annuli in particular).
+
+The differential is stored once, as the bit columns of GradedComplex;
+the d^2 check and the ranks read them, and ``matrix`` is derived.
 """
 
 from __future__ import annotations
@@ -44,12 +47,18 @@ class RigidShape:
 
 @dataclass(frozen=True)
 class GradedComplex:
-    """Differential data of one Spin^c class."""
+    """Differential data of one Spin^c class: ``columns[j]`` is
+    d(order[j]) as an int whose bit i is the coefficient on order[i]."""
 
     spinc: SpincClass
     order: tuple[Generator, ...]
-    matrix: tuple[tuple[int, ...], ...]  # matrix[iy][ix] over F2
+    columns: tuple[int, ...]
     audit: tuple[tuple[Generator, Generator, Domain, str], ...]
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """``matrix[iy][ix]``, bit iy of ``columns[ix]``, built on each access."""
+        return tuple(tuple(c >> i & 1 for c in self.columns) for i in range(len(self.order)))
 
 
 class NotCombinatorial(Exception):
@@ -140,9 +149,9 @@ def differential(
     strict_rectangles: bool = False,
     threads: int = 1,
 ) -> GradedComplex:
-    """F2 boundary matrix of one Spin^c class with its audit trail.
+    """F2 differential of one Spin^c class with its audit trail.
 
-    Entry (y, x) counts the rigid index-1 positive n_z = 0 domains from
+    Bit y of column x counts the rigid index-1 positive n_z = 0 domains from
     x to y mod 2.  Only pairs with gr(x) - gr(y) = 1 (mod the divisor)
     are enumerated: such a domain has index 1, and gradings are
     relative Maslov indices, so every other pair has none.  The members
@@ -162,7 +171,7 @@ def differential(
     for g in order:
         by_level.setdefault(level(gradings[g]), []).append(g)
     counted_tags = (BIGON,) if strict_rectangles else (BIGON, RECTANGLE)
-    matrix = [[0] * len(order) for _ in order]
+    columns = [0] * len(order)
     audit = []
     offenders = []
     if len(order) > 1:
@@ -174,29 +183,25 @@ def differential(
         for dom in positive_domains(d, x, y, 1, 0):
             shape = classify_rigid(d, dom)
             if shape.tag in counted_tags:
-                matrix[idx[y]][idx[x]] ^= 1
+                columns[idx[x]] ^= 1 << idx[y]
                 audit.append((x, y, dom, shape.tag))
             else:
                 offenders.append((x, y, dom, shape))
     if offenders:
         raise NotCombinatorial(offenders)
-    mat = tuple(tuple(row) for row in matrix)
-    _assert_d_squared_zero(mat)
-    return GradedComplex(c, order, mat, tuple(audit))
+    cols = tuple(columns)
+    _assert_d_squared_zero(cols)
+    return GradedComplex(c, order, cols, tuple(audit))
 
 
-def _column(matrix: tuple[tuple[int, ...], ...], j: int) -> int:
-    """Column ``j`` of an F2 matrix as an int whose bit i is ``matrix[i][j]``."""
-    return sum(row[j] << i for i, row in enumerate(matrix))
-
-
-def _assert_d_squared_zero(matrix: tuple[tuple[int, ...], ...]) -> None:
-    cols = [_column(matrix, j) for j in range(len(matrix))]
-    for j, col in enumerate(cols):
+def _assert_d_squared_zero(columns: tuple[int, ...]) -> None:
+    """Raise InternalError unless d^2 = 0: one XOR per non-zero entry."""
+    for j, col in enumerate(columns):
         acc = 0
-        for k, row in enumerate(matrix):
-            if row[j]:
-                acc ^= cols[k]
+        while col:
+            low = col & -col
+            acc ^= columns[low.bit_length() - 1]
+            col ^= low
         if acc:
             i = (acc & -acc).bit_length() - 1
             raise InternalError(f"d^2 != 0 over F2 at entry ({i}, {j})")
@@ -245,13 +250,12 @@ def _graded_ranks(complex_: GradedComplex) -> tuple[tuple[int, int], ...]:
     The differential lowers the grading by one (mod the divisor), so
     the part landing in grading k is the part leaving grading k + 1,
     and H_k = dim_k - r(k) - r(k + 1) with r(k) the F2 rank of the
-    columns at grading k.  Each column is built once, each grading
-    ranked once."""
+    stored columns at grading k.  Each grading is ranked once."""
     divisor = complex_.spinc.divisor
     gradings = dict(complex_.spinc.gradings)
     columns: dict[int, list[int]] = {}
-    for j, g in enumerate(complex_.order):
-        columns.setdefault(gradings[g], []).append(_column(complex_.matrix, j))
+    for g, col in zip(complex_.order, complex_.columns):
+        columns.setdefault(gradings[g], []).append(col)
     rank = {k: _gf2_rank(cols) for k, cols in columns.items()}
     ranks = []
     for k in sorted(columns):

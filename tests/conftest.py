@@ -1,5 +1,6 @@
-"""Shared fixtures: corpus access, a brute-force domain oracle, and a
-hand-frozen genus-2 diagram whose differential counts rectangles."""
+"""Shared fixtures: corpus access, a brute-force domain oracle, a
+hand-frozen genus-2 diagram whose differential counts rectangles, and
+the grid diagrams whose differentials count empty rectangles."""
 
 from __future__ import annotations
 
@@ -154,6 +155,30 @@ def rectangle_diagram() -> HeegaardDiagram:
     )
     assert validate(d).ok
     return d
+
+
+def grid_diagram(n: int) -> HeegaardDiagram:
+    """The n x n grid on the torus, made genus n by joining its diagonal
+    squares into one basepoint region (Manolescu-Ozsvath-Sarkar,
+    arXiv:math/0607691, with every O on the diagonal).
+
+    alpha_i meets beta_j at p_ij; square (i, j) is bounded by alpha_i,
+    beta_{j+1}, alpha_{i+1} and beta_j (indices mod n).  Each
+    off-diagonal square is a region; the n diagonal squares together are
+    one genus-0 region with n boundary cycles.  HF-hat is that of
+    #^{n-1}(S^1 x S^2).
+    """
+    points = [[f"p{i}{j}" for j in range(n)] for i in range(n)]
+
+    def square(i, j):
+        up, right = (i + 1) % n, (j + 1) % n
+        return (_a(i, j, 1), _b(right, i, 1), _a(up, j, -1), _b(j, i, -1))
+
+    off = [Region(0, (square(i, j),)) for i in range(n) for j in range(n) if i != j]
+    diagonal = Region(0, tuple(square(i, i) for i in range(n)))
+    alpha = tuple(tuple(row) for row in points)
+    beta = tuple(tuple(points[i][j] for i in range(n)) for j in range(n))
+    return HeegaardDiagram(n, alpha, beta, (*off, diagonal), len(off))
 
 
 def gen(*points) -> Generator:

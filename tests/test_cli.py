@@ -18,7 +18,7 @@ from hfhat import (
 from hfhat.cli import run
 from hfhat.corpus import build
 
-from conftest import rectangle_diagram
+from conftest import grid_diagram, rectangle_diagram
 
 
 @pytest.fixture
@@ -149,6 +149,20 @@ def test_strict_rectangles_refusal_exits_3(tmp_path, capsys, json_flag):
         "  {p00,p11} -> {p01,p10}: coefficients (0, 0, 1)\n"
         "  {p00,p11} -> {p01,p10}: coefficients (1, 0, 0)\n"
     )
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_strict_rectangles_refuses_grid(tmp_path, capsys, json_flag):
+    """Every index-1 domain of the grid(3) diagram is a rectangle:
+    ``--strict-rectangles`` exits 3, names all 12 on stderr, prints
+    nothing on stdout."""
+    path = tmp_path / "grid3.hfd"
+    path.write_text(serialize_hfd(grid_diagram(3)))
+    assert run(["homology", str(path), "--strict-rectangles", *json_flag]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("not combinatorial:\n") and err.count(" -> ") == 12
+    assert run(["homology", str(path), *json_flag]) == 0
 
 
 def test_domains_unbounded_exits_2(write_corpus, capsys):

@@ -19,6 +19,7 @@ from hfhat.exactla import (
     identity_matrix,
     lp_optimize,
     mat_vec,
+    vanishing_sublattice,
 )
 
 from conftest import smith_solvability
@@ -236,6 +237,43 @@ def test_hnf_and_echelon_match_the_interleaved_loop():
         deficient += rank < min(rows, cols)
     assert ranks == set(range(8))
     assert unit_free > 100 and deficient > 500
+
+
+def _two_step_vanishing_sublattice(basis, values):
+    """The route vanishing_sublattice took before it read the kernel off
+    the echelon transform: the canonical kernel basis from hermite_solve,
+    combined with ``basis``, then canonicalized again."""
+    if not basis:
+        return []
+    _, combos = hermite_solve([list(values)], [0])
+    n = len(basis[0])
+    return canonical_basis(
+        [[sum(c * vec[i] for c, vec in zip(combo, basis)) for i in range(n)] for combo in combos]
+    )
+
+
+def test_vanishing_sublattice_matches_two_step_route():
+    """One canonicalization gives the two-step route's basis: the
+    canonical basis of a lattice is unique.  Seeded bases, dependent and
+    zero vectors included, with integer functionals f that vanish on
+    some, all or none of them; every vector returned lies in the span
+    and has f = 0 on it."""
+    rng = random.Random(20261020)
+    kinds = set()
+    for _ in range(600):
+        k, n = rng.randint(0, 5), rng.randint(1, 5)
+        basis = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+        if k >= 2 and rng.random() < 0.3:
+            basis[-1] = [x + 2 * y for x, y in zip(basis[0], basis[1])]
+        f = [rng.randint(-3, 3) if rng.random() < 0.8 else 0 for _ in range(n)]
+        values = [sum(a * b for a, b in zip(f, vec)) for vec in basis]
+        got = vanishing_sublattice(basis, values)
+        assert got == _two_step_vanishing_sublattice(basis, values), (basis, values)
+        for vec in got:
+            assert sum(a * b for a, b in zip(f, vec)) == 0
+            assert hermite_solve([list(col) for col in zip(*basis)], vec) is not None
+        kinds.add((bool(basis), any(values), len(got)))
+    assert {(False, False, 0), (True, False, 1), (True, True, 1), (True, True, 3)} <= kinds
 
 
 def test_identity_and_mat_ops():

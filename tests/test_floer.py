@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from itertools import combinations, permutations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -41,7 +42,7 @@ from hfhat.floer import (
 )
 from hfhat.measures import _quarter_euler
 
-from conftest import SMALL_NAMES, gen, rectangle_diagram
+from conftest import SMALL_NAMES, gen, grid_diagram, rectangle_diagram
 
 
 def test_s1s2_g1_bigons():
@@ -419,7 +420,7 @@ def test_d_squared_check_survives_optimize():
         "from hfhat.floer import _assert_d_squared_zero\n"
         "from hfhat import InternalError\n"
         "try:\n"
-        "    _assert_d_squared_zero(((0, 1), (1, 0)))\n"
+        "    _assert_d_squared_zero((2, 1))\n"
         "except InternalError:\n"
         "    raise SystemExit(7)\n"
     )
@@ -488,7 +489,9 @@ def _random_complex(rng, divisor, pieces=(3, 9)):
     order = tuple(Generator((f"g{k:02d}",)) for k in range(n))
     gradings = tuple(zip(order, grading))
     spinc = SpincClass(order, divisor, gradings)
-    complex_ = GradedComplex(spinc, order, tuple(tuple(row) for row in matrix), ())
+    columns = tuple(sum(matrix[i][j] << i for i in range(n)) for j in range(n))
+    complex_ = GradedComplex(spinc, order, columns, ())
+    assert complex_.matrix == tuple(map(tuple, matrix))
     return complex_, singles
 
 
@@ -528,7 +531,7 @@ def test_f2_ranks_on_nonzero_differentials(divisor):
     nonzero = 0
     for _ in range(40):
         complex_, singles = _random_complex(rng, divisor)
-        _assert_d_squared_zero(complex_.matrix)
+        _assert_d_squared_zero(complex_.columns)
         nonzero += any(any(row) for row in complex_.matrix)
         brute = _brute_force_homology(complex_, divisor)
         assert brute == {k: singles.get(k, 0) for k in brute}
@@ -544,16 +547,112 @@ def test_f2_ranks_past_64_generators(divisor):
     rng = random.Random(20261019 + divisor)
     for _ in range(3):
         complex_, singles = _random_complex(rng, divisor, pieces=(80, 100))
-        order, matrix = complex_.order, complex_.matrix
+        order, columns = complex_.order, complex_.columns
         assert len(order) >= 80
-        _assert_d_squared_zero(matrix)
+        _assert_d_squared_zero(columns)
         levels = sorted(set(dict(complex_.spinc.gradings).values()))
         assert _graded_ranks(complex_) == tuple((k, singles.get(k, 0)) for k in levels)
         # Flip (i, j) where d e_i != 0: then d'^2 e_j = d e_i, since the
         # diagonal of a graded differential is zero.
-        i = next(k for k in range(len(order)) if any(row[k] for row in matrix))
+        i = next(k for k in range(len(order)) if columns[k])
         j = next(k for k in range(len(order)) if k != i)
-        flipped = [list(row) for row in matrix]
-        flipped[i][j] ^= 1
+        flipped = list(columns)
+        flipped[j] ^= 1 << i
         with pytest.raises(InternalError):
-            _assert_d_squared_zero(tuple(tuple(row) for row in flipped))
+            _assert_d_squared_zero(tuple(flipped))
+
+
+@pytest.fixture(scope="module")
+def grid_complex():
+    """``grid_complex(n)``: the one class's complex of ``grid_diagram(n)``,
+    computed once per module."""
+    complexes = {}
+
+    def get(n):
+        if n not in complexes:
+            d = grid_diagram(n)
+            (c,) = spinc_partition(d)
+            complexes[n] = differential(d, c)
+        return complexes[n]
+
+    return get
+
+
+def _empty_rectangle_matrix(n, order):
+    """``matrix[iy][ix]``: the empty rectangles from x to y on the n x n
+    torus grid, mod 2, from grid coordinates alone.  A generator is the
+    permutation sigma with points p_{i sigma(i)}.  x's points a and b are
+    the lower-left and upper-right corners of a rectangle over rows
+    a..b-1 and columns sigma(a)..sigma(b)-1, both cyclic; y has the other
+    two corners.  The rectangle counts when it covers no diagonal square
+    (the basepoint region) and no point of x lies strictly inside it."""
+    index = {g: k for k, g in enumerate(order)}
+    matrix = [[0] * len(order) for _ in order]
+    for x in order:
+        sigma = [int(p[2]) for p in sorted(x.points)]
+        for a, b in permutations(range(n), 2):
+            rows = [(a + k) % n for k in range((b - a) % n)]
+            cols = [(sigma[a] + k) % n for k in range((sigma[b] - sigma[a]) % n)]
+            if set(rows) & set(cols) or any(sigma[r] in cols[1:] for r in rows[1:]):
+                continue
+            tau = list(sigma)
+            tau[a], tau[b] = sigma[b], sigma[a]
+            y = Generator(tuple(f"p{i}{tau[i]}" for i in range(n)))
+            matrix[index[y]][index[x]] ^= 1
+    return tuple(map(tuple, matrix))
+
+
+@pytest.mark.parametrize("n,nonzero", [(3, 6), (4, 56), (5, 460)])
+def test_grid_matrix_counts_empty_rectangles(n, nonzero, grid_complex):
+    """On grid diagrams every entry of d is the count of empty rectangles
+    mod 2 (Manolescu-Ozsvath-Sarkar), and every counted domain is one."""
+    cx = grid_complex(n)
+    assert cx.matrix == _empty_rectangle_matrix(n, cx.order)
+    assert sum(map(sum, cx.matrix)) == sum(bin(col).count("1") for col in cx.columns) == nonzero
+    assert {tag for *_, tag in cx.audit} == {RECTANGLE}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_grid_ranks_are_binomial(n):
+    """HF-hat of #^{n-1}(S^1 x S^2): rank C(n-1, k) at grading k, and
+    zero at every other grading of a generator."""
+    (rep,) = homology(grid_diagram(n))
+    low = rep.ranks[0][0]
+    assert [(k - low, r) for k, r in rep.ranks if r] == [(k, comb(n - 1, k)) for k in range(n)]
+
+
+def test_grid_kunneth_on_sums():
+    """Connected sums multiply the ranks: per class for grid(3)#lens(5,2),
+    and as a convolution of graded ranks on the one-class sums."""
+    reps = homology(connected_sum(grid_diagram(3), build("lens(5,2)")))
+    assert len(reps) == 5 and all(r.total == 4 for r in reps)
+    assert sum(r.total for r in reps) == 20
+    for d, want in [
+        (connected_sum(build("gsph(2)"), grid_diagram(4)), [1, 5, 10, 10, 5, 1]),
+        (connected_sum(grid_diagram(3), grid_diagram(3)), [1, 4, 6, 4, 1]),
+    ]:
+        (rep,) = homology(d)
+        assert [r for _, r in rep.ranks if r] == want and rep.total == sum(want)
+
+
+def test_grid_d_squared_check_catches_one_flipped_entry(grid_complex):
+    """Flipping entry (i, j) where d e_i != 0 leaves d'^2 e_j = d e_i."""
+    columns = grid_complex(4).columns
+    _assert_d_squared_zero(columns)
+    i = next(k for k, col in enumerate(columns) if col)
+    j = next(k for k in range(len(columns)) if k != i)
+    flipped = list(columns)
+    flipped[j] ^= 1 << i
+    with pytest.raises(InternalError):
+        _assert_d_squared_zero(tuple(flipped))
+
+
+def test_grid_strict_rectangles_refuses():
+    """grid(3)'s differential counts only rectangles, so
+    ``strict_rectangles`` refuses all 12 of them by name."""
+    d = grid_diagram(3)
+    (c,) = spinc_partition(d)
+    with pytest.raises(NotCombinatorial) as exc:
+        differential(d, c, strict_rectangles=True)
+    assert len(exc.value.offenders) == 12
+    assert {shape.tag for *_, shape in exc.value.offenders} == {RECTANGLE}
