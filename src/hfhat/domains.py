@@ -18,12 +18,13 @@ when a connecting domain needs it; the domain from x to y is phi_y -
 phi_x.  Another echelon form changes ``h`` and ``u`` by a unimodular
 change V of the pivot columns and q_g by V^-1, so phi_g does not
 change.
-Each diagram object also keeps the columns of ``l_alpha`` as sparse
-``(row, value)`` pairs, one per region (a region touches a handful of
-points), and the columns of ``u``; so phi_g adds only the columns of
-``u`` at the nonzero quotient entries, and checking a domain's
-boundary adds only the columns of ``l_alpha`` at its nonzero
-coefficients.
+Every matrix here is the list of its columns, so the factorization is
+one record per diagram object: the point index, the columns of
+``l_alpha`` as sparse ``(row, value)`` pairs, one per region (a region
+touches a handful of points), and the columns of ``h`` and ``u``.
+phi_g adds only the columns of ``u`` at the nonzero quotient entries,
+and checking a domain's boundary adds only the columns of ``l_alpha``
+at its nonzero coefficients.
 
 The columns of ``u`` past the pivots span the kernel of ``l_alpha``:
 the periodic lattice (n_z = 0) plus [Sigma] (all coefficients 1).
@@ -51,7 +52,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .diagram import ALPHA, HeegaardDiagram, derived, validate
-from .exactla import GE, InternalError, canonical_basis, column_echelon, hermite_reduce
+from .exactla import GE, InternalError, canonical_basis, column_echelon, combine, hermite_reduce
 from .exactla import _scaled, lp_optimize, mat_vec
 from .generators import Generator
 
@@ -143,8 +144,10 @@ def boundary_system(d: HeegaardDiagram) -> BoundarySystem:
 
 @derived
 def _factored(d: HeegaardDiagram) -> tuple:
-    """``(a, h, u, pivots)``: ``a = l_alpha`` and its column echelon form
-    ``a u = h``.
+    """``(index, a_columns, h, u, pivots)``: each point's row in a chain,
+    the columns of ``a = l_alpha`` as ``(row, value)`` pairs of their
+    nonzero entries, and its column echelon form ``a u = h``, with ``h``
+    and ``u`` as lists of columns (``u`` is dense on lens spaces).
 
     Raises InternalError unless ``l_beta == -l_alpha``, the invariant
     that lets the alpha rows stand for the whole boundary system.  With
@@ -156,28 +159,16 @@ def _factored(d: HeegaardDiagram) -> tuple:
     for p, alpha_row, beta_row in zip(sys.points, sys.l_alpha, sys.l_beta):
         if any(a + b for a, b in zip(alpha_row, beta_row)):
             raise InternalError(f"the beta boundary at {p} is not the negated alpha boundary")
-    a = [list(r) for r in sys.l_alpha]
-    return (a, *column_echelon(a))
-
-
-@derived
-def _columns(d: HeegaardDiagram) -> tuple:
-    """``(index, a_columns, u_columns)``: each point's row in a chain, the
-    columns of ``a`` as ``(row, value)`` pairs of their nonzero entries,
-    and the columns of ``u`` as plain int tuples (``u`` is dense on lens
-    spaces)."""
-    a, _, u, _ = _factored(d)
-    index = {p: i for i, p in enumerate(boundary_system(d).points)}
-    a_columns = tuple(
-        tuple((i, row[j]) for i, row in enumerate(a) if row[j]) for j in range(len(d.regions))
-    )
-    return index, a_columns, tuple(zip(*u))
+    index = {p: i for i, p in enumerate(sys.points)}
+    a = [[row[j] for row in sys.l_alpha] for j in range(len(d.regions))]
+    a_columns = tuple(tuple((i, v) for i, v in enumerate(col) if v) for col in a)
+    return (index, a_columns, *column_echelon(a))
 
 
 def _chain(d: HeegaardDiagram, g: Generator) -> list[int]:
     """``chi_g``, g's points as a 0-chain, so that ``b(x, y)`` is
     ``chi_y - chi_x``."""
-    index = _columns(d)[0]
+    index = _factored(d)[0]
     b = [0] * len(index)
     for p in g.points:
         b[index[p]] += 1
@@ -196,7 +187,7 @@ def _assert_mirror(d: HeegaardDiagram, dom: Domain) -> None:
     Sums only the sparse columns of the nonzero coefficients, then takes
     ``to - from`` off by point index, so the check costs O(nonzeros).
     """
-    index, a_columns, _ = _columns(d)
+    index, a_columns = _factored(d)[:2]
     left = [0] * len(index)
     for c, column in zip(dom.coefficients, a_columns):
         if c:
@@ -214,7 +205,7 @@ def _assert_mirror(d: HeegaardDiagram, dom: Domain) -> None:
 def _reduction(d: HeegaardDiagram, g: Generator) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``(remainder, quotient)`` for g's chain ``chi_g = h q + remainder``.
     The remainder names g's Spin^c class; the quotient gives ``_phi``."""
-    _, h, _, pivots = _factored(d)
+    _, _, h, _, pivots = _factored(d)
     quotient, remainder = hermite_reduce(h, pivots, _chain(d, g))
     return tuple(remainder), tuple(quotient)
 
@@ -225,10 +216,7 @@ def _phi(d: HeegaardDiagram, g: Generator) -> tuple[int, ...]:
     = h (q_y - q_x)``, so ``phi_y - phi_x`` is the domain that reducing
     ``b(x, y)`` itself would give.  Adds up the columns of ``u`` at the
     nonzero entries of ``q_g`` only."""
-    phi = [0] * len(d.regions)
-    for q, column in zip(_reduction(d, g)[1], _columns(d)[2]):
-        if q:
-            phi = [p + q * v for p, v in zip(phi, column)]
+    phi = combine(_factored(d)[3], _reduction(d, g)[1])
     nz = phi[d.basepoint]
     return tuple(c - nz for c in phi)
 
@@ -253,9 +241,10 @@ def connecting_domain(
 def periodic_lattice(d: HeegaardDiagram) -> PeriodicLattice:
     """Canonical Hermite basis of the kernel columns of ``u``, less n_z
     [Sigma] each as in ``_phi`` (empty on a lens space: kernel span [Sigma])."""
-    a, _, _, pivots = _factored(d)
+    _, _, _, u, pivots = _factored(d)
     z = d.basepoint
-    basis = canonical_basis([[c - col[z] for c in col] for col in _columns(d)[2][len(pivots):]])
+    basis = canonical_basis([[c - col[z] for c in col] for col in u[len(pivots):]])
+    a = boundary_system(d).l_alpha
     for vec in basis:
         if vec[z] or any(mat_vec(a, vec)):
             raise InternalError(f"periodic vector {vec}: n_z {vec[z]}, boundary {mat_vec(a, vec)}")
@@ -267,12 +256,7 @@ def _integer_direction(
 ) -> tuple[int, ...]:
     """Clear denominators of P.t and return the integer region vector."""
     scale = lcm(*(c.denominator for c in t)) if t else 1
-    n = len(basis[0])
-    out = [0] * n
-    for ci, vec in zip(_scaled(t, scale), basis):
-        for i in range(n):
-            out[i] += ci * vec[i]
-    return tuple(out)
+    return tuple(combine(basis, _scaled(t, scale)))
 
 
 def recession_direction(

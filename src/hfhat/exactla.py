@@ -8,31 +8,31 @@ point appears anywhere; rationals are ``fractions.Fraction`` (always
 stored in lowest terms with positive denominator, which matches the
 Rational contract used throughout).
 
-Matrices are plain lists of rows of Python ints or Fractions.  All
-functions are pure and deterministic: the Hermite form is the canonical
-column-style one with nonnegative pivots, the echelon form is the
-Hermite form's loop without its reduction step (enough wherever only a
-coset or some solution is read), and the simplex uses Bland's
-rule so results are reproducible.  The simplex starts on the slack
-basis: a row whose slack is a feasible unit column starts on it, and
-only the other rows get an artificial column, so phase 1 runs only
-when some row needs one.  The tableau is a matrix of Python ints over
-one common positive denominator, updated by fraction-free pivots
-(Bareiss, Math. Comp. 22 (1968), in the Gauss-Jordan form of Edmonds,
-J. Res. NBS 71B (1967)); every division in a pivot is checked to be
-exact.  Failed internal checks raise ``InternalError``.
+A matrix is the list of its columns, each a list of Python ints: a
+column of ``l_alpha`` is one region's boundary, and a column of an
+echelon transform ``u`` is a domain.  ``mat_vec`` and ``hermite_solve``
+take their matrix as its rows instead.  All functions are pure and
+deterministic: the Hermite form is the canonical column-style one with
+nonnegative pivots, the echelon form is the Hermite form's loop without
+its reduction step (enough wherever only a coset or some solution is
+read), and the simplex uses Bland's rule so results are reproducible.
+The simplex starts on the slack basis: a row whose slack is a feasible
+unit column starts on it, and only the other rows get an artificial
+column, so phase 1 runs only when some row needs one.  The tableau is
+a list of rows of Python ints over one common positive denominator,
+updated by fraction-free pivots (Bareiss, Math. Comp. 22 (1968), in
+the Gauss-Jordan form of Edmonds, J. Res. NBS 71B (1967)); every
+division in a pivot is checked to be exact.  Failed internal checks
+raise ``InternalError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from typing import Optional, Sequence
-
-
-def _copy_matrix(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [list(row) for row in a]
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -40,23 +40,35 @@ def identity_matrix(n: int) -> list[list[int]]:
 
 
 def mat_vec(a: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
+    """``a x`` for ``a`` given as its rows."""
     return [sum(r * v for r, v in zip(row, x)) for row in a]
+
+
+def combine(columns: Sequence[Sequence[int]], coeffs: Sequence[int]) -> list[int]:
+    """``sum_j coeffs[j] columns[j]``, adding only the columns at nonzero
+    coefficients."""
+    out = [0] * (len(columns[0]) if columns else 0)
+    for c, column in zip(coeffs, columns):
+        if c:
+            out = [o + c * v for o, v in zip(out, column)]
+    return out
 
 
 def column_echelon(
     a: Sequence[Sequence[int]],
 ) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
-    """Column echelon form with positive pivots.
+    """Column echelon form with positive pivots of ``a``, given as its columns.
 
-    Returns ``(h, u, pivots)`` with ``a . u == h``, ``u`` unimodular and
-    ``h`` in column echelon form with positive pivots; the entries to
-    the left of each pivot are not reduced.  ``pivots`` is the list of
-    (row, column) pivot positions in order, and the columns of ``u``
-    past the pivot columns span the kernel of ``a``.
+    Returns the columns of ``h`` and ``u`` and ``pivots``, with ``a . u
+    == h``, ``u`` unimodular and ``h`` in column echelon form with
+    positive pivots; the entries to the left of each pivot are not
+    reduced.  ``pivots`` is the list of (row, column) pivot positions in
+    order, and the columns of ``u`` past the pivot columns span the
+    kernel of ``a``.
     """
-    h = _copy_matrix(a)
-    m = len(h)
-    n = len(h[0]) if m else 0
+    h = [list(col) for col in a]
+    n = len(h)
+    m = len(h[0]) if n else 0
     u = identity_matrix(n)
     pivots: list[tuple[int, int]] = []
     c = 0
@@ -65,25 +77,23 @@ def column_echelon(
             break
         # Clear row i across columns c..n-1 down to a single gcd entry.
         while True:
-            nz = [j for j in range(c, n) if h[i][j] != 0]
+            nz = [j for j in range(c, n) if h[j][i] != 0]
             if not nz:
                 break
-            if len(nz) == 1:
-                j = nz[0]
-                if j != c:
-                    _swap_cols(h, u, j, c)
-                break
-            j = min(nz, key=lambda k: (abs(h[i][k]), k))
+            j = nz[0] if len(nz) == 1 else min(nz, key=lambda k: (abs(h[k][i]), k))
             if j != c:
-                _swap_cols(h, u, j, c)
+                h[j], h[c] = h[c], h[j]
+                u[j], u[c] = u[c], u[j]
+            if len(nz) == 1:
+                break
             for k in range(c + 1, n):
-                if h[i][k] != 0:
-                    q = h[i][k] // h[i][c]
-                    _add_col(h, u, k, c, -q)
-        if h[i][c] == 0:
+                if h[k][i] != 0:
+                    _add_col(h, u, k, c, -(h[k][i] // h[c][i]))
+        if h[c][i] == 0:
             continue
-        if h[i][c] < 0:
-            _scale_col(h, u, c, -1)
+        if h[c][i] < 0:
+            h[c] = [-v for v in h[c]]
+            u[c] = [-v for v in u[c]]
         pivots.append((i, c))
         c += 1
     return h, u, pivots
@@ -92,12 +102,13 @@ def column_echelon(
 def hermite_normal_form(
     a: Sequence[Sequence[int]],
 ) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
-    """Column-style Hermite normal form.
+    """Column-style Hermite normal form of ``a``, given as its columns.
 
-    Returns ``(h, u, pivots)`` with ``a . u == h``, ``u`` unimodular,
-    ``h`` in column echelon form with positive pivots and the entries to
-    the left of each pivot reduced into ``[0, pivot)``.  ``pivots`` is
-    the list of (row, column) pivot positions in order.
+    Returns the columns of ``h`` and ``u`` and ``pivots``, with ``a . u
+    == h``, ``u`` unimodular, ``h`` in column echelon form with positive
+    pivots and the entries to the left of each pivot reduced into ``[0,
+    pivot)``.  ``pivots`` is the list of (row, column) pivot positions
+    in order.
 
     ``column_echelon``, then one top-down pass over the pivots.  The
     pass adds pivot column c to columns left of it only, which no later
@@ -107,39 +118,26 @@ def hermite_normal_form(
     h, u, pivots = column_echelon(a)
     for i, c in pivots:
         for k in range(c):
-            q = h[i][k] // h[i][c]
+            q = h[k][i] // h[c][i]
             if q != 0:
                 _add_col(h, u, k, c, -q)
     return h, u, pivots
 
 
-def _swap_cols(h: list[list[int]], u: list[list[int]], j: int, k: int) -> None:
-    for row in h:
-        row[j], row[k] = row[k], row[j]
-    for row in u:
-        row[j], row[k] = row[k], row[j]
-
-
 def _add_col(h: list[list[int]], u: list[list[int]], dst: int, src: int, q: int) -> None:
-    for rows in (h, u):
-        for row in rows:
-            v = row[src]
-            if v:
-                row[dst] += q * v
-
-
-def _scale_col(h: list[list[int]], u: list[list[int]], j: int, s: int) -> None:
-    for row in h:
-        row[j] *= s
-    for row in u:
-        row[j] *= s
+    """Add ``q`` times column ``src`` to column ``dst`` of ``h`` and ``u``, in place."""
+    for cols in (h, u):
+        target, source = cols[dst], cols[src]
+        for i in compress(range(len(source)), source):
+            target[i] += q * source[i]
 
 
 def hermite_reduce(
     h: Sequence[Sequence[int]], pivots: Sequence[tuple[int, int]], b: Sequence[int]
 ) -> tuple[list[int], list[int]]:
-    """Floor-reduce ``b`` against the pivots of ``h``, any column echelon
-    form with positive pivots (``column_echelon`` or the Hermite form).
+    """Floor-reduce ``b`` against the pivots of ``h``, the columns of any
+    column echelon form with positive pivots (``column_echelon`` or the
+    Hermite form).
 
     Returns ``(y, r)`` with ``b == h y + r`` and ``0 <= r[row] < pivot``
     at every pivot row.  ``r`` depends only on the class of ``b`` modulo
@@ -148,22 +146,22 @@ def hermite_reduce(
     zero.  A pivot column whose quotient is 0 leaves ``r`` as it is, so
     the rows are updated only for nonzero quotients.
     """
-    m = len(h)
     r = list(b)
-    y = [0] * (len(h[0]) if m else 0)
+    y = [0] * len(h)
     for row, col in pivots:
-        q = y[col] = r[row] // h[row][col]
+        column = h[col]
+        q = y[col] = r[row] // column[row]
         if q:
-            # Column echelon form: h[i][col] == 0 above the pivot row.
-            for i in range(row, m):
-                r[i] -= q * h[i][col]
+            # Column echelon form: column[i] == 0 above the pivot row.
+            for i in range(row, len(column)):
+                r[i] -= q * column[i]
     return y, r
 
 
 def hermite_solve(
     a: Sequence[Sequence[int]], b: Sequence[int]
 ) -> Optional[tuple[list[int], list[list[int]]]]:
-    """Solve ``a x = b`` over the integers.
+    """Solve ``a x = b`` over the integers, for ``a`` given as its rows.
 
     Returns ``None`` when no integer solution exists, otherwise a pair
     of (particular solution, kernel basis).  The kernel basis is in
@@ -173,16 +171,15 @@ def hermite_solve(
     of the pivot columns, which leaves ``u y`` and the kernel columns
     as they are.
     """
-    m = len(a)
-    if len(b) != m:
+    if len(b) != len(a):
         raise ValueError("dimension mismatch")
-    h, u, pivots = column_echelon(a)
+    h, u, pivots = column_echelon(list(zip(*a)))
     y, r = hermite_reduce(h, pivots, b)
     if any(r):
         return None
-    particular = mat_vec(u, y)
+    particular = combine(u, y)
     # The columns of u past the pivot columns span the kernel.
-    kernel = canonical_basis(list(zip(*u))[len(pivots):])
+    kernel = canonical_basis(u[len(pivots):])
     if mat_vec(a, particular) != list(b):
         raise InternalError("Hermite solve returned a non-solution")
     if any(any(mat_vec(a, vec)) for vec in kernel):
@@ -198,21 +195,15 @@ def vanishing_sublattice(
     ``values[j]`` is the functional evaluated on ``basis[j]``.  The raw kernel
     columns of its echelon transform are combined, then canonicalized once.
     """
-    _, u, pivots = column_echelon([list(values)])
-    span = list(zip(*basis))
-    return canonical_basis([mat_vec(span, combo) for combo in list(zip(*u))[len(pivots):]])
+    _, u, pivots = column_echelon([[v] for v in values])
+    return canonical_basis([combine(basis, combo) for combo in u[len(pivots):]])
 
 
 def canonical_basis(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Canonical (Hermite-reduced) basis of the lattice spanned by ``vectors``."""
-    vecs = [v for v in vectors if any(x != 0 for x in v)]
-    if not vecs:
-        return []
-    n = len(vecs[0])
-    # Arrange the vectors as columns and column-reduce.
-    mat = [[vecs[j][i] for j in range(len(vecs))] for i in range(n)]
-    h, _, pivots = hermite_normal_form(mat)
-    return [[h[i][c] for i in range(n)] for _, c in pivots]
+    """Canonical (Hermite-reduced) basis of the lattice spanned by ``vectors``:
+    the pivot columns of the Hermite form whose columns they are."""
+    h, _, pivots = hermite_normal_form([v for v in vectors if any(v)])
+    return [h[c] for _, c in pivots]
 
 
 # ---------------------------------------------------------------------------

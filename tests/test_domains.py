@@ -34,6 +34,17 @@ from conftest import ADMISSIBLE_NAMES, SMALL_NAMES, brute_force_domains
 RNG = random.Random(7)
 
 
+def T(a):
+    """The transpose: rows to columns, or columns to rows."""
+    return [list(col) for col in zip(*a)]
+
+
+def sparse_columns(a):
+    """The columns of the rows ``a`` as ``(row, value)`` pairs of their
+    nonzero entries."""
+    return tuple(tuple((i, v) for i, v in enumerate(col) if v) for col in T(a))
+
+
 def boundary_images(d, coeffs):
     sys_ = boundary_system(d)
     la = [sum(r * c for r, c in zip(row, coeffs)) for row in sys_.l_alpha]
@@ -72,7 +83,7 @@ def test_connecting_domain_equals_per_pair_reduction(name):
     """Differences of per-generator reductions give, coefficient for
     coefficient, the domain that reducing b(x, y) for the pair gives."""
     d = _lens_sum() if name == "gsph(2)#lens(5,2)" else build(name)
-    _, h, u, pivots = _factored(d)
+    _, _, h, u, pivots = _factored(d)
     gens = enumerate_generators(d)
     for x in gens:
         for y in gens:
@@ -81,7 +92,7 @@ def test_connecting_domain_equals_per_pair_reduction(name):
             if any(remainder):
                 assert dom is None, (x, y)
                 continue
-            particular = mat_vec(u, quotient)
+            particular = mat_vec(T(u), quotient)
             nz = particular[d.basepoint]
             assert dom == Domain(tuple(c - nz for c in particular), x, y)
 
@@ -108,12 +119,12 @@ def test_alpha_factorization_matches_stacked(name):
     sys_ = boundary_system(d)
     m = len(sys_.points)
     stacked = [list(r) for r in sys_.l_alpha] + [list(r) for r in sys_.l_beta]
-    h, u, pivots = column_echelon(stacked)
-    a, h_alpha, u_alpha, pivots_alpha = _factored(d)
-    assert a == stacked[:m]
+    h, u, pivots = column_echelon(T(stacked))
+    _, a_columns, h_alpha, u_alpha, pivots_alpha = _factored(d)
+    assert a_columns == sparse_columns(stacked[:m])
     assert u_alpha == u
     assert pivots_alpha == pivots
-    assert h_alpha == h[:m]
+    assert T(h_alpha) == T(h)[:m]
     groups = {}
     index = {p: i for i, p in enumerate(sys_.points)}
     for g in enumerate_generators(d):
@@ -148,9 +159,9 @@ def test_echelon_factorization_matches_canonical_route():
     non_canonical = 0
     for name, d in _canonical_route_diagrams().items():
         a = [list(r) for r in boundary_system(d).l_alpha]
-        h, u, pivots = hermite_normal_form(a)
-        assert _factored(d)[0] == a
-        non_canonical += _factored(d)[1] != h
+        h, u, pivots = hermite_normal_form(T(a))
+        assert _factored(d)[1] == sparse_columns(a)
+        non_canonical += _factored(d)[2] != h
         z = d.basepoint
         index = {p: i for i, p in enumerate(boundary_system(d).points)}
         for g in enumerate_generators(d):
@@ -158,12 +169,12 @@ def test_echelon_factorization_matches_canonical_route():
             for p in g.points:
                 chain[index[p]] += 1
             quotient, remainder = hermite_reduce(h, pivots, chain)
-            phi = mat_vec(u, quotient)
+            phi = mat_vec(T(u), quotient)
             got_remainder, got_quotient = _reduction(d, g)
             assert got_remainder == tuple(remainder), (name, g)
-            assert mat_vec(_factored(d)[2], got_quotient) == phi, (name, g)
+            assert mat_vec(T(_factored(d)[3]), got_quotient) == phi, (name, g)
             assert _phi(d, g) == tuple(c - phi[z] for c in phi), (name, g)
-        kernel = [[c - col[z] for c in col] for col in list(zip(*u))[len(pivots):]]
+        kernel = [[c - col[z] for c in col] for col in u[len(pivots):]]
         assert periodic_lattice(d).basis == tuple(map(tuple, canonical_basis(kernel))), name
     assert non_canonical > 10
 
@@ -202,7 +213,7 @@ def test_mirror_check_agrees_with_dense_product(name):
     every pair's connecting domain, on that domain with one coefficient
     moved by 1 or with its ends swapped, and on seeded random vectors."""
     d = _lens_sum() if name == "gsph(2)#lens(5,2)" else build(name)
-    a = _factored(d)[0]
+    a = boundary_system(d).l_alpha
     rng = random.Random(f"mirror {name}")
     n = len(d.regions)
     gens = enumerate_generators(d)
@@ -311,8 +322,8 @@ def test_periodic_basis_matches_two_step_route():
     solve.  Both are the canonical basis of one lattice."""
     ranks = set()
     for name, d in _lattice_diagrams().items():
-        _, _, u, pivots = _factored(d)
-        kernel = canonical_basis(list(zip(*u))[len(pivots):])
+        _, _, _, u, pivots = _factored(d)
+        kernel = canonical_basis(u[len(pivots):])
         want = vanishing_sublattice(kernel, [vec[d.basepoint] for vec in kernel])
         basis = periodic_lattice(d).basis
         assert basis == tuple(map(tuple, want)), name
@@ -334,17 +345,17 @@ def test_periodic_lattice_refuses_a_wrong_vector(flags, fault, name, message):
     code = (
         "import hfhat.domains as domains\n"
         "from hfhat import InternalError, build\n"
-        "def moved(d, real=domains._columns):\n"
-        "    index, a_columns, u_columns = real(d)\n"
-        "    rank = len(domains._factored(d)[3])\n"
+        "def moved(d, real=domains._factored):\n"
+        "    index, a_columns, h, u, pivots = real(d)\n"
+        "    rank = len(pivots)\n"
         "    i = next(j for j, col in enumerate(a_columns) if col and j != d.basepoint)\n"
-        "    column = list(u_columns[rank])\n"
+        "    column = list(u[rank])\n"
         "    column[i] += 1\n"
-        "    return index, a_columns, u_columns[:rank] + (tuple(column),) + u_columns[rank + 1:]\n"
+        "    return index, a_columns, h, u[:rank] + [column] + u[rank + 1:], pivots\n"
         "def shifted(vectors, real=domains.canonical_basis):\n"
         "    return [[c + 1 for c in vec] for vec in real(vectors)]\n"
         f"if {fault!r} == 'boundary':\n"
-        "    domains._columns = moved\n"
+        "    domains._factored = moved\n"
         "else:\n"
         "    domains.canonical_basis = shifted\n"
         "try:\n"

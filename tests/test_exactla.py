@@ -13,6 +13,7 @@ from hfhat.exactla import (
     LE,
     canonical_basis,
     column_echelon,
+    combine,
     hermite_normal_form,
     hermite_reduce,
     hermite_solve,
@@ -39,6 +40,11 @@ def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def T(a):
+    """The transpose: rows to columns, or columns to rows."""
+    return [list(col) for col in zip(*a)]
+
+
 def det(a):
     return int(sympy.Matrix(a).det())
 
@@ -48,7 +54,8 @@ def test_hnf_properties(shape):
     rows, cols = shape
     for _ in range(20):
         a = random_matrix(rows, cols)
-        h, u, pivots = hermite_normal_form(a)
+        h_columns, u_columns, pivots = hermite_normal_form(T(a))
+        h, u = T(h_columns), T(u_columns)
         assert mat_mul(a, u) == h
         assert abs(det(u)) == 1
         for r, c in pivots:
@@ -57,13 +64,13 @@ def test_hnf_properties(shape):
             for cc in range(c):
                 assert 0 <= h[r][cc] < h[r][c]
         b = [REDUCE_RNG.randint(-9, 9) for _ in range(rows)]
-        y, rem = hermite_reduce(h, pivots, b)
+        y, rem = hermite_reduce(h_columns, pivots, b)
         assert [hy + r for hy, r in zip(mat_vec(h, y), rem)] == b
         for r, c in pivots:
             assert 0 <= rem[r] < h[r][c]
         z = [REDUCE_RNG.randint(-3, 3) for _ in range(cols)]
         shifted = [v + w for v, w in zip(b, mat_vec(a, z))]
-        assert hermite_reduce(h, pivots, shifted)[1] == rem
+        assert hermite_reduce(h_columns, pivots, shifted)[1] == rem
         # Already reduced: every quotient is 0 and nothing moves.
         pivot_of = {r: h[r][c] for r, c in pivots}
         reduced = [
@@ -71,7 +78,7 @@ def test_hnf_properties(shape):
             for i in range(rows)
         ]
         for vec in (rem, reduced):
-            assert hermite_reduce(h, pivots, vec) == ([0] * cols, vec)
+            assert hermite_reduce(h_columns, pivots, vec) == ([0] * cols, vec)
 
 
 def test_hermite_solve_constructed_solutions():
@@ -104,7 +111,7 @@ def test_hermite_solve_matches_snf_solvability():
         got = hermite_solve(a, b) is not None
         want = smith_solvability(a)(b)
         assert got == want
-        h, _, pivots = hermite_normal_form(a)
+        h, _, pivots = hermite_normal_form(T(a))
         assert (not any(hermite_reduce(h, pivots, b)[1])) == got
         if got:
             agree_solvable += 1
@@ -216,9 +223,11 @@ def test_hnf_and_echelon_match_the_interleaved_loop():
         a = _oracle_matrix(rng)
         rows, cols = len(a), len(a[0])
         want = _reference_hnf(a)
-        assert hermite_normal_form(a) == want, a
+        h, u, pivots = hermite_normal_form(T(a))
+        assert (T(h), T(u), pivots) == want, a
         h_ref, u_ref, pivots = want
-        h, u, echelon_pivots = column_echelon(a)
+        h_columns, u_columns, echelon_pivots = column_echelon(T(a))
+        h, u = T(h_columns), T(u_columns)
         assert echelon_pivots == pivots, a
         assert mat_mul(a, u) == h
         for r, c in pivots:
@@ -228,8 +237,8 @@ def test_hnf_and_echelon_match_the_interleaved_loop():
         assert [row[rank:] for row in u] == [row[rank:] for row in u_ref], a
         for _ in range(3):
             b = [rng.randint(-12, 12) for _ in range(rows)]
-            y_ref, r_ref = hermite_reduce(h_ref, pivots, b)
-            y, r = hermite_reduce(h, pivots, b)
+            y_ref, r_ref = hermite_reduce(T(h_ref), pivots, b)
+            y, r = hermite_reduce(h_columns, pivots, b)
             assert r == r_ref, (a, b)
             assert mat_vec(u, y) == mat_vec(u_ref, y_ref), (a, b)
         ranks.add(rank)
@@ -274,6 +283,25 @@ def test_vanishing_sublattice_matches_two_step_route():
             assert hermite_solve([list(col) for col in zip(*basis)], vec) is not None
         kinds.add((bool(basis), any(values), len(got)))
     assert {(False, False, 0), (True, False, 1), (True, True, 1), (True, True, 3)} <= kinds
+
+
+def test_combine_matches_mat_vec_on_the_transpose():
+    """``combine(columns, coeffs)`` is ``mat_vec`` of the matrix whose
+    columns they are, also when every coefficient (or every column
+    entry) is zero."""
+    rng = random.Random(20261021)
+    zero_coeffs = 0
+    for _ in range(500):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        columns = [
+            [rng.randint(-5, 5) if rng.random() < 0.6 else 0 for _ in range(rows)] for _ in range(cols)
+        ]
+        coeffs = [rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(cols)]
+        assert combine(columns, coeffs) == mat_vec(T(columns), coeffs), (columns, coeffs)
+        zero_coeffs += not any(coeffs)
+    assert zero_coeffs > 10
+    assert combine([[0, 0], [0, 0]], [1, -1]) == [0, 0]
+    assert combine([], []) == []
 
 
 def test_identity_and_mat_ops():

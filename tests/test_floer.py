@@ -5,8 +5,9 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial, gcd
 from pathlib import Path
 
 import pytest
@@ -633,6 +634,52 @@ def test_grid_kunneth_on_sums():
     ]:
         (rep,) = homology(d)
         assert [r for _, r in rep.ranks if r] == want and rep.total == sum(want)
+
+
+def _mos_maslov(n, x):
+    """Manolescu-Ozsvath-Sarkar's Maslov grading of x on the n x n grid,
+    from coordinates alone: p_ij sits at (j, i) and the O's at the
+    centres (i + 1/2, i + 1/2) of the diagonal squares.  With I(P, Q) the
+    number of pairs p in P, q in Q with p to the lower left of q, and
+    J(P, Q) = (I(P, Q) + I(Q, P)) / 2, M(x) = J(x, x) - 2 J(x, O) +
+    J(O, O) + 1."""
+    points = [(Fraction(int(p[2])), Fraction(int(p[1]))) for p in x.points]
+    o = [(Fraction(2 * i + 1, 2),) * 2 for i in range(n)]
+
+    def i(a, b):
+        return sum(p[0] < q[0] and p[1] < q[1] for p in a for q in b)
+
+    def j(a, b):
+        return Fraction(i(a, b) + i(b, a), 2)
+
+    return j(points, points) - 2 * j(points, o) + j(o, o) + 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_grid_gradings_match_mos_maslov_grading(n):
+    """hfhat's relative grading is MOS's Maslov grading shifted by n - 1
+    on every generator of grid(n)."""
+    (c,) = spinc_partition(grid_diagram(n))
+    assert len(c.gradings) == factorial(n)
+    assert {gr - _mos_maslov(n, x) for x, gr in c.gradings} == {n - 1}
+
+
+def _seeded_grid_sums():
+    """Six connected sums of grid(n), two for each 2 <= n <= 4, with a
+    seeded small corpus diagram, in a seeded order."""
+    rng = random.Random("grid kunneth sums")
+    pool = ["s3_g1", "s1s2_g1", "gsph(1)", "gsph(2)"]
+    pool += [f"lens({p},{q})" for p in range(2, 10) for q in range(1, p) if gcd(p, q) == 1]
+    return [(2 + k % 3, rng.choice(pool), rng.random() < 0.5) for k in range(6)]
+
+
+@pytest.mark.parametrize("n,name,grid_first", _seeded_grid_sums())
+def test_grid_kunneth_on_seeded_sums(n, name, grid_first):
+    """HF-hat of grid(n) # Y has 2^(n-1) times the total rank of Y's."""
+    parts = (grid_diagram(n), build(name))
+    d = connected_sum(*(parts if grid_first else parts[::-1]))
+    want = 2 ** (n - 1) * sum(r.total for r in homology(build(name)))
+    assert sum(r.total for r in homology(d)) == want
 
 
 def test_grid_d_squared_check_catches_one_flipped_entry(grid_complex):

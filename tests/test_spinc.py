@@ -6,6 +6,7 @@ import hfhat.domains
 import hfhat.measures
 import hfhat.spinc
 from hfhat import (
+    boundary_system,
     connecting_domain,
     enumerate_generators,
     grading_divisor,
@@ -13,7 +14,7 @@ from hfhat import (
     spinc_partition,
 )
 from hfhat.corpus import build
-from hfhat.domains import _connecting_rhs, _factored
+from hfhat.domains import _connecting_rhs
 
 from conftest import SMALL_NAMES, smith_solvability
 
@@ -65,7 +66,7 @@ def test_epsilon_vanishes_iff_connected(name):
     independently of the Hermite form hfhat uses."""
     d = build(name)
     where = {g: i for i, c in enumerate(spinc_partition(d)) for g in c.members}
-    solvable = smith_solvability(_factored(d)[0])
+    solvable = smith_solvability(boundary_system(d).l_alpha)
     gens = enumerate_generators(d)
     for x in gens:
         for y in gens:
