@@ -17,8 +17,10 @@ all read off one walk over the arc references: it gives each point's
 corners and each arc's sides, and a union-find over the sides of given
 arcs says whether the regions glued along them form one piece, which
 decides that the surface is connected and that each curve family has
-connected complement, so spans rank g in H1.  ``floer.classify_rigid``
-glues a domain's support by a union-find over its arc references.
+connected complement, so spans rank g in H1.  No other derived data
+walks the references again: the boundary system is read off the arc
+sides, and ``floer.classify_rigid`` glues a domain's support with the
+same union-find.
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ def parse_hfd(text: str) -> HeegaardDiagram:
     """Parse an HFD (JSON) document; rejects unknown fields."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise HFDFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise HFDFormatError("top level must be an object")
@@ -328,8 +330,10 @@ class _ArcWalk:
 
     ``slots``: corner incidences per point as (slot, region index)
     pairs, in walk order.  ``sides``: for each arc, in family, curve and
-    arc order (alpha first), the (region index, dir) of every reference
-    to it.  ``breaks``: the cycle-connectivity violations, in walk order.
+    arc order (alpha first, arc k from point k to point k+1), the
+    (region index, dir) of every reference to it; on a valid diagram
+    every arc has two.  ``breaks``: the cycle-connectivity violations,
+    in walk order.
     """
 
     slots: dict[str, list[tuple[int, int]]]
@@ -503,37 +507,23 @@ def _connectivity_violations(
     and the complement of one family is the regions glued along the
     other family's arcs alone (``sides`` lists the alpha arcs first)."""
     alpha_arcs = sum(len(curve) for curve in d.alpha)
-    count = len(d.regions)
-    if not _glue_one_piece(count, sides):
+    everything = range(len(d.regions))
+    if not _one_piece(everything, sides):
         return [("surface_connectivity", "the regions do not glue into one connected surface")]
     return [
         ("curve_homology_rank", f"{label} curve classes do not have rank {d.genus} in H1")
         for label, arcs in (("alpha", sides[alpha_arcs:]), ("beta", sides[:alpha_arcs]))
-        if not _glue_one_piece(count, arcs)
+        if not _one_piece(everything, arcs)
     ]
 
 
-def _glue_one_piece(count: int, arcs: Iterable[list[tuple[int, int]]]) -> bool:
-    """Do regions ``0..count-1``, glued where two of them are sides of one
-    of ``arcs``, form one piece?  A union-find over the sides."""
-    parent = list(range(count))
-
-    def root(ri: int) -> int:
-        while parent[ri] != ri:
-            parent[ri] = parent[parent[ri]]
-            ri = parent[ri]
-        return ri
-
-    for arc_sides in arcs:
-        for ri, _ in arc_sides[1:]:
-            parent[root(ri)] = root(arc_sides[0][0])
-    return len({root(ri) for ri in range(count)}) <= 1
-
-
-def _one_piece(d: HeegaardDiagram, regions: Iterable[int], families: tuple[str, ...]) -> bool:
-    """Do ``regions``, glued where two of them share an arc of a curve in
-    ``families``, form one piece?  A union-find over arc references."""
+def _one_piece(regions: Iterable[int], arcs: Iterable[list[tuple[int, int]]]) -> bool:
+    """Do ``regions``, glued where both sides of one of ``arcs`` are
+    among them, form one piece?  A union-find over the two sides of each
+    arc (``_arc_walk``'s sides, after arc coverage has passed), counting
+    the pieces down on each merge."""
     parent = {ri: ri for ri in regions}
+    pieces = len(parent)
 
     def root(ri: int) -> int:
         while parent[ri] != ri:
@@ -541,14 +531,13 @@ def _one_piece(d: HeegaardDiagram, regions: Iterable[int], families: tuple[str, 
             ri = parent[ri]
         return ri
 
-    first_side: dict[tuple[str, int, int], int] = {}
-    for ri in parent:
-        for cyc in d.regions[ri].cycles:
-            for ref in cyc:
-                if ref.curve in families:
-                    other = first_side.setdefault((ref.curve, ref.index, ref.arc), ri)
-                    parent[root(ri)] = root(other)
-    return len({root(ri) for ri in parent}) <= 1
+    for (ri, _), (rj, _) in arcs:
+        if ri in parent and rj in parent:
+            ri, rj = root(ri), root(rj)
+            if ri != rj:
+                parent[ri] = rj
+                pieces -= 1
+    return pieces <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from itertools import product
 from math import lcm
 from typing import Optional, Sequence
 
-from .diagram import ALPHA, HeegaardDiagram, derived, validate
+from .diagram import HeegaardDiagram, _arc_walk, derived, validate
 from .exactla import GE, InternalError, canonical_basis, column_echelon, combine, hermite_reduce
 from .exactla import _scaled, lp_optimize, mat_vec
 from .generators import Generator
@@ -128,13 +128,16 @@ def boundary_system(d: HeegaardDiagram) -> BoundarySystem:
     n_regions = len(d.regions)
     la = [[0] * n_regions for _ in points]
     lb = [[0] * n_regions for _ in points]
-    for ri, region in enumerate(d.regions):
-        for cyc in region.cycles:
-            for ref in cyc:
-                tail, head = d.arc_endpoints(ref)
-                target = la if ref.curve == ALPHA else lb
-                target[index[head]][ri] += ref.dir
-                target[index[tail]][ri] -= ref.dir
+    # The walk lists each arc's sides in this loop's order: alpha first,
+    # curve by curve, arc k from point k to point k+1.
+    sides = iter(_arc_walk(d).sides)
+    for target, family in ((la, d.alpha), (lb, d.beta)):
+        for curve in family:
+            for tail, head in zip(curve, curve[1:] + curve[:1]):
+                tail_row, head_row = target[index[tail]], target[index[head]]
+                for ri, direction in next(sides):
+                    head_row[ri] += direction
+                    tail_row[ri] -= direction
     return BoundarySystem(
         points,
         tuple(tuple(row) for row in la),
@@ -173,11 +176,6 @@ def _chain(d: HeegaardDiagram, g: Generator) -> list[int]:
     for p in g.points:
         b[index[p]] += 1
     return b
-
-
-def _connecting_rhs(d: HeegaardDiagram, x: Generator, y: Generator) -> list[int]:
-    """Right-hand side ``b(x, y)`` of ``l_alpha n = b`` for domains from x to y."""
-    return [b - a for a, b in zip(_chain(d, x), _chain(d, y))]
 
 
 def _assert_mirror(d: HeegaardDiagram, dom: Domain) -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import ALPHA, BETA, HeegaardDiagram, _one_piece, derived, quadrants, validate
+from .diagram import HeegaardDiagram, _arc_walk, _one_piece, derived, quadrants, validate
 from .domains import Domain, UnboundedEnumeration, _weak_witness, positive_domains
 from .exactla import InternalError
 from .generators import Generator
@@ -120,7 +120,7 @@ def classify_rigid(d: HeegaardDiagram, D: Domain) -> RigidShape:
             corner_pts.append(p)
         elif len(covered) == 3:
             obtuse += 1
-    if not _one_piece(d, support, (ALPHA, BETA)):
+    if not _one_piece(support, _arc_walk(d).sides):
         return RigidShape(OTHER, sup, tuple(corner_pts))
     # Gauss-Bonnet: 4 chi(S) = 4 e(D) + #acute - #obtuse.
     quarter_euler = _quarter_euler(d)

@@ -3,8 +3,8 @@
 A generator is an unordered g-tuple of intersection points with exactly
 one point on each alpha curve and one on each beta curve; since every
 point lies on exactly one curve of each family, generators correspond
-to systems of distinct representatives, enumerated here by backtracking
-over alpha curves.
+to systems of distinct representatives, enumerated here one alpha curve
+at a time, with no recursion, so that any genus fits the stack.
 """
 
 from __future__ import annotations
@@ -29,30 +29,15 @@ def enumerate_generators(d: HeegaardDiagram) -> list[Generator]:
     report = validate(d)
     if not report.ok:
         raise ValueError(f"enumerate_generators() requires a valid diagram:\n{report}")
-    beta_of = {}
-    for j, curve in enumerate(d.beta):
-        for p in curve:
-            beta_of[p] = j
-    # Visit alpha curves in ascending candidate count to prune early.
-    order = sorted(range(d.genus), key=lambda i: (len(d.alpha[i]), i))
-    found: list[Generator] = []
-    chosen: list[str] = []
-    used_beta: set[int] = set()
-
-    def extend(depth: int) -> None:
-        if depth == d.genus:
-            found.append(Generator(tuple(sorted(chosen))))
-            return
-        for p in d.alpha[order[depth]]:
-            j = beta_of[p]
-            if j in used_beta:
-                continue
-            used_beta.add(j)
-            chosen.append(p)
-            extend(depth + 1)
-            chosen.pop()
-            used_beta.remove(j)
-
-    extend(0)
-    found.sort()
-    return found
+    beta_bit = {p: 1 << j for j, curve in enumerate(d.beta) for p in curve}
+    # Extend partial generators (points, bit set of used beta curves) one
+    # alpha curve at a time, curves with fewest points first to prune early.
+    partial: list[tuple[tuple[str, ...], int]] = [((), 0)]
+    for i in sorted(range(d.genus), key=lambda i: (len(d.alpha[i]), i)):
+        partial = [
+            (points + (p,), used | beta_bit[p])
+            for points, used in partial
+            for p in d.alpha[i]
+            if not used & beta_bit[p]
+        ]
+    return sorted(Generator(tuple(sorted(points))) for points, _ in partial)

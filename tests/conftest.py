@@ -122,6 +122,40 @@ def smith_solvability(a):
     return solvable
 
 
+def connecting_rhs(d, x, y):
+    """``chi_y - chi_x`` over ``boundary_system(d).points``: the right-hand
+    side ``b(x, y)`` of ``l_alpha n = b`` for domains from x to y."""
+    index = {p: i for i, p in enumerate(boundary_system(d).points)}
+    b = [0] * len(index)
+    for p in y.points:
+        b[index[p]] += 1
+    for p in x.points:
+        b[index[p]] -= 1
+    return b
+
+
+def reference_one_piece(d, regions, families):
+    """Do ``regions``, glued where two of them share an arc of a curve in
+    ``families``, form one piece?  A union-find over the regions' own arc
+    references, apart from the arc walk that hfhat glues over."""
+    parent = {ri: ri for ri in regions}
+
+    def root(ri):
+        while parent[ri] != ri:
+            parent[ri] = parent[parent[ri]]
+            ri = parent[ri]
+        return ri
+
+    first_side = {}
+    for ri in parent:
+        for cyc in d.regions[ri].cycles:
+            for ref in cyc:
+                if ref.curve in families:
+                    other = first_side.setdefault((ref.curve, ref.index, ref.arc), ri)
+                    parent[root(ri)] = root(other)
+    return len({root(ri) for ri in parent}) <= 1
+
+
 def _a(index, arc, dir):
     return ArcRef("a", index, arc, dir)
 

@@ -367,6 +367,18 @@ def test_undecodable_file_exits_1(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
+def test_deeply_nested_json_is_an_invalid_file(tmp_path, capsys):
+    """JSON nested past the parser's recursion limit is an unreadable
+    file, not a traceback."""
+    f = tmp_path / "deep.hfd"
+    f.write_text("[" * 200000 + "]" * 200000)
+    assert run(["validate", str(f), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+    assert run(["homology", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("invalid diagram file:")
+
+
 def test_internal_value_error_propagates(write_corpus, monkeypatch):
     """Only input errors become exit 1; a ValueError raised inside a
     computation is a fault and surfaces."""

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
@@ -35,7 +36,7 @@ from hfhat.diagram import (
     _structural_violations,
 )
 
-from conftest import SMALL_NAMES, rectangle_diagram
+from conftest import SMALL_NAMES, grid_diagram, rectangle_diagram, reference_one_piece
 
 
 @pytest.mark.parametrize("name", SMALL_NAMES)
@@ -651,7 +652,7 @@ def _reference_validate(d):
         bad.append(("euler_measure", f"sum e(D_i) = {em}, expected {2 - 2 * d.genus}"))
     if not any(name in ("arc_coverage", "corner_count", "quadrant_closure") for name, _ in bad):
         everything = range(len(d.regions))
-        if not _one_piece(d, everything, (ALPHA, BETA)):
+        if not reference_one_piece(d, everything, (ALPHA, BETA)):
             bad.append(
                 ("surface_connectivity", "the regions do not glue into one connected surface")
             )
@@ -659,7 +660,7 @@ def _reference_validate(d):
             bad.extend(
                 ("curve_homology_rank", f"{label} curve classes do not have rank {d.genus} in H1")
                 for label, other in (("alpha", BETA), ("beta", ALPHA))
-                if not _one_piece(d, everything, (other,))
+                if not reference_one_piece(d, everything, (other,))
             )
     return ValidationReport(tuple(bad))
 
@@ -820,3 +821,33 @@ def test_one_walk_validate_matches_reference():
         "curve_homology_rank",
     }
     assert returns == {"structure", "point_membership", "cycle_connectivity", "full"}
+
+
+def test_one_piece_matches_reference_union_find():
+    """The union-find over the arc walk's sides (all arcs, the alpha
+    arcs, the beta arcs) says what the union-find over the regions' own
+    arc references says: on every non-empty region subset of the small
+    corpus, the rectangle diagram and grid(3), and on seeded subsets of
+    gsph(3) and grid(5)."""
+    rng = random.Random("one piece")
+    cases = []
+    for d in [build(name) for name in SMALL_NAMES] + [rectangle_diagram(), grid_diagram(3)]:
+        everything = range(len(d.regions))
+        cases += [(d, s) for k in range(1, len(d.regions) + 1) for s in combinations(everything, k)]
+    for d in (build("gsph(3)"), grid_diagram(5)):
+        for _ in range(300):
+            subset = [ri for ri in range(len(d.regions)) if rng.random() < 0.6]
+            cases.append((d, subset or [rng.randrange(len(d.regions))]))
+    seen = set()
+    for d, subset in cases:
+        sides = _arc_walk(d).sides
+        alpha_arcs = sum(len(curve) for curve in d.alpha)
+        for families, arcs in (
+            ((ALPHA, BETA), sides),
+            ((ALPHA,), sides[:alpha_arcs]),
+            ((BETA,), sides[alpha_arcs:]),
+        ):
+            want = reference_one_piece(d, subset, families)
+            assert _one_piece(subset, arcs) == want, (d, subset, families)
+            seen.add((families, want))
+    assert len(seen) == 6

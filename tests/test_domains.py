@@ -25,11 +25,11 @@ from hfhat import (
     stabilize,
 )
 from hfhat.corpus import build
-from hfhat.domains import _assert_mirror, _connecting_rhs, _factored, _phi, _reduction
+from hfhat.domains import _assert_mirror, _factored, _phi, _reduction
 from hfhat.exactla import GE, InternalError, canonical_basis, column_echelon, hermite_normal_form
 from hfhat.exactla import hermite_reduce, mat_vec, vanishing_sublattice
 
-from conftest import ADMISSIBLE_NAMES, SMALL_NAMES, brute_force_domains
+from conftest import ADMISSIBLE_NAMES, SMALL_NAMES, brute_force_domains, connecting_rhs, grid_diagram
 
 RNG = random.Random(7)
 
@@ -87,7 +87,7 @@ def test_connecting_domain_equals_per_pair_reduction(name):
     gens = enumerate_generators(d)
     for x in gens:
         for y in gens:
-            quotient, remainder = hermite_reduce(h, pivots, _connecting_rhs(d, x, y))
+            quotient, remainder = hermite_reduce(h, pivots, connecting_rhs(d, x, y))
             dom = connecting_domain(d, x, y)
             if any(remainder):
                 assert dom is None, (x, y)
@@ -95,6 +95,36 @@ def test_connecting_domain_equals_per_pair_reduction(name):
             particular = mat_vec(T(u), quotient)
             nz = particular[d.basepoint]
             assert dom == Domain(tuple(c - nz for c in particular), x, y)
+
+
+def _boundary_by_references(d):
+    """``l_alpha`` and ``l_beta`` built one arc reference at a time: each
+    reference adds its dir at the arc's head and takes it off at its tail."""
+    index = {p: i for i, p in enumerate(d.points)}
+    rows = {fam: [[0] * len(d.regions) for _ in index] for fam in ("a", "b")}
+    for ri, region in enumerate(d.regions):
+        for cyc in region.cycles:
+            for ref in cyc:
+                tail, head = d.arc_endpoints(ref)
+                rows[ref.curve][index[head]][ri] += ref.dir
+                rows[ref.curve][index[tail]][ri] -= ref.dir
+    return rows["a"], rows["b"]
+
+
+def test_boundary_system_matches_per_reference_construction():
+    """The boundary system read off the arc walk's sides is the one
+    built from each region's arc references, on the small corpus,
+    grid(2..5), two sums and a stabilization."""
+    diagrams = [build(name) for name in SMALL_NAMES]
+    diagrams += [grid_diagram(n) for n in range(2, 6)]
+    diagrams += [_lens_sum(), connected_sum(grid_diagram(3), build("lens(7,3)"))]
+    diagrams.append(stabilize(build("lens(3,1)")))
+    for d in diagrams:
+        sys_ = boundary_system(d)
+        l_alpha, l_beta = _boundary_by_references(d)
+        assert sys_.points == d.points
+        assert [list(row) for row in sys_.l_alpha] == l_alpha, d
+        assert [list(row) for row in sys_.l_beta] == l_beta, d
 
 
 def _seeded_sums():
@@ -231,7 +261,7 @@ def test_mirror_check_agrees_with_dense_product(name):
                     (dom.coefficients, y, x),
                 ]
             for coeffs, start, end in candidates:
-                wrong = mat_vec(a, coeffs) != _connecting_rhs(d, start, end)
+                wrong = mat_vec(a, coeffs) != connecting_rhs(d, start, end)
                 try:
                     _assert_mirror(d, Domain(coeffs, start, end))
                     raised = False

@@ -31,7 +31,7 @@ from hfhat import (
 )
 from hfhat.corpus import build
 from hfhat.domains import _weak_witness
-from hfhat.diagram import ALPHA, BETA, _one_piece, quadrants
+from hfhat.diagram import ALPHA, BETA, _arc_walk, _one_piece, quadrants
 from hfhat.floer import (
     _CONTIGUOUS,
     BIGON,
@@ -43,7 +43,7 @@ from hfhat.floer import (
 )
 from hfhat.measures import _quarter_euler
 
-from conftest import SMALL_NAMES, gen, grid_diagram, rectangle_diagram
+from conftest import SMALL_NAMES, gen, grid_diagram, rectangle_diagram, reference_one_piece
 
 
 def test_s1s2_g1_bigons():
@@ -122,7 +122,8 @@ def test_support_topology_helpers():
     """Disconnected or non-disk supports are what flags a shape Other."""
     d = build("s1s2_g1")
     bigons = {0, 1}
-    assert not _one_piece(d, bigons, (ALPHA, BETA))
+    assert not reference_one_piece(d, bigons, (ALPHA, BETA))
+    assert not _one_piece(bigons, _arc_walk(d).sides)
     assert _glue_chi(d, {0}) == 1
     # annulus whose two boundary circles meet at both points
     assert _glue_chi(d, {2}) == -2
@@ -200,7 +201,7 @@ def test_classify_rigid_disk_test_matches_glue_walk(monkeypatch):
                 half = len(corners) // 2
                 coeffs = tuple(int(ri in support) for ri in range(len(d.regions)))
                 dom = Domain(coeffs, Generator(tuple(corners[:half])), Generator(tuple(corners[half:])))
-                disk = _one_piece(d, support, (ALPHA, BETA)) and _glue_chi(d, support) == 1
+                disk = reference_one_piece(d, support, (ALPHA, BETA)) and _glue_chi(d, support) == 1
                 assert (classify_rigid(d, dom).tag in (BIGON, RECTANGLE)) == disk, (d, support)
                 checked += 1
                 disks += disk
@@ -232,7 +233,7 @@ def _classify_all_points(d, D):
             corner_pts.append(p)
         elif len(covered) == 3:
             obtuse += 1
-    if not _one_piece(d, support, (ALPHA, BETA)):
+    if not reference_one_piece(d, support, (ALPHA, BETA)):
         return RigidShape(OTHER, sup, tuple(corner_pts))
     quarter_euler = _quarter_euler(d)
     if sum(quarter_euler[ri] for ri in support) + len(corner_pts) - obtuse != 4:

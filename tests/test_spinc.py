@@ -14,9 +14,8 @@ from hfhat import (
     spinc_partition,
 )
 from hfhat.corpus import build
-from hfhat.domains import _connecting_rhs
 
-from conftest import SMALL_NAMES, smith_solvability
+from conftest import SMALL_NAMES, connecting_rhs, smith_solvability
 
 
 def test_class_counts():
@@ -70,7 +69,7 @@ def test_epsilon_vanishes_iff_connected(name):
     gens = enumerate_generators(d)
     for x in gens:
         for y in gens:
-            vanishes = solvable(_connecting_rhs(d, x, y))
+            vanishes = solvable(connecting_rhs(d, x, y))
             connected = connecting_domain(d, x, y) is not None
             assert vanishes == connected == (where[x] == where[y])
 
