@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from math import gcd
 
-from .diagram import ALPHA, BETA, ArcRef, HeegaardDiagram, Region, connected_sum, validate
+from .diagram import ALPHA, BETA, ArcRef, HeegaardDiagram, Region, _torus_piece, connected_sum, validate
 from .exactla import InternalError
 
 NAMES = ("s3_g1", "s1s2_g1", "s1s2_bad", "s1s2_wind", "lens", "gsph")
@@ -44,7 +44,7 @@ def build(name: str, p: int | None = None, q: int | None = None, g: int | None =
     if m:
         name, g = "gsph", int(m.group(1))
     if name == "s3_g1":
-        d = _s3_g1()
+        d = _torus_piece("x0")
     elif name == "s1s2_g1":
         d = _s1s2(basepoint=2)
     elif name == "s1s2_bad":
@@ -73,11 +73,6 @@ def _a(index: int, arc: int, dir: int) -> ArcRef:
 
 def _b(index: int, arc: int, dir: int) -> ArcRef:
     return ArcRef(BETA, index, arc, dir)
-
-
-def _s3_g1() -> HeegaardDiagram:
-    region = Region(0, ((_a(0, 0, 1), _b(0, 0, 1), _a(0, 0, -1), _b(0, 0, -1)),))
-    return HeegaardDiagram(1, (("x0",),), (("x0",),), (region,), 0)
 
 
 def _s1s2(basepoint: int) -> HeegaardDiagram:

@@ -11,16 +11,19 @@ region on the left.
 From this the module derives the quadrant structure at every point (the
 four local cells used by point measures), validates the long list of
 consistency invariants a genuine diagram must satisfy, and implements
-stabilization and connected sum at the basepoints.  Validation is
-local counting (arcs, corners, quadrants, Euler totals) plus gluing,
-all read off one walk over the arc references: it gives each point's
-corners and each arc's sides, and a union-find over the sides of given
-arcs says whether the regions glued along them form one piece, which
-decides that the surface is connected and that each curve family has
-connected complement, so spans rank g in H1.  No other derived data
-walks the references again: the boundary system is read off the arc
-sides, and ``floer.classify_rigid`` glues a domain's support with the
-same union-find.
+stabilization and connected sum at the basepoints.  The arc layout is
+decided here alone: the arc walk lists every arc once, alpha first,
+with its label and its two ends, and then walks the arc references
+once, looking each one up in that list; it gives each point's corners
+and each arc's sides.  Validation is local counting (arcs, corners,
+quadrants, Euler totals) plus gluing, all read off the walk: a
+union-find over the sides of given arcs says whether the regions glued
+along them form one piece, which decides that the surface is connected
+and that each curve family has connected complement, so spans rank g
+in H1.  No other module reads the curves or the references to find an
+arc: the boundary system is read off the walk's arcs and sides, and
+``floer.classify_rigid`` glues a domain's support with the same
+union-find.
 """
 
 from __future__ import annotations
@@ -95,14 +98,6 @@ class HeegaardDiagram:
         """All point identifiers in canonical (lexicographic) order."""
         seen = sorted({p for curve in self.alpha for p in curve})
         return tuple(seen)
-
-    def curve(self, family: str, index: int) -> tuple[str, ...]:
-        return (self.alpha if family == ALPHA else self.beta)[index]
-
-    def arc_endpoints(self, ref: ArcRef) -> tuple[str, str]:
-        """(tail, head) of the underlying arc, ignoring ``ref.dir``."""
-        curve = self.curve(ref.curve, ref.index)
-        return curve[ref.arc], curve[(ref.arc + 1) % len(curve)]
 
 
 def derived(build: Callable[..., T]) -> Callable[..., T]:
@@ -326,49 +321,55 @@ for _arrive, _arrival_half in ((1, "in"), (-1, "out")):
 
 @dataclass(frozen=True)
 class _ArcWalk:
-    """What one walk over every region's arc references reads off.
+    """The arc table, and what one walk over every region's arc
+    references reads off it.
 
-    ``slots``: corner incidences per point as (slot, region index)
-    pairs, in walk order.  ``sides``: for each arc, in family, curve and
-    arc order (alpha first, arc k from point k to point k+1), the
-    (region index, dir) of every reference to it; on a valid diagram
-    every arc has two.  ``breaks``: the cycle-connectivity violations,
-    in walk order.
+    ``arcs``: every arc once, alpha first, curve by curve, arc k of a
+    curve running from its point k to its point k+1, as (label, tail,
+    head); the first ``alpha_arcs`` are the alpha arcs.  ``sides``: for
+    each arc in that order, the (region index, dir) of every reference
+    to it; on a valid diagram every arc has two.  ``slots``: corner
+    incidences per point as (slot, region index) pairs, in walk order.
+    ``breaks``: the cycle-connectivity violations, in walk order.
     """
 
-    slots: dict[str, list[tuple[int, int]]]
+    arcs: list[tuple[str, str, str]]
+    alpha_arcs: int
     sides: list[list[tuple[int, int]]]
+    slots: dict[str, list[tuple[int, int]]]
     breaks: list[tuple[str, str]]
 
 
 @derived
 def _arc_walk(d: HeegaardDiagram) -> _ArcWalk:
-    """Walk each boundary cycle once, looking up each reference's
-    endpoints once.  Consecutive references must share the point where
-    one arrives and the next departs; that point is a corner of the
-    region.  Needs every reference to name an existing arc."""
+    """List every arc once, then walk each boundary cycle once, looking
+    up each reference's endpoints in that list.  Consecutive references
+    must share the point where one arrives and the next departs; that
+    point is a corner of the region.  Needs every reference to name an
+    existing arc."""
+    arcs: list[tuple[str, str, str]] = []
     first_arc: dict[tuple[str, int], int] = {}
-    count = 0
     for family, curves in ((ALPHA, d.alpha), (BETA, d.beta)):
         for i, curve in enumerate(curves):
-            first_arc[family, i] = count
-            count += len(curve)
-    sides: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+            first_arc[family, i] = len(arcs)
+            ends = zip(curve, curve[1:] + curve[:1])
+            arcs.extend((f"{family}{i}[{k}]", tail, head) for k, (tail, head) in enumerate(ends))
+    sides: list[list[tuple[int, int]]] = [[] for _ in arcs]
     slots: dict[str, list[tuple[int, int]]] = {}
     breaks: list[tuple[str, str]] = []
     for ri, region in enumerate(d.regions):
         for ci, cyc in enumerate(region.cycles):
             arrivals, departures = [], []
             for ref in cyc:
-                curve = (d.alpha if ref.curve == ALPHA else d.beta)[ref.index]
-                tail, head = curve[ref.arc], curve[(ref.arc + 1) % len(curve)]
+                arc = first_arc[ref.curve, ref.index] + ref.arc
+                _, tail, head = arcs[arc]
                 if ref.dir == 1:
                     arrivals.append(head)
                     departures.append(tail)
                 else:
                     arrivals.append(tail)
                     departures.append(head)
-                sides[first_arc[ref.curve, ref.index] + ref.arc].append((ri, ref.dir))
+                sides[arc].append((ri, ref.dir))
             for t, ref in enumerate(cyc):
                 s = (t + 1) % len(cyc)
                 p = arrivals[t]
@@ -382,7 +383,7 @@ def _arc_walk(d: HeegaardDiagram) -> _ArcWalk:
                     )
                 slot = _CORNER_SLOT[ref.curve, ref.dir, cyc[s].dir]
                 slots.setdefault(p, []).append((slot, ri))
-    return _ArcWalk(slots, sides, breaks)
+    return _ArcWalk(arcs, sum(map(len, d.alpha)), sides, slots, breaks)
 
 
 @derived
@@ -396,10 +397,11 @@ def validate(d: HeegaardDiagram) -> ValidationReport:
     (``surface_connectivity``); on a connected surface, Sigma minus
     alpha (the regions glued along beta arcs) and Sigma minus beta must
     each be one piece too (``curve_homology_rank``).  After the checks
-    on structure and point membership, one walk over the arc references
-    (``_arc_walk``) gives the corners, the sides of every arc and the
+    on structure and point membership, the arc walk (``_arc_walk``)
+    gives the arcs, the corners, the sides of every arc and the
     connectivity breaks; the arc coverage and the three gluings are
-    read from the sides, and the Euler measure is summed in quarters.
+    read from the arcs and their sides, and the Euler measure is summed
+    in quarters.
     """
     bad = _structural_violations(d)
     if bad:
@@ -432,20 +434,16 @@ def validate(d: HeegaardDiagram) -> ValidationReport:
     # Arc coverage: every arc referenced exactly twice, once per side.
     # Every ref names an existing arc: _structural_violations said so.
     walk = _arc_walk(d)
-    arc = 0
-    for fam, family in ((ALPHA, d.alpha), (BETA, d.beta)):
-        for i, curve in enumerate(family):
-            for k in range(len(curve)):
-                dirs = [direction for _, direction in walk.sides[arc]]
-                arc += 1
-                if len(dirs) != 2 or dirs[0] + dirs[1]:
-                    bad.append(
-                        (
-                            "arc_coverage",
-                            f"arc {fam}{i}[{k}] referenced with dirs {sorted(dirs)}, "
-                            f"expected one +1 and one -1",
-                        )
-                    )
+    for (label, _, _), arc_sides in zip(walk.arcs, walk.sides):
+        dirs = [direction for _, direction in arc_sides]
+        if len(dirs) != 2 or dirs[0] + dirs[1]:
+            bad.append(
+                (
+                    "arc_coverage",
+                    f"arc {label} referenced with dirs {sorted(dirs)}, "
+                    f"expected one +1 and one -1",
+                )
+            )
 
     # Cycle connectivity: consecutive refs share the point where one
     # arrives and the next departs.
@@ -495,18 +493,16 @@ def validate(d: HeegaardDiagram) -> ValidationReport:
     # closed surface: every arc with two sides, every point with four
     # quadrants.
     if not any(name in ("arc_coverage", "corner_count", "quadrant_closure") for name, _ in bad):
-        bad.extend(_connectivity_violations(d, walk.sides))
+        bad.extend(_connectivity_violations(d, walk))
     return ValidationReport(tuple(bad))
 
 
-def _connectivity_violations(
-    d: HeegaardDiagram, sides: list[list[tuple[int, int]]]
-) -> list[tuple[str, str]]:
+def _connectivity_violations(d: HeegaardDiagram, walk: _ArcWalk) -> list[tuple[str, str]]:
     """The closed surface must be connected.  Then g disjoint curves on
     it span rank g in H1 exactly when their complement is connected,
     and the complement of one family is the regions glued along the
-    other family's arcs alone (``sides`` lists the alpha arcs first)."""
-    alpha_arcs = sum(len(curve) for curve in d.alpha)
+    other family's arcs alone."""
+    sides, alpha_arcs = walk.sides, walk.alpha_arcs
     everything = range(len(d.regions))
     if not _one_piece(everything, sides):
         return [("surface_connectivity", "the regions do not glue into one connected surface")]

@@ -3,28 +3,31 @@
 A domain is an integer vector of region coefficients.  Its alpha
 boundary, pushed to a 0-chain on the intersection points, must equal
 ``to - from``: ``l_alpha n = chi_y - chi_x``, where ``chi_g`` is the
-0-chain of g's points.  Each region's boundary is a closed cycle, so
-its beta boundary is the negated alpha boundary (``l_beta =
--l_alpha``), and the beta condition ``from - to`` holds exactly when
-the alpha one does.  That invariant is checked once per diagram
-object, where ``l_alpha`` alone is brought to a column echelon form
-``l_alpha u = h`` with positive pivots; the canonical (reduced) Hermite
-form is not needed, since no answer reads ``h`` or the pivot columns of
-``u`` directly.  Each generator's chain is reduced against ``h`` once
-per diagram object: the remainder, canonical modulo the column lattice
-of ``l_alpha`` for any such echelon form, names the generator's Spin^c
-class, and the quotient q_g gives a domain phi_g = u q_g, built only
-when a connecting domain needs it; the domain from x to y is phi_y -
-phi_x.  Another echelon form changes ``h`` and ``u`` by a unimodular
-change V of the pivot columns and q_g by V^-1, so phi_g does not
-change.
+0-chain of g's points.  The boundary matrices are read off
+``diagram``'s arc walk: each arc's two ends, from its arc table (alpha
+arcs first), and the regions on its two sides.  Each region's boundary
+is a closed cycle, so its beta boundary is the negated alpha boundary
+(``l_beta = -l_alpha``), and the beta condition ``from - to`` holds
+exactly when the alpha one does.  That invariant is checked once per
+diagram object, where ``l_alpha`` alone is brought to a column echelon
+form ``l_alpha u = h`` with positive pivots; the canonical (reduced)
+Hermite form is not needed, since no answer reads ``h`` or the pivot
+columns of ``u`` directly.  Each generator's chain is reduced against
+``h`` once per diagram object: the remainder, canonical modulo the
+column lattice of ``l_alpha`` for any such echelon form, names the
+generator's Spin^c class, and the quotient q_g gives a domain phi_g =
+u q_g, built only when a connecting domain needs it; the domain from x
+to y is phi_y - phi_x.  Another echelon form changes ``h`` and ``u``
+by a unimodular change V of the pivot columns and q_g by V^-1, so
+phi_g does not change.
 Every matrix here is the list of its columns, so the factorization is
 one record per diagram object: the point index, the columns of
 ``l_alpha`` as sparse ``(row, value)`` pairs, one per region (a region
 touches a handful of points), and the columns of ``h`` and ``u``.
 phi_g adds only the columns of ``u`` at the nonzero quotient entries,
-and checking a domain's boundary adds only the columns of ``l_alpha``
-at its nonzero coefficients.
+and a domain's alpha boundary, checked on every connecting, positive
+and periodic domain, adds only the columns of ``l_alpha`` at its
+nonzero coefficients.
 
 The columns of ``u`` past the pivots span the kernel of ``l_alpha``:
 the periodic lattice (n_z = 0) plus [Sigma] (all coefficients 1).
@@ -53,7 +56,7 @@ from typing import Optional, Sequence
 
 from .diagram import HeegaardDiagram, _arc_walk, derived, validate
 from .exactla import GE, InternalError, canonical_basis, column_echelon, combine, hermite_reduce
-from .exactla import _scaled, lp_optimize, mat_vec
+from .exactla import _scaled, lp_optimize
 from .generators import Generator
 
 
@@ -79,15 +82,6 @@ class Domain:
     coefficients: tuple[int, ...]
     from_gen: Generator
     to_gen: Generator
-
-    def __add__(self, other: "Domain") -> "Domain":
-        if self.to_gen != other.from_gen:
-            raise ValueError("domains are not composable")
-        return Domain(
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
-            self.from_gen,
-            other.to_gen,
-        )
 
 
 @dataclass(frozen=True)
@@ -128,16 +122,13 @@ def boundary_system(d: HeegaardDiagram) -> BoundarySystem:
     n_regions = len(d.regions)
     la = [[0] * n_regions for _ in points]
     lb = [[0] * n_regions for _ in points]
-    # The walk lists each arc's sides in this loop's order: alpha first,
-    # curve by curve, arc k from point k to point k+1.
-    sides = iter(_arc_walk(d).sides)
-    for target, family in ((la, d.alpha), (lb, d.beta)):
-        for curve in family:
-            for tail, head in zip(curve, curve[1:] + curve[:1]):
-                tail_row, head_row = target[index[tail]], target[index[head]]
-                for ri, direction in next(sides):
-                    head_row[ri] += direction
-                    tail_row[ri] -= direction
+    walk = _arc_walk(d)
+    for arc, ((_, tail, head), arc_sides) in enumerate(zip(walk.arcs, walk.sides)):
+        target = la if arc < walk.alpha_arcs else lb
+        tail_row, head_row = target[index[tail]], target[index[head]]
+        for ri, direction in arc_sides:
+            head_row[ri] += direction
+            tail_row[ri] -= direction
     return BoundarySystem(
         points,
         tuple(tuple(row) for row in la),
@@ -178,19 +169,25 @@ def _chain(d: HeegaardDiagram, g: Generator) -> list[int]:
     return b
 
 
+def _alpha_boundary(d: HeegaardDiagram, coeffs: Sequence[int]) -> list[int]:
+    """``l_alpha coeffs``, one entry per point of ``_factored``'s index.
+    Sums only the sparse columns of the nonzero coefficients, so it
+    costs O(nonzeros)."""
+    index, a_columns = _factored(d)[:2]
+    boundary = [0] * len(index)
+    for c, column in zip(coeffs, a_columns):
+        if c:
+            for row, v in column:
+                boundary[row] += c * v
+    return boundary
+
+
 def _assert_mirror(d: HeegaardDiagram, dom: Domain) -> None:
     """Raise InternalError unless ``dom``'s alpha boundary is ``to - from``
     (its beta boundary is then ``from - to``, since ``l_beta = -l_alpha``).
-
-    Sums only the sparse columns of the nonzero coefficients, then takes
-    ``to - from`` off by point index, so the check costs O(nonzeros).
-    """
-    index, a_columns = _factored(d)[:2]
-    left = [0] * len(index)
-    for c, column in zip(dom.coefficients, a_columns):
-        if c:
-            for row, v in column:
-                left[row] += c * v
+    Takes ``to - from`` off the alpha boundary by point index."""
+    index = _factored(d)[0]
+    left = _alpha_boundary(d, dom.coefficients)
     for p in dom.to_gen.points:
         left[index[p]] -= 1
     for p in dom.from_gen.points:
@@ -242,10 +239,10 @@ def periodic_lattice(d: HeegaardDiagram) -> PeriodicLattice:
     _, _, _, u, pivots = _factored(d)
     z = d.basepoint
     basis = canonical_basis([[c - col[z] for c in col] for col in u[len(pivots):]])
-    a = boundary_system(d).l_alpha
     for vec in basis:
-        if vec[z] or any(mat_vec(a, vec)):
-            raise InternalError(f"periodic vector {vec}: n_z {vec[z]}, boundary {mat_vec(a, vec)}")
+        boundary = _alpha_boundary(d, vec)
+        if vec[z] or any(boundary):
+            raise InternalError(f"periodic vector {vec}: n_z {vec[z]}, boundary {boundary}")
     return PeriodicLattice(tuple(tuple(v) for v in basis), tuple([1] * len(d.regions)))
 
 

@@ -97,6 +97,7 @@ def classify_rigid(d: HeegaardDiagram, D: Domain) -> RigidShape:
     have the paper's embedded Euler characteristic g + e - n_x - n_y
     equal to g, a Rectangle g - 1; otherwise InternalError is raised.
     """
+    qs = quadrants(d)
     coeffs = D.coefficients
     if any(c < 0 for c in coeffs) or coeffs[d.basepoint] != 0 or maslov_index(d, D) != 1:
         raise InternalError(f"classify_rigid needs an index-1 positive n_z = 0 domain, got {coeffs}")
@@ -106,7 +107,6 @@ def classify_rigid(d: HeegaardDiagram, D: Domain) -> RigidShape:
     if not support:
         return RigidShape(OTHER, (), ())
     sup = tuple(sorted(support))
-    qs = quadrants(d)
     corner_pts = []
     obtuse = 0
     region_points = _region_points(d)

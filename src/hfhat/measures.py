@@ -41,9 +41,9 @@ def _coeffs(D: CoeffsLike) -> Sequence[int]:
 
 
 def euler_measure(d: HeegaardDiagram, D: CoeffsLike) -> Fraction:
-    coeffs = _coeffs(D)
+    quadrants(d)  # refuses an invalid diagram, as every measure does
     return sum(
-        (Fraction(n) * r.euler_measure for n, r in zip(coeffs, d.regions)),
+        (Fraction(n) * r.euler_measure for n, r in zip(_coeffs(D), d.regions)),
         Fraction(0),
     )
 
@@ -60,6 +60,7 @@ def generator_measure(d: HeegaardDiagram, D: CoeffsLike, x: Generator) -> Fracti
 
 
 def basepoint_multiplicity(d: HeegaardDiagram, D: CoeffsLike) -> int:
+    quadrants(d)  # refuses an invalid diagram before reading d.basepoint
     return _coeffs(D)[d.basepoint]
 
 
@@ -107,7 +108,7 @@ def chern_pairing(d: HeegaardDiagram, x: Generator, P: CoeffsLike) -> int:
     zero and the value is e(P0) + 2 n_x(P0) with P0 = P - n_z [Sigma].
     """
     coeffs = _coeffs(P)
-    nz = coeffs[d.basepoint]
+    nz = basepoint_multiplicity(d, coeffs)
     p0 = [c - nz for c in coeffs]
     return _whole(_quarters(d, p0, x.points + x.points), "chern pairing")
 

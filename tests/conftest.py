@@ -134,6 +134,18 @@ def connecting_rhs(d, x, y):
     return b
 
 
+def curve(d, family, index):
+    """The points of curve ``index`` of ``family`` ("a" or "b"), in order."""
+    return (d.alpha if family == "a" else d.beta)[index]
+
+
+def arc_endpoints(d, ref):
+    """(tail, head) of the arc ``ref`` names, ignoring ``ref.dir``: an
+    oracle read off the curve, apart from the arc walk's table."""
+    points = curve(d, ref.curve, ref.index)
+    return points[ref.arc], points[(ref.arc + 1) % len(points)]
+
+
 def reference_one_piece(d, regions, families):
     """Do ``regions``, glued where two of them share an arc of a curve in
     ``families``, form one piece?  A union-find over the regions' own arc

@@ -1,6 +1,7 @@
 """Diagram model: HFD round trips, validation, sums, stabilization."""
 
 import dataclasses
+import inspect
 import json
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from itertools import combinations
 import pytest
 import sympy
 
+import hfhat
 from hfhat import (
     ArcRef,
     HeegaardDiagram,
@@ -36,7 +38,14 @@ from hfhat.diagram import (
     _structural_violations,
 )
 
-from conftest import SMALL_NAMES, grid_diagram, rectangle_diagram, reference_one_piece
+from conftest import (
+    SMALL_NAMES,
+    arc_endpoints,
+    curve,
+    grid_diagram,
+    rectangle_diagram,
+    reference_one_piece,
+)
 
 
 @pytest.mark.parametrize("name", SMALL_NAMES)
@@ -307,6 +316,69 @@ def test_connected_sum_refuses_an_invalid_summand(broken_first):
     assert str(exc.value) == want
 
 
+# validate and serialize_hfd take any diagram, valid or not.
+_TAKES_ANY_DIAGRAM = ("validate", "serialize_hfd")
+_TAKES_A_DIAGRAM = [
+    name
+    for name in hfhat.__all__
+    if inspect.isfunction(getattr(hfhat, name))
+    and next(iter(inspect.signature(getattr(hfhat, name)).parameters.values())).annotation
+    == "HeegaardDiagram"
+    and name not in _TAKES_ANY_DIAGRAM
+]
+
+
+def _with_genus_bumped(d):
+    first, *rest = d.regions
+    bumped = dataclasses.replace(first, genus=first.genus + 1)
+    return dataclasses.replace(d, regions=(bumped, *rest))
+
+
+@pytest.mark.parametrize("fault", ["basepoint", "region_genus"])
+@pytest.mark.parametrize("name", _TAKES_A_DIAGRAM)
+def test_every_function_refuses_an_invalid_diagram(name, fault):
+    """Every exported function that takes a diagram, apart from validate
+    and serialize_hfd, raises ValueError on an invalid one before it
+    reads anything off it.  Its other arguments come from the valid
+    diagram; the domain is a counted bigon, so that classify_rigid gets
+    past its check of the domain."""
+    valid = build("gsph(2)")
+    if fault == "basepoint":
+        broken = dataclasses.replace(valid, basepoint=99)
+    else:
+        broken = _with_genus_bumped(valid)
+    assert not validate(broken).ok
+    (c,) = hfhat.spinc_partition(valid)
+    x, y, bigon, _ = hfhat.differential(valid, c).audit[0]
+    arguments = {
+        "d2": valid,
+        "x": x,
+        "y": y,
+        "c": c,
+        "D": bigon,
+        "P": hfhat.periodic_lattice(valid).basis[0],
+        "p": x.points[0],
+        "mode": "weak",
+        "target_index": 1,
+        "nz": 0,
+    }
+    function = getattr(hfhat, name)
+    _, *rest = inspect.signature(function).parameters.values()
+    required = [arguments[p.name] for p in rest if p.default is inspect.Parameter.empty]
+    with pytest.raises(ValueError) as exc:
+        function(broken, *required)
+    # The transforms check both summands and say so.
+    transform = name in ("connected_sum", "stabilize")
+    assert ("requires valid diagrams" if transform else "requires a valid diagram") in str(exc.value)
+
+
+def test_refusal_test_reaches_every_exported_function():
+    """Every exported function is in the refusal test above, except the
+    two that take any diagram and the two that take none."""
+    functions = {name for name in hfhat.__all__ if inspect.isfunction(getattr(hfhat, name))}
+    assert functions - set(_TAKES_A_DIAGRAM) == {*_TAKES_ANY_DIAGRAM, "parse_hfd", "build"}
+
+
 def _edit(doc, path, value):
     """Set (or, for ``value is None``, delete) the field at ``path``."""
     parent = doc
@@ -424,7 +496,7 @@ def _mutate(d, rng):
         if kind == "dir":
             cyc[t] = dataclasses.replace(ref, dir=-ref.dir)
         else:
-            length = len(d.curve(ref.curve, ref.index))
+            length = len(curve(d, ref.curve, ref.index))
             cyc[t] = dataclasses.replace(ref, arc=rng.randrange(length))
         regions[ri][ci] = tuple(cyc)
     elif kind == "merge" and len(regions) > 1:
@@ -547,12 +619,12 @@ def test_connectivity_checks_match_rank_criterion():
 
 
 def _reference_arrival(d, ref):
-    tail, head = d.arc_endpoints(ref)
+    tail, head = arc_endpoints(d, ref)
     return head if ref.dir == 1 else tail
 
 
 def _reference_departure(d, ref):
-    tail, head = d.arc_endpoints(ref)
+    tail, head = arc_endpoints(d, ref)
     return tail if ref.dir == 1 else head
 
 
@@ -725,7 +797,7 @@ def _oracle_mutant(d, rng):
         genera[ri] += rng.choice([-1, 1])
     elif kind == "split":
         if len(cyc) > 1 and rng.random() < 0.6:
-            arrivals = [d.arc_endpoints(ref)[ref.dir == 1] for ref in cyc]
+            arrivals = [arc_endpoints(d, ref)[ref.dir == 1] for ref in cyc]
             repeats = [
                 (a, b)
                 for a in range(len(cyc))

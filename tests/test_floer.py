@@ -43,7 +43,7 @@ from hfhat.floer import (
 )
 from hfhat.measures import _quarter_euler
 
-from conftest import SMALL_NAMES, gen, grid_diagram, rectangle_diagram, reference_one_piece
+from conftest import SMALL_NAMES, curve, gen, grid_diagram, rectangle_diagram, reference_one_piece
 
 
 def test_s1s2_g1_bigons():
@@ -111,9 +111,9 @@ def _glue_chi(d, support):
                 arcs.add((ref.curve, ref.index, ref.arc))
     pts = set()
     for curve_tag, index, k in arcs:
-        curve = d.curve(curve_tag, index)
-        pts.add(curve[k])
-        pts.add(curve[(k + 1) % len(curve)])
+        points = curve(d, curve_tag, index)
+        pts.add(points[k])
+        pts.add(points[(k + 1) % len(points)])
     chi = sum(d.regions[ri].euler_char for ri in support)
     return chi + len(pts) - len(arcs)
 

@@ -1,12 +1,16 @@
-"""Derived data is owned by the diagram object and freed with it."""
+"""Derived data is owned by the diagram object and freed with it, and
+the arc layout is owned by one module."""
 
+import ast
 import gc
 import weakref
+from pathlib import Path
 
 import pytest
 
 import hfhat
 from hfhat import (
+    HeegaardDiagram,
     area_certificate,
     build,
     enumerate_generators,
@@ -73,3 +77,28 @@ def test_diagram_is_freed_after_certificates_and_homology(name):
 def test_no_exported_function_keeps_a_cache():
     for name in hfhat.__all__:
         assert not hasattr(getattr(hfhat, name), "cache_info"), name
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hfhat"
+
+
+def test_arc_layout_is_read_only_in_diagram():
+    """Only diagram.py reads region boundary cycles, and only diagram.py
+    and generators.py read the curves' point lists; every other module
+    takes arcs, their ends and their sides from diagram.py's arc walk."""
+    allowed = {
+        "cycles": {"diagram.py"},
+        "alpha": {"diagram.py", "generators.py"},
+        "beta": {"diagram.py", "generators.py"},
+    }
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10  # the scan found the package
+    readers = {attr: set() for attr in allowed}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in allowed:
+                readers[node.attr].add(path.name)
+    assert readers["cycles"] == allowed["cycles"], readers
+    assert all(readers[attr] <= allowed[attr] for attr in allowed), readers
+    assert not hasattr(HeegaardDiagram, "curve")
+    assert not hasattr(HeegaardDiagram, "arc_endpoints")
