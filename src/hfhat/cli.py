@@ -85,14 +85,31 @@ def _table(rows: list[Sequence[str]]) -> list[str]:
     return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
 
 
+# The last diagram ``_load`` accepted, with the exact text it was parsed
+# from, so that commands run one after another on one file in one
+# process share its derived data.  It holds at most one diagram, keyed
+# by the text and not the path, and lets go of it before parsing any
+# other text.
+_held: Optional[tuple[str, HeegaardDiagram]] = None
+
+
 def _load(path: str) -> HeegaardDiagram:
-    """Parse and validate; an invalid diagram prints why and exits 1."""
+    """Parse and validate; an invalid diagram prints why and exits 1.
+
+    The file is read every time.  Text equal to the held text returns
+    the held diagram, which passed validation when it was parsed."""
+    global _held
     with open(path, "r", encoding="utf-8") as fh:
-        d = parse_hfd(fh.read())
+        text = fh.read()
+    if _held is not None and _held[0] == text:
+        return _held[1]
+    _held = None
+    d = parse_hfd(text)
     report = validate(d)
     if not report.ok:
         print(f"invalid diagram: {report}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
+    _held = (text, d)
     return d
 
 

@@ -25,7 +25,7 @@ from .diagram import HeegaardDiagram, _arc_walk, _one_piece, derived, quadrants,
 from .domains import Domain, UnboundedEnumeration, _weak_witness, positive_domains
 from .exactla import InternalError
 from .generators import Generator
-from .measures import _quarter_euler, embedded_euler_char, maslov_index
+from .measures import _coefficients, _quarter_euler, embedded_euler_char, maslov_index
 from .spinc import SpincClass, spinc_partition
 
 BIGON = "Bigon"
@@ -95,12 +95,24 @@ def classify_rigid(d: HeegaardDiagram, D: Domain) -> RigidShape:
     finds the acute and obtuse corners and any pinched point; a point
     off those regions covers no quadrant of the support.  A Bigon must
     have the paper's embedded Euler characteristic g + e - n_x - n_y
-    equal to g, a Rectangle g - 1; otherwise InternalError is raised.
+    equal to g, a Rectangle g - 1; otherwise InternalError is raised,
+    as it is for a domain that is negative somewhere, covers the
+    basepoint or does not have index 1.
     """
-    qs = quadrants(d)
-    coeffs = D.coefficients
+    quadrants(d)  # refuses an invalid diagram before reading coefficients
+    coeffs = _coefficients(d, D)
     if any(c < 0 for c in coeffs) or coeffs[d.basepoint] != 0 or maslov_index(d, D) != 1:
         raise InternalError(f"classify_rigid needs an index-1 positive n_z = 0 domain, got {coeffs}")
+    return _classify_rigid(d, D)
+
+
+def _classify_rigid(d: HeegaardDiagram, D: Domain) -> RigidShape:
+    """``classify_rigid`` without its precondition checks, for
+    ``differential``: ``positive_domains`` kept each domain it passes
+    because the domain is nonnegative, misses the basepoint and has
+    index 1."""
+    qs = quadrants(d)
+    coeffs = D.coefficients
     if any(c not in (0, 1) for c in coeffs):
         return RigidShape(OTHER, (), ())
     support = {i for i, c in enumerate(coeffs) if c == 1}
@@ -181,7 +193,7 @@ def differential(
     pairs = ((x, y) for x in order for y in by_level.get(level(gradings[x] - 1), ()) if y is not x)
     for x, y in pairs:
         for dom in positive_domains(d, x, y, 1, 0):
-            shape = classify_rigid(d, dom)
+            shape = _classify_rigid(d, dom)
             if shape.tag in counted_tags:
                 columns[idx[x]] ^= 1 << idx[y]
                 audit.append((x, y, dom, shape.tag))

@@ -15,7 +15,10 @@ in integers, four times over: ``4 e(D_i) = 4 chi(D_i) - corners(D_i)``
 and ``4 n_p(D)`` is the sum of the quadrant coefficients at p.
 Integrality is checked, never rounded: a sum that 4 does not divide
 raises ``NonIntegralMeasure``.  The ``Fraction`` measures stay public
-as the reference.
+as the reference.  Every measure refuses, with ``ValueError`` and
+before reading a coefficient, a vector that does not have one
+coefficient per region, and ``point_measure`` a point that is not
+one of the diagram's.
 """
 
 from __future__ import annotations
@@ -36,32 +39,39 @@ class NonIntegralMeasure(Exception):
 CoeffsLike = Union[Domain, Sequence[int]]
 
 
-def _coeffs(D: CoeffsLike) -> Sequence[int]:
-    return D.coefficients if isinstance(D, Domain) else D
+def _coefficients(d: HeegaardDiagram, D: CoeffsLike) -> Sequence[int]:
+    """D's coefficients, refused with ValueError unless there is one
+    per region of d.  Callers refuse an invalid d first."""
+    coeffs = D.coefficients if isinstance(D, Domain) else D
+    if len(coeffs) != len(d.regions):
+        raise ValueError(f"{len(coeffs)} coefficients given for the {len(d.regions)} regions of the diagram")
+    return coeffs
 
 
 def euler_measure(d: HeegaardDiagram, D: CoeffsLike) -> Fraction:
     quadrants(d)  # refuses an invalid diagram, as every measure does
     return sum(
-        (Fraction(n) * r.euler_measure for n, r in zip(_coeffs(D), d.regions)),
+        (Fraction(n) * r.euler_measure for n, r in zip(_coefficients(d, D), d.regions)),
         Fraction(0),
     )
 
 
 def point_measure(d: HeegaardDiagram, D: CoeffsLike, p: str) -> Fraction:
     """Average of the four quadrant coefficients of D at point p."""
-    return quadrants(d).point_measure(_coeffs(D), p)
+    qs = quadrants(d)
+    coeffs = _coefficients(d, D)
+    if p not in qs.corners:
+        raise ValueError(f"{p!r} is not a point of the diagram")
+    return qs.point_measure(coeffs, p)
 
 
 def generator_measure(d: HeegaardDiagram, D: CoeffsLike, x: Generator) -> Fraction:
-    qs = quadrants(d)
-    coeffs = list(_coeffs(D))
-    return sum((qs.point_measure(coeffs, p) for p in x.points), Fraction(0))
+    return sum((point_measure(d, D, p) for p in x.points), Fraction(0))
 
 
 def basepoint_multiplicity(d: HeegaardDiagram, D: CoeffsLike) -> int:
     quadrants(d)  # refuses an invalid diagram before reading d.basepoint
-    return _coeffs(D)[d.basepoint]
+    return _coefficients(d, D)[d.basepoint]
 
 
 @derived
@@ -70,9 +80,10 @@ def _quarter_euler(d: HeegaardDiagram) -> tuple[int, ...]:
     return tuple(4 * r.euler_char - r.corner_count for r in d.regions)
 
 
-def _quarters(d: HeegaardDiagram, coeffs: Sequence[int], points: Sequence[str]) -> int:
+def _quarters(d: HeegaardDiagram, D: CoeffsLike, points: Sequence[str]) -> int:
     """``4 (e(D) + sum of n_p(D) over points)``, a point listed twice counting twice."""
     corners = quadrants(d).corners
+    coeffs = _coefficients(d, D)
     total = sum(n * w for n, w in zip(coeffs, _quarter_euler(d)))
     for p in points:
         q0, q1, q2, q3 = corners[p]
@@ -89,15 +100,14 @@ def _whole(quarters: int, what: str) -> int:
 def maslov_index(d: HeegaardDiagram, D: Domain) -> int:
     """e + n_from + n_to; raises NonIntegralMeasure on corrupt data."""
     points = D.from_gen.points + D.to_gen.points
-    return _whole(_quarters(d, D.coefficients, points), "maslov index")
+    return _whole(_quarters(d, D, points), "maslov index")
 
 
 def embedded_euler_char(d: HeegaardDiagram, D: Domain) -> int:
     """Euler characteristic of the embedded surface representative,
     g + e - n_from - n_to, that is g + 2e - ind."""
-    coeffs = D.coefficients
     points = D.from_gen.points + D.to_gen.points
-    quarters = 4 * d.genus + 2 * _quarters(d, coeffs, ()) - _quarters(d, coeffs, points)
+    quarters = 4 * d.genus + 2 * _quarters(d, D, ()) - _quarters(d, D, points)
     return _whole(quarters, "embedded euler characteristic")
 
 
@@ -107,9 +117,8 @@ def chern_pairing(d: HeegaardDiagram, x: Generator, P: CoeffsLike) -> int:
     The pairing only reads the n_z = 0 part of P, so [Sigma] pairs to
     zero and the value is e(P0) + 2 n_x(P0) with P0 = P - n_z [Sigma].
     """
-    coeffs = _coeffs(P)
-    nz = basepoint_multiplicity(d, coeffs)
-    p0 = [c - nz for c in coeffs]
+    nz = basepoint_multiplicity(d, P)
+    p0 = [c - nz for c in _coefficients(d, P)]
     return _whole(_quarters(d, p0, x.points + x.points), "chern pairing")
 
 
@@ -117,7 +126,7 @@ def periodic_index(d: HeegaardDiagram, x: Generator, P: CoeffsLike) -> int:
     """ind(P) = <c_1, P> + 2 n_z(P); agrees with the Maslov index of P
     viewed as a domain from x to itself."""
     value = chern_pairing(d, x, P) + 2 * basepoint_multiplicity(d, P)
-    index = maslov_index(d, Domain(tuple(_coeffs(P)), x, x))
+    index = maslov_index(d, Domain(tuple(_coefficients(d, P)), x, x))
     if value != index:
         raise InternalError(f"periodic index {value} differs from the Maslov index {index}")
     return value

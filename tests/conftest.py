@@ -1,6 +1,7 @@
-"""Shared fixtures: corpus access, a brute-force domain oracle, a
-hand-frozen genus-2 diagram whose differential counts rectangles, and
-the grid diagrams whose differentials count empty rectangles."""
+"""Shared fixtures: an empty CLI slot before each test, corpus access,
+a brute-force domain oracle, a hand-frozen genus-2 diagram whose
+differential counts rectangles, and the grid diagrams whose
+differentials count empty rectangles."""
 
 from __future__ import annotations
 
@@ -36,6 +37,16 @@ SMALL_NAMES = [
 ]
 
 ADMISSIBLE_NAMES = [n for n in SMALL_NAMES if n not in ("s1s2_bad", "s1s2_wind")]
+
+
+@pytest.fixture(autouse=True)
+def empty_cli_slot():
+    """Each test starts with nothing held by ``hfhat.cli._load``, so
+    that counts of parses, LPs and partitions made through ``run`` do
+    not depend on which test loaded the same file text before."""
+    import hfhat.cli
+
+    hfhat.cli._held = None
 
 
 @pytest.fixture(scope="session")

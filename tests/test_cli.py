@@ -18,7 +18,7 @@ from hfhat import (
 from hfhat.cli import run
 from hfhat.corpus import build
 
-from conftest import grid_diagram, rectangle_diagram
+from conftest import SMALL_NAMES, grid_diagram, rectangle_diagram
 
 
 @pytest.fixture
@@ -289,6 +289,102 @@ def test_later_runs_answer_like_the_first(write_corpus, capsys):
     capsys.readouterr()
     assert run(["admissible", path, "--strong", "--json"]) == 2
     assert capsys.readouterr().out == first
+
+
+SLOT_COMMANDS = [
+    ["admissible", "--json"],
+    ["admissible", "--strong", "--json"],
+    ["homology", "--json"],
+    ["admissible"],
+    ["admissible", "--strong"],
+    ["homology"],
+    ["spinc", "--json"],
+    ["generators", "--json"],
+    ["admissible", "--class", "0", "--json"],
+]
+
+
+def _answers(path, commands, capsys, empty_between):
+    import hfhat.cli
+
+    answers = []
+    for command in commands:
+        if empty_between:
+            hfhat.cli._held = None
+        code = run([command[0], str(path), *command[1:]])
+        captured = capsys.readouterr()
+        answers.append((code, captured.out, captured.err))
+    return answers
+
+
+@pytest.mark.parametrize("name", SMALL_NAMES + ["lens(9,5)"])
+def test_held_diagram_answers_like_a_fresh_parse(name, write_corpus, capsys):
+    """Commands run one after another on one file share the diagram
+    ``_load`` holds, and print the same bytes on stdout and stderr, with
+    the same exit codes, as the same commands each run on a fresh parse."""
+    path = write_corpus(name)
+    held = _answers(path, SLOT_COMMANDS, capsys, empty_between=False)
+    fresh = _answers(path, SLOT_COMMANDS, capsys, empty_between=True)
+    assert held == fresh
+    assert all(out or err for _, out, err in held)
+
+
+def test_one_parse_and_validation_for_repeated_commands(write_corpus, capsys, monkeypatch):
+    """The benchmark's three commands on one file parse and validate it
+    once."""
+    import hfhat.cli
+
+    path = write_corpus("gsph(2)")
+    calls = []
+    for name in ("parse_hfd", "validate"):
+        real = getattr(hfhat.cli, name)
+
+        def counted(arg, name=name, real=real):
+            calls.append(name)
+            return real(arg)
+
+        monkeypatch.setattr(hfhat.cli, name, counted)
+    _answers(path, SLOT_COMMANDS[:3], capsys, empty_between=False)
+    assert calls == ["parse_hfd", "validate"]
+
+
+def test_rewritten_file_is_parsed_again(write_corpus, capsys):
+    """The slot is keyed by the file's text, not its path: a different
+    diagram written to the same path is answered at once."""
+    path = write_corpus("lens(3,1)")
+    other = write_corpus("lens(5,2)").read_text(encoding="utf-8")
+    commands = [["homology", "--json"], ["spinc", "--json"]]
+    (first, _) = _answers(path, commands, capsys, empty_between=False)
+    path.write_text(other, encoding="utf-8")
+    second = _answers(path, commands, capsys, empty_between=False)
+    assert second[0] != first
+    assert second == _answers(path, commands, capsys, empty_between=True)
+
+
+def test_invalid_file_is_never_held(write_corpus, capsys):
+    """A file that fails validation exits 1 with its violations whether
+    a valid diagram was held before it or not, is not held itself, and
+    does not disturb the answer on the valid file that follows it."""
+    import hfhat.cli
+
+    valid = write_corpus("s1s2_g1")
+    doc = json.loads(valid.read_text())
+    doc["regions"][0]["genus"] = 1
+    invalid = valid.with_name("invalid.hfd")
+    invalid.write_text(json.dumps(doc))
+    order = [invalid, valid, invalid, valid, valid]
+    answers = []
+    for path in order:
+        assert run(["homology", str(path), "--json"]) == (1 if path == invalid else 0)
+        captured = capsys.readouterr()
+        answers.append((captured.out, captured.err))
+        if path == invalid:
+            assert hfhat.cli._held is None
+        else:
+            assert hfhat.cli._held[0] == valid.read_text()
+    assert answers[0] == answers[2] == ("", answers[0][1])
+    assert answers[0][1].startswith("invalid diagram: ") and "euler_characteristic" in answers[0][1]
+    assert answers[1] == answers[3] == answers[4]
 
 
 def test_admissible_strong_solves_one_certificate_lp_per_pairing(write_corpus, capsys, monkeypatch):

@@ -288,6 +288,29 @@ def test_support_census_matches_all_points_census(monkeypatch):
     assert tags == {BIGON, RECTANGLE, OTHER} and pinched and listed
 
 
+def test_differential_does_not_recompute_the_index_it_enumerated(monkeypatch):
+    """differential classifies the domains positive_domains kept at
+    index 1 without computing their index again; exported
+    classify_rigid computes it, and refuses a domain whose index is
+    not 1."""
+    import hfhat.floer
+
+    d = rectangle_diagram()
+    x, y = enumerate_generators(d)
+    dom = positive_domains(d, x, y, 1, 0)[0]
+    indices = []
+    real = hfhat.floer.maslov_index
+    monkeypatch.setattr(hfhat.floer, "maslov_index", lambda d, D: indices.append(D) or real(d, D))
+    (c,) = spinc_partition(d)
+    assert [tag for *_, tag in differential(d, c).audit] == [RECTANGLE, RECTANGLE]
+    assert indices == []
+    assert classify_rigid(d, dom).tag == RECTANGLE
+    assert indices == [dom]
+    shifted = Domain(tuple(n + 1 if i != d.basepoint else n for i, n in enumerate(dom.coefficients)), x, y)
+    with pytest.raises(InternalError, match="index-1"):
+        classify_rigid(d, shifted)
+
+
 def test_classify_rigid_checks_embedded_euler_char(monkeypatch):
     """The paper's chi(S) = g + e - n_x - n_y must be g on a bigon and
     g - 1 on a rectangle; an embedded_euler_char off by one is a fault."""

@@ -6,9 +6,11 @@ import pytest
 
 from hfhat import (
     Domain,
+    Generator,
     NonIntegralMeasure,
     basepoint_multiplicity,
     chern_pairing,
+    classify_rigid,
     connecting_domain,
     embedded_euler_char,
     enumerate_generators,
@@ -147,6 +149,41 @@ def test_basepoint_multiplicity_reads_coefficient():
     coeffs = [0] * len(d.regions)
     coeffs[d.basepoint] = 5
     assert basepoint_multiplicity(d, Domain(tuple(coeffs), x, x)) == 5
+
+
+@pytest.mark.parametrize("length", [1, 2, 4])
+def test_measures_refuse_a_vector_of_the_wrong_length(length):
+    """On s1s2_g1 (3 regions) a vector that is short or long is refused
+    with ValueError by every measure, before any coefficient is read:
+    zip would otherwise truncate euler_measure to a wrong value."""
+    d = build("s1s2_g1")
+    x, y = enumerate_generators(d)
+    coeffs = (1,) * length
+    dom = Domain(coeffs, x, y)
+    calls = [
+        lambda: euler_measure(d, coeffs),
+        lambda: point_measure(d, coeffs, x.points[0]),
+        lambda: generator_measure(d, coeffs, x),
+        lambda: basepoint_multiplicity(d, coeffs),
+        lambda: maslov_index(d, dom),
+        lambda: embedded_euler_char(d, dom),
+        lambda: chern_pairing(d, x, coeffs),
+        lambda: periodic_index(d, x, coeffs),
+        lambda: classify_rigid(d, dom),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"{length} coefficients given for the 3 regions"):
+            call()
+
+
+def test_point_measure_refuses_an_unknown_point():
+    d = build("s1s2_g1")
+    x = enumerate_generators(d)[0]
+    coeffs = (0,) * len(d.regions)
+    with pytest.raises(ValueError, match="'nope' is not a point of the diagram"):
+        point_measure(d, coeffs, "nope")
+    with pytest.raises(ValueError, match="'nope' is not a point"):
+        generator_measure(d, coeffs, Generator(("nope",)))
 
 
 def measure_index(d, dom):

@@ -1,5 +1,6 @@
-"""Derived data is owned by the diagram object and freed with it, and
-the arc layout is owned by one module."""
+"""Derived data is owned by the diagram object and freed with it, the
+CLI holds at most one diagram, and the arc layout is owned by one
+module."""
 
 import ast
 import gc
@@ -17,6 +18,7 @@ from hfhat import (
     homology,
     periodic_lattice,
     positive_domains,
+    serialize_hfd,
     spinc_partition,
     strong_admissible,
     validate,
@@ -102,3 +104,31 @@ def test_arc_layout_is_read_only_in_diagram():
     assert all(readers[attr] <= allowed[attr] for attr in allowed), readers
     assert not hasattr(HeegaardDiagram, "curve")
     assert not hasattr(HeegaardDiagram, "arc_endpoints")
+
+
+def test_cli_holds_at_most_one_diagram(tmp_path, capsys, monkeypatch):
+    """``hf``'s loader holds the last valid diagram only until a
+    different text is loaded: the held diagram is freed before the next
+    text is parsed."""
+    import hfhat.cli
+
+    first, second = tmp_path / "first.hfd", tmp_path / "second.hfd"
+    first.write_text(serialize_hfd(build("gsph(2)")), encoding="utf-8")
+    second.write_text(serialize_hfd(build("lens(5,2)")), encoding="utf-8")
+    assert hfhat.cli.run(["homology", str(first)]) == 0
+    ref = weakref.ref(hfhat.cli._held[1])
+    assert hfhat.cli.run(["admissible", str(first), "--strong"]) == 0
+    assert ref() is hfhat.cli._held[1]
+    alive_at_parse = []
+    real = hfhat.cli.parse_hfd
+
+    def parse(text):
+        gc.collect()
+        alive_at_parse.append(ref() is not None)
+        return real(text)
+
+    monkeypatch.setattr(hfhat.cli, "parse_hfd", parse)
+    assert hfhat.cli.run(["homology", str(second)]) == 0
+    capsys.readouterr()
+    assert alive_at_parse == [False]
+    assert hfhat.cli._held[0] == second.read_text(encoding="utf-8")
