@@ -37,17 +37,10 @@ from .measures import (
     chern_pairing,
     embedded_euler_char,
     euler_measure,
-    generator_measure,
     maslov_index,
     periodic_index,
-    point_measure,
 )
-from .spinc import (
-    SpincClass,
-    grading_divisor,
-    relative_gradings,
-    spinc_partition,
-)
+from .spinc import SpincClass, spinc_partition
 from .admissibility import (
     AdmissibilityReport,
     NotAdmissible,
@@ -93,13 +86,9 @@ __all__ = [
     "chern_pairing",
     "embedded_euler_char",
     "euler_measure",
-    "generator_measure",
     "maslov_index",
     "periodic_index",
-    "point_measure",
     "SpincClass",
-    "grading_divisor",
-    "relative_gradings",
     "spinc_partition",
     "AdmissibilityReport",
     "NotAdmissible",

@@ -18,7 +18,8 @@ returned.
 Both criteria see a Spin^c class only through its Chern pairings on the
 periodic basis, so every verdict and certificate is built once per
 diagram object and pairing vector, and classes with equal pairings
-share it.
+share it.  A torsion class (every pairing 0) restricts nothing, so it
+shares the class-free weak verdict and certificate.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ def weak_admissible(
 def _weak_report(
     d: HeegaardDiagram, pairings: Optional[tuple[int, ...]]
 ) -> AdmissibilityReport:
+    if pairings is not None and not any(pairings):
+        return _weak_report(d, None)  # a torsion class: the class-free report
     if pairings is None:
         witness = _weak_witness(d)
     else:
@@ -153,6 +156,8 @@ def _certificate(
     d: HeegaardDiagram, mode: str, pairings: Optional[tuple[int, ...]]
 ) -> tuple[Fraction, ...]:
     if mode == "weak":
+        if pairings is not None and not any(pairings):
+            return _certificate(d, mode, None)  # a torsion class: the class-free one
         report = _weak_report(d, pairings)
     else:
         report = _strong_report(d, pairings)

@@ -108,10 +108,10 @@ def derived(build: Callable[..., T]) -> Callable[..., T]:
     data takes none.  The result is stored on ``d`` and freed with it;
     a call that raises stores nothing.  This is how the validation
     report, the arc walk (corner slots and arc sides), quadrant map,
-    factored boundary system, periodic lattice and weak witness are
-    kept, and, keyed, the reduction and the domain phi_g per generator,
-    the positive lattice points per starting domain and the
-    admissibility verdicts and certificates per Chern pairing vector.
+    factored boundary system, periodic lattice, weak witness and Spin^c
+    partition are kept, and, keyed, the reduction and the domain phi_g
+    per generator, the positive lattice points per starting domain and
+    the admissibility verdicts and certificates per Chern pairing vector.
     """
 
     @wraps(build)
@@ -550,10 +550,6 @@ class QuadrantStructure:
     def quadrant_regions(self, p: str) -> tuple[int, int, int, int]:
         """Region index occupying each of the 4 slots at point p."""
         return self.corners[p]
-
-    def point_measure(self, coefficients: Iterable[int], p: str) -> Fraction:
-        coeffs = list(coefficients)
-        return Fraction(sum(coeffs[r] for r in self.corners[p]), 4)
 
 
 @derived

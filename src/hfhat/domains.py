@@ -57,7 +57,7 @@ from typing import Optional, Sequence
 from .diagram import HeegaardDiagram, _arc_walk, derived, validate
 from .exactla import GE, InternalError, canonical_basis, column_echelon, combine, hermite_reduce
 from .exactla import _scaled, lp_optimize
-from .generators import Generator
+from .generators import Generator, _check_generator
 
 
 class UnboundedEnumeration(Exception):
@@ -199,8 +199,11 @@ def _assert_mirror(d: HeegaardDiagram, dom: Domain) -> None:
 @derived
 def _reduction(d: HeegaardDiagram, g: Generator) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``(remainder, quotient)`` for g's chain ``chi_g = h q + remainder``.
-    The remainder names g's Spin^c class; the quotient gives ``_phi``."""
+    The remainder names g's Spin^c class; the quotient gives ``_phi``.
+    Every connecting and positive domain reads it, so a generator not of
+    d is refused here, with ValueError, once per diagram object."""
     _, _, h, _, pivots = _factored(d)
+    _check_generator(d, g)
     quotient, remainder = hermite_reduce(h, pivots, _chain(d, g))
     return tuple(remainder), tuple(quotient)
 

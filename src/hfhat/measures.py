@@ -1,4 +1,4 @@
-"""Euler measure, point measures, Maslov index, and Chern pairings.
+"""Euler measure, Maslov index, embedded chi, and Chern pairings.
 
 All quantities are exact rationals with denominator dividing 4; the
 combinatorial formulas are
@@ -14,11 +14,11 @@ The integer-valued ones (index, embedded chi, Chern pairing) are summed
 in integers, four times over: ``4 e(D_i) = 4 chi(D_i) - corners(D_i)``
 and ``4 n_p(D)`` is the sum of the quadrant coefficients at p.
 Integrality is checked, never rounded: a sum that 4 does not divide
-raises ``NonIntegralMeasure``.  The ``Fraction`` measures stay public
+raises ``NonIntegralMeasure``.  Of the ``Fraction`` measures only
+``euler_measure`` stays public; the point measures live in the tests
 as the reference.  Every measure refuses, with ``ValueError`` and
 before reading a coefficient, a vector that does not have one
-coefficient per region, and ``point_measure`` a point that is not
-one of the diagram's.
+coefficient per region.
 """
 
 from __future__ import annotations
@@ -54,19 +54,6 @@ def euler_measure(d: HeegaardDiagram, D: CoeffsLike) -> Fraction:
         (Fraction(n) * r.euler_measure for n, r in zip(_coefficients(d, D), d.regions)),
         Fraction(0),
     )
-
-
-def point_measure(d: HeegaardDiagram, D: CoeffsLike, p: str) -> Fraction:
-    """Average of the four quadrant coefficients of D at point p."""
-    qs = quadrants(d)
-    coeffs = _coefficients(d, D)
-    if p not in qs.corners:
-        raise ValueError(f"{p!r} is not a point of the diagram")
-    return qs.point_measure(coeffs, p)
-
-
-def generator_measure(d: HeegaardDiagram, D: CoeffsLike, x: Generator) -> Fraction:
-    return sum((point_measure(d, D, p) for p in x.points), Fraction(0))
 
 
 def basepoint_multiplicity(d: HeegaardDiagram, D: CoeffsLike) -> int:

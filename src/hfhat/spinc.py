@@ -10,10 +10,11 @@ every connecting domain is read from.  Gradings inside a class are
 relative: gr(x) - gr(y) is the Maslov index of any n_z = 0 domain from
 x to y, read mod the divisor gcd |<c_1, P>| over the periodic basis
 when that is nonzero.  A class of one generator has grading 0 by
-normalization, so it needs no connecting domain and no index.  A
-class's Chern pairings on the periodic basis are computed once per
-diagram object and class; the divisor and the admissibility questions
-both read them.
+normalization, so it needs no connecting domain and no index.  The
+partition is built once per diagram object and kept as a tuple, so no
+caller can change what the next one reads.  A class's Chern pairings
+on the periodic basis are computed once per diagram object and class;
+the divisor and the admissibility questions both read them.
 """
 
 from __future__ import annotations
@@ -35,11 +36,13 @@ class SpincClass:
     gradings: tuple[tuple[Generator, int], ...]
 
 
-def spinc_partition(d: HeegaardDiagram) -> list[SpincClass]:
+@derived
+def spinc_partition(d: HeegaardDiagram) -> tuple[SpincClass, ...]:
     """Partition the generators by Spin^c structure.
 
     Classes are sorted by their canonical representative; each comes
-    with its grading divisor and normalized relative gradings.
+    with its grading divisor and normalized relative gradings.  Built
+    once per diagram object.
     """
     groups: dict[tuple[int, ...], list[Generator]] = {}
     for g in enumerate_generators(d):
@@ -47,20 +50,15 @@ def spinc_partition(d: HeegaardDiagram) -> list[SpincClass]:
     classes = []
     for group in sorted(groups.values(), key=lambda grp: grp[0]):
         members = tuple(sorted(group))
-        divisor = _divisor(d, members[0])
-        gradings = _gradings(d, members, divisor)
-        classes.append(SpincClass(members, divisor, gradings))
-    return classes
+        divisor = gcd(*_pairing_vector(d, members[0]))
+        classes.append(SpincClass(members, divisor, _gradings(d, members, divisor)))
+    return tuple(classes)
 
 
 @derived
 def _pairing_vector(d: HeegaardDiagram, x: Generator) -> tuple[int, ...]:
     """``<c_1(s), P>`` for each periodic basis vector P, s the class of x."""
     return tuple(chern_pairing(d, x, vec) for vec in periodic_lattice(d).basis)
-
-
-def _divisor(d: HeegaardDiagram, x: Generator) -> int:
-    return gcd(*_pairing_vector(d, x))
 
 
 def _gradings(
@@ -83,13 +81,3 @@ def _gradings(
             value %= divisor
         out.append((x, value))
     return tuple(out)
-
-
-def grading_divisor(d: HeegaardDiagram, c: SpincClass) -> int:
-    """gcd of |<c_1(s), P>| over the periodic basis; 0 means Z-graded."""
-    return _divisor(d, c.members[0])
-
-
-def relative_gradings(d: HeegaardDiagram, c: SpincClass) -> dict[Generator, int]:
-    """Normalized relative gradings (minimum 0; reduced mod the divisor)."""
-    return dict(_gradings(d, c.members, c.divisor))

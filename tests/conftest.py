@@ -1,11 +1,12 @@
 """Shared fixtures: an empty CLI slot before each test, corpus access,
-a brute-force domain oracle, a hand-frozen genus-2 diagram whose
-differential counts rectangles, and the grid diagrams whose
-differentials count empty rectangles."""
+a brute-force domain oracle, the rational point measures, a
+hand-frozen genus-2 diagram whose differential counts rectangles, and
+the grid diagrams whose differentials count empty rectangles."""
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hfhat import (
     Region,
     boundary_system,
     maslov_index,
+    quadrants,
     validate,
 )
 from hfhat.corpus import build
@@ -143,6 +145,19 @@ def connecting_rhs(d, x, y):
     for p in x.points:
         b[index[p]] -= 1
     return b
+
+
+def point_measure(d, D, p):
+    """n_p(D), the average of D's four quadrant coefficients at p, as a
+    Fraction: the reference for the integer quarter sums of the
+    measures, read off the quadrant map alone."""
+    coeffs = D.coefficients if isinstance(D, Domain) else D
+    return Fraction(sum(coeffs[r] for r in quadrants(d).corners[p]), 4)
+
+
+def generator_measure(d, D, x):
+    """n_x(D), the sum of the point measures over x's points."""
+    return sum((point_measure(d, D, p) for p in x.points), Fraction(0))
 
 
 def curve(d, family, index):

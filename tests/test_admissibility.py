@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -15,6 +16,7 @@ from hfhat import (
     NotAdmissible,
     area_certificate,
     chern_pairing,
+    connected_sum,
     periodic_lattice,
     spinc_partition,
     strong_admissible,
@@ -22,7 +24,7 @@ from hfhat import (
 )
 from hfhat.corpus import build
 
-from conftest import ADMISSIBLE_NAMES
+from conftest import ADMISSIBLE_NAMES, SMALL_NAMES
 
 
 def check_weak_certificate(d, areas, basis):
@@ -163,13 +165,27 @@ def test_shared_object_answers_like_fresh_objects(name):
     assert area_certificate(d, "weak") == area_certificate(build(name), "weak")
 
 
-def test_s1s2_wind_keeps_class_free_and_class_answers_apart():
+def test_s1s2_wind_keeps_class_free_and_class_answers_apart(monkeypatch):
     """The class-free weak question (key None) and the class questions
-    (key: the pairings (2, 2)) are stored side by side."""
+    (key: the pairings (2, 2)) are stored side by side: the class has
+    divisor 2, so its weak question is asked of its own zero-pairing
+    sublattice."""
+    import hfhat.admissibility as adm
+
+    sublattices = []
+    real = adm.vanishing_sublattice
+
+    def counted(basis, pairings):
+        sublattices.append(tuple(pairings))
+        return real(basis, pairings)
+
+    monkeypatch.setattr(adm, "vanishing_sublattice", counted)
     d = build("s1s2_wind")
     (c,) = spinc_partition(d)
+    assert c.divisor == 2
     free = weak_admissible(d)
     restricted = weak_admissible(d, c)
+    assert sublattices == [(2, 2)]
     strong = strong_admissible(d, c)
     assert not free.verdict and restricted.verdict and not strong.verdict
     assert free.witness != strong.witness
@@ -184,6 +200,36 @@ def test_s1s2_wind_keeps_class_free_and_class_answers_apart():
     with pytest.raises(NotAdmissible) as exc:
         area_certificate(d, "strong", c)
     assert exc.value.witness == strong.witness
+
+
+def test_torsion_classes_share_the_class_free_weak_answer(monkeypatch):
+    """A torsion class (divisor 0: every Chern pairing is 0) gets the
+    class-free weak verdict and certificate, the same objects, with no
+    zero-pairing sublattice and no second recession LP.  Checked on the
+    36 torsion classes of the corpus and of six seeded sums."""
+    import hfhat.admissibility as adm
+
+    def refuse(*args):
+        raise AssertionError("a torsion class needs no class-restricted weak question")
+
+    monkeypatch.setattr(adm, "vanishing_sublattice", refuse)
+    monkeypatch.setattr(adm, "recession_direction", refuse)
+    rng = random.Random("torsion sums")
+    diagrams = [build(name) for name in SMALL_NAMES + ["lens(9,5)", "gsph(3)"]]
+    for _ in range(6):
+        diagrams.append(connected_sum(*map(build, rng.sample(SMALL_NAMES, 2))))
+    checked = 0
+    for d in diagrams:
+        for c in spinc_partition(d):
+            if c.divisor:
+                continue
+            report = weak_admissible(d, c)
+            assert report is weak_admissible(d)
+            if report.verdict:
+                assert area_certificate(d, "weak", c) is area_certificate(d, "weak")
+            strong_admissible(d, c)  # its weak part reads the class-free report too
+            checked += 1
+    assert checked == 36
 
 
 def test_stored_checks_survive_optimize():

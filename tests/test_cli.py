@@ -432,6 +432,27 @@ def test_class_free_weak_verdict_skips_the_partition(write_corpus, capsys, monke
     assert len(calls) == 2
 
 
+def test_partition_is_built_once_per_held_diagram(write_corpus, capsys, monkeypatch):
+    """``admissible --strong`` and then ``homology`` on one file read one
+    stored Spin^c partition: the generators are enumerated for it once."""
+    import hfhat.spinc
+
+    f = write_corpus("gsph(2)")
+    calls = []
+    real = hfhat.spinc.enumerate_generators
+
+    def counted(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(hfhat.spinc, "enumerate_generators", counted)
+    assert run(["admissible", str(f), "--strong", "--json"]) == 0
+    assert run(["homology", str(f), "--json"]) == 0
+    assert run(["spinc", str(f), "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_admissible_class_out_of_range(write_corpus, capsys):
     f = write_corpus("s1s2_g1")
     assert run(["admissible", str(f), "--class", "9"]) == 4

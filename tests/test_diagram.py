@@ -43,6 +43,7 @@ from conftest import (
     arc_endpoints,
     curve,
     grid_diagram,
+    point_measure,
     rectangle_diagram,
     reference_one_piece,
 )
@@ -185,7 +186,7 @@ def test_quadrant_closure(name, corpus_small):
     for p in d.points:
         regions = qs.quadrant_regions(p)
         assert len(regions) == 4
-        assert qs.point_measure(ones, p) == 1
+        assert point_measure(d, ones, p) == 1
 
 
 @pytest.mark.parametrize("name", SMALL_NAMES)

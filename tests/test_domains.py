@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from math import gcd
@@ -12,6 +13,7 @@ import pytest
 import hfhat.domains
 from hfhat import (
     Domain,
+    Generator,
     PeriodicLattice,
     UnboundedEnumeration,
     boundary_system,
@@ -598,3 +600,49 @@ def test_positive_domains_sorted():
     doms = positive_domains(d, y, x, 1, 0)
     assert [dom.coefficients for dom in doms] == sorted(dom.coefficients for dom in doms)
     assert len(doms) == 2
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        ("p00", "p11", "nope"),
+        ("p00", "p01", "p12"),
+        ("p00", "p10", "p21"),
+        ("p00", "p00", "p11"),
+        ("p00", "p11"),
+        ("p00", "p11", "p22", "p01"),
+    ],
+    ids=["foreign point", "alpha_0 twice", "beta_0 twice", "point twice", "short", "long"],
+)
+def test_foreign_generator_is_refused(points):
+    """connecting_domain and positive_domains refuse, with ValueError
+    naming it, a tuple that is not a generator of the diagram: genus
+    points of the diagram, one on each alpha and one on each beta curve."""
+    d = grid_diagram(3)
+    x = enumerate_generators(d)[0]
+    bad = Generator(points)
+    calls = [
+        lambda: connecting_domain(d, x, bad),
+        lambda: connecting_domain(d, bad, x),
+        lambda: positive_domains(d, bad, x, 1, 0),
+        lambda: positive_domains(d, x, bad, 1, 0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"{bad} is not a generator of the diagram")):
+            call()
+
+
+def test_generator_guard_runs_once_per_generator(monkeypatch):
+    """The guard sits in the stored per-generator reduction, so homology
+    checks each generator once per diagram object."""
+    checked = []
+    real = hfhat.domains._check_generator
+
+    def counted(d, g):
+        checked.append(g)
+        return real(d, g)
+
+    monkeypatch.setattr(hfhat.domains, "_check_generator", counted)
+    d = build("gsph(3)")
+    homology(d)
+    assert sorted(checked) == enumerate_generators(d)

@@ -6,7 +6,6 @@ import pytest
 
 from hfhat import (
     Domain,
-    Generator,
     NonIntegralMeasure,
     basepoint_multiplicity,
     chern_pairing,
@@ -15,17 +14,22 @@ from hfhat import (
     embedded_euler_char,
     enumerate_generators,
     euler_measure,
-    generator_measure,
     maslov_index,
     periodic_index,
     periodic_lattice,
-    point_measure,
     positive_domains,
 )
 from hfhat.corpus import build
 from hfhat.domains import _positive_solutions
 
-from conftest import ADMISSIBLE_NAMES, SMALL_NAMES, gen, rectangle_diagram
+from conftest import (
+    ADMISSIBLE_NAMES,
+    SMALL_NAMES,
+    gen,
+    generator_measure,
+    point_measure,
+    rectangle_diagram,
+)
 
 RNG = random.Random(11)
 
@@ -162,8 +166,6 @@ def test_measures_refuse_a_vector_of_the_wrong_length(length):
     dom = Domain(coeffs, x, y)
     calls = [
         lambda: euler_measure(d, coeffs),
-        lambda: point_measure(d, coeffs, x.points[0]),
-        lambda: generator_measure(d, coeffs, x),
         lambda: basepoint_multiplicity(d, coeffs),
         lambda: maslov_index(d, dom),
         lambda: embedded_euler_char(d, dom),
@@ -174,16 +176,6 @@ def test_measures_refuse_a_vector_of_the_wrong_length(length):
     for call in calls:
         with pytest.raises(ValueError, match=f"{length} coefficients given for the 3 regions"):
             call()
-
-
-def test_point_measure_refuses_an_unknown_point():
-    d = build("s1s2_g1")
-    x = enumerate_generators(d)[0]
-    coeffs = (0,) * len(d.regions)
-    with pytest.raises(ValueError, match="'nope' is not a point of the diagram"):
-        point_measure(d, coeffs, "nope")
-    with pytest.raises(ValueError, match="'nope' is not a point"):
-        generator_measure(d, coeffs, Generator(("nope",)))
 
 
 def measure_index(d, dom):

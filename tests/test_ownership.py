@@ -30,10 +30,14 @@ def test_derived_data_is_computed_once_per_object():
     d = build("lens(5,2)")
     assert validate(d) is validate(d)
     assert periodic_lattice(d) is periodic_lattice(d)
+    assert spinc_partition(d) is spinc_partition(d)
+    assert isinstance(spinc_partition(d), tuple)
     twin = build("lens(5,2)")
     assert twin == d and twin is not d
     assert validate(twin) is not validate(d)
     assert periodic_lattice(twin) is not periodic_lattice(d)
+    assert spinc_partition(twin) == spinc_partition(d)
+    assert spinc_partition(twin) is not spinc_partition(d)
 
 
 def test_keyed_data_is_computed_once_per_object():

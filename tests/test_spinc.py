@@ -9,8 +9,6 @@ from hfhat import (
     boundary_system,
     connecting_domain,
     enumerate_generators,
-    grading_divisor,
-    relative_gradings,
     spinc_partition,
 )
 from hfhat.corpus import build
@@ -96,8 +94,6 @@ def test_gradings_normalized():
             assert min(values) == 0
             if c.divisor > 0:
                 assert all(0 <= v < c.divisor for v in values)
-            assert relative_gradings(d, c) == dict(c.gradings)
-            assert grading_divisor(d, c) == c.divisor
 
 
 def test_wind_gradings_mod_two():
