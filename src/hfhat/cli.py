@@ -37,7 +37,7 @@ from .diagram import (
 )
 from .domains import UnboundedEnumeration, positive_domains
 from .floer import NotCombinatorial, homology
-from .generators import Generator, enumerate_generators
+from .generators import Generator, _check_generator, enumerate_generators
 from .spinc import spinc_partition
 
 EXIT_OK = 0
@@ -164,12 +164,14 @@ def _cmd_spinc(args) -> int:
 
 def _cmd_domains(args) -> int:
     d = _load(args.file)
-    gens = set(enumerate_generators(d))
     x = _parse_gen(getattr(args, "from"))
     y = _parse_gen(args.to)
-    if x not in gens or y not in gens:
-        print(f"error: unknown generator {_fmt_gen(x if x not in gens else y)}", file=sys.stderr)
-        return EXIT_USAGE
+    for g in (x, y):
+        try:
+            _check_generator(d, g)
+        except ValueError:
+            print(f"error: unknown generator {_fmt_gen(g)}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         found = positive_domains(d, x, y, args.index, args.nz)
     except UnboundedEnumeration as exc:

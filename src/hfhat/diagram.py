@@ -11,19 +11,20 @@ region on the left.
 From this the module derives the quadrant structure at every point (the
 four local cells used by point measures), validates the long list of
 consistency invariants a genuine diagram must satisfy, and implements
-stabilization and connected sum at the basepoints.  The arc layout is
-decided here alone: the arc walk lists every arc once, alpha first,
-with its label and its two ends, and then walks the arc references
-once, looking each one up in that list; it gives each point's corners
-and each arc's sides.  Validation is local counting (arcs, corners,
-quadrants, Euler totals) plus gluing, all read off the walk: a
-union-find over the sides of given arcs says whether the regions glued
-along them form one piece, which decides that the surface is connected
-and that each curve family has connected complement, so spans rank g
-in H1.  No other module reads the curves or the references to find an
-arc: the boundary system is read off the walk's arcs and sides, and
-``floer.classify_rigid`` glues a domain's support with the same
-union-find.
+stabilization and connected sum at the basepoints.  The layout is
+decided here alone: the arc walk lists every point once, sorted, with
+its curves and its row, and every arc once, alpha first, with its label
+and its two ends, then walks the arc references once, looking each one
+up; it gives each point's corners and each arc's sides.  Validation is
+local counting (points, arcs, corners, quadrants, Euler totals) plus
+gluing, all read off the walk: a union-find over the sides of given
+arcs says whether the regions glued along them form one piece, which
+decides that the surface is connected and that each curve family has
+connected complement, so spans rank g in H1.  No other module reads
+the curves to find a point's curves or row, or the references to find
+an arc: generators read the points' curves, the boundary system the
+rows, arcs and sides, and ``floer.classify_rigid`` glues a domain's
+support with the same union-find.
 """
 
 from __future__ import annotations
@@ -76,10 +77,6 @@ class Region:
     @property
     def euler_char(self) -> int:
         return 2 - 2 * self.genus - len(self.cycles)
-
-    @property
-    def euler_measure(self) -> Fraction:
-        return Fraction(self.euler_char) - Fraction(self.corner_count, 4)
 
 
 @dataclass(frozen=True)
@@ -321,9 +318,12 @@ for _arrive, _arrival_half in ((1, "in"), (-1, "out")):
 
 @dataclass(frozen=True)
 class _ArcWalk:
-    """The arc table, and what one walk over every region's arc
-    references reads off it.
+    """The point and arc tables, and what one walk over every region's
+    arc references reads off them.
 
+    ``curves``: every point once, sorted, with the alpha and the beta
+    curves through it (one of each on a valid diagram), and ``rows``:
+    its row in that order, the point's entry in a 0-chain.
     ``arcs``: every arc once, alpha first, curve by curve, arc k of a
     curve running from its point k to its point k+1, as (label, tail,
     head); the first ``alpha_arcs`` are the alpha arcs.  ``sides``: for
@@ -333,6 +333,8 @@ class _ArcWalk:
     ``breaks``: the cycle-connectivity violations, in walk order.
     """
 
+    curves: dict[str, tuple[list[int], list[int]]]
+    rows: dict[str, int]
     arcs: list[tuple[str, str, str]]
     alpha_arcs: int
     sides: list[list[tuple[int, int]]]
@@ -342,18 +344,23 @@ class _ArcWalk:
 
 @derived
 def _arc_walk(d: HeegaardDiagram) -> _ArcWalk:
-    """List every arc once, then walk each boundary cycle once, looking
-    up each reference's endpoints in that list.  Consecutive references
-    must share the point where one arrives and the next departs; that
-    point is a corner of the region.  Needs every reference to name an
-    existing arc."""
+    """List every point and every arc once, then walk each boundary
+    cycle once, looking up each reference's endpoints in the arc list.
+    Consecutive references must share the point where one arrives and
+    the next departs; that point is a corner of the region.  Needs
+    every reference to name an existing arc."""
     arcs: list[tuple[str, str, str]] = []
     first_arc: dict[tuple[str, int], int] = {}
-    for family, curves in ((ALPHA, d.alpha), (BETA, d.beta)):
+    on: dict[str, tuple[list[int], list[int]]] = {}
+    for f, (family, curves) in enumerate(((ALPHA, d.alpha), (BETA, d.beta))):
         for i, curve in enumerate(curves):
             first_arc[family, i] = len(arcs)
             ends = zip(curve, curve[1:] + curve[:1])
             arcs.extend((f"{family}{i}[{k}]", tail, head) for k, (tail, head) in enumerate(ends))
+            for p in curve:
+                on.setdefault(p, ([], []))[f].append(i)
+    point_curves = dict(sorted(on.items()))
+    rows = {p: row for row, p in enumerate(point_curves)}
     sides: list[list[tuple[int, int]]] = [[] for _ in arcs]
     slots: dict[str, list[tuple[int, int]]] = {}
     breaks: list[tuple[str, str]] = []
@@ -383,7 +390,7 @@ def _arc_walk(d: HeegaardDiagram) -> _ArcWalk:
                     )
                 slot = _CORNER_SLOT[ref.curve, ref.dir, cyc[s].dir]
                 slots.setdefault(p, []).append((slot, ri))
-    return _ArcWalk(arcs, sum(map(len, d.alpha)), sides, slots, breaks)
+    return _ArcWalk(point_curves, rows, arcs, sum(map(len, d.alpha)), sides, slots, breaks)
 
 
 @derived
@@ -397,43 +404,29 @@ def validate(d: HeegaardDiagram) -> ValidationReport:
     (``surface_connectivity``); on a connected surface, Sigma minus
     alpha (the regions glued along beta arcs) and Sigma minus beta must
     each be one piece too (``curve_homology_rank``).  After the checks
-    on structure and point membership, the arc walk (``_arc_walk``)
-    gives the arcs, the corners, the sides of every arc and the
-    connectivity breaks; the arc coverage and the three gluings are
-    read from the arcs and their sides, and the Euler measure is summed
-    in quarters.
+    on structure, the arc walk (``_arc_walk``) gives the points with
+    the curves they lie on, the arcs, the corners, the sides of every
+    arc and the connectivity breaks; point membership is read from the
+    points' curves, the arc coverage and the three gluings from the
+    arcs and their sides, and the Euler measure is summed in quarters.
     """
     bad = _structural_violations(d)
     if bad:
         return ValidationReport(tuple(bad))
 
     # Point membership: each id on exactly one alpha and one beta curve.
-    for label, family in ((ALPHA, d.alpha), (BETA, d.beta)):
-        counts: dict[str, int] = {}
-        for curve in family:
-            for p in curve:
-                counts[p] = counts.get(p, 0) + 1
-        for p, c in sorted(counts.items()):
-            if c != 1:
-                bad.append(
-                    ("point_membership", f"point {p} occurs {c} times on {label} curves")
-                )
-    apts = {p for curve in d.alpha for p in curve}
-    bpts = {p for curve in d.beta for p in curve}
-    if apts != bpts:
-        bad.append(
-            (
-                "point_membership",
-                f"alpha/beta point sets differ: {sorted(apts ^ bpts)}",
-            )
-        )
+    walk = _arc_walk(d)  # every ref names an existing arc: see above
+    for f, label in enumerate((ALPHA, BETA)):
+        for p, on in walk.curves.items():
+            if len(on[f]) > 1:
+                bad.append(("point_membership", f"point {p} occurs {len(on[f])} times on {label} curves"))
+    lone = [p for p, (on_alpha, on_beta) in walk.curves.items() if not on_alpha or not on_beta]
+    if lone:
+        bad.append(("point_membership", f"alpha/beta point sets differ: {lone}"))
     if bad:
         return ValidationReport(tuple(bad))
-    points = sorted(apts)
 
     # Arc coverage: every arc referenced exactly twice, once per side.
-    # Every ref names an existing arc: _structural_violations said so.
-    walk = _arc_walk(d)
     for (label, _, _), arc_sides in zip(walk.arcs, walk.sides):
         dirs = [direction for _, direction in arc_sides]
         if len(dirs) != 2 or dirs[0] + dirs[1]:
@@ -451,7 +444,7 @@ def validate(d: HeegaardDiagram) -> ValidationReport:
         return ValidationReport(tuple(bad + walk.breaks))
 
     # Corner count and quadrant closure at every point.
-    for p in points:
+    for p in walk.curves:
         incidences = walk.slots.get(p, [])
         if len(incidences) != 4:
             bad.append(
@@ -470,7 +463,7 @@ def validate(d: HeegaardDiagram) -> ValidationReport:
 
     # Euler characteristic of the glued surface; the Euler measure
     # e(D_i) = chi(D_i) - corners(D_i) / 4 in quarters.
-    v = len(points)
+    v = len(walk.curves)
     e = 2 * v
     chi_sum = sum(r.euler_char for r in d.regions)
     if chi_sum + v - e != 2 - 2 * d.genus:

@@ -4,8 +4,9 @@ A domain is an integer vector of region coefficients.  Its alpha
 boundary, pushed to a 0-chain on the intersection points, must equal
 ``to - from``: ``l_alpha n = chi_y - chi_x``, where ``chi_g`` is the
 0-chain of g's points.  The boundary matrices are read off
-``diagram``'s arc walk: each arc's two ends, from its arc table (alpha
-arcs first), and the regions on its two sides.  Each region's boundary
+``diagram``'s arc walk: each point's row, from its point table (in
+canonical order), each arc's two ends, from its arc table (alpha arcs
+first), and the regions on its two sides.  Each region's boundary
 is a closed cycle, so its beta boundary is the negated alpha boundary
 (``l_beta = -l_alpha``), and the beta condition ``from - to`` holds
 exactly when the alpha one does.  That invariant is checked once per
@@ -21,7 +22,7 @@ to y is phi_y - phi_x.  Another echelon form changes ``h`` and ``u``
 by a unimodular change V of the pivot columns and q_g by V^-1, so
 phi_g does not change.
 Every matrix here is the list of its columns, so the factorization is
-one record per diagram object: the point index, the columns of
+one record per diagram object: the walk's point rows, the columns of
 ``l_alpha`` as sparse ``(row, value)`` pairs, one per region (a region
 touches a handful of points), and the columns of ``h`` and ``u``.
 phi_g adds only the columns of ``u`` at the nonzero quotient entries,
@@ -117,12 +118,11 @@ def boundary_system(d: HeegaardDiagram) -> BoundarySystem:
     report = validate(d)
     if not report.ok:
         raise ValueError(f"boundary_system() requires a valid diagram:\n{report}")
-    points = d.points
-    index = {p: i for i, p in enumerate(points)}
-    n_regions = len(d.regions)
-    la = [[0] * n_regions for _ in points]
-    lb = [[0] * n_regions for _ in points]
     walk = _arc_walk(d)
+    index = walk.rows
+    n_regions = len(d.regions)
+    la = [[0] * n_regions for _ in index]
+    lb = [[0] * n_regions for _ in index]
     for arc, ((_, tail, head), arc_sides) in enumerate(zip(walk.arcs, walk.sides)):
         target = la if arc < walk.alpha_arcs else lb
         tail_row, head_row = target[index[tail]], target[index[head]]
@@ -130,7 +130,7 @@ def boundary_system(d: HeegaardDiagram) -> BoundarySystem:
             head_row[ri] += direction
             tail_row[ri] -= direction
     return BoundarySystem(
-        points,
+        tuple(index),
         tuple(tuple(row) for row in la),
         tuple(tuple(row) for row in lb),
     )
@@ -138,10 +138,11 @@ def boundary_system(d: HeegaardDiagram) -> BoundarySystem:
 
 @derived
 def _factored(d: HeegaardDiagram) -> tuple:
-    """``(index, a_columns, h, u, pivots)``: each point's row in a chain,
-    the columns of ``a = l_alpha`` as ``(row, value)`` pairs of their
-    nonzero entries, and its column echelon form ``a u = h``, with ``h``
-    and ``u`` as lists of columns (``u`` is dense on lens spaces).
+    """``(index, a_columns, h, u, pivots)``: each point's row in a chain
+    (the arc walk's rows), the columns of ``a = l_alpha`` as ``(row,
+    value)`` pairs of their nonzero entries, and its column echelon form
+    ``a u = h``, with ``h`` and ``u`` as lists of columns (``u`` is
+    dense on lens spaces).
 
     Raises InternalError unless ``l_beta == -l_alpha``, the invariant
     that lets the alpha rows stand for the whole boundary system.  With
@@ -153,10 +154,9 @@ def _factored(d: HeegaardDiagram) -> tuple:
     for p, alpha_row, beta_row in zip(sys.points, sys.l_alpha, sys.l_beta):
         if any(a + b for a, b in zip(alpha_row, beta_row)):
             raise InternalError(f"the beta boundary at {p} is not the negated alpha boundary")
-    index = {p: i for i, p in enumerate(sys.points)}
     a = [[row[j] for row in sys.l_alpha] for j in range(len(d.regions))]
     a_columns = tuple(tuple((i, v) for i, v in enumerate(col) if v) for col in a)
-    return (index, a_columns, *column_echelon(a))
+    return (_arc_walk(d).rows, a_columns, *column_echelon(a))
 
 
 def _chain(d: HeegaardDiagram, g: Generator) -> list[int]:

@@ -4,15 +4,16 @@ A generator is an unordered g-tuple of intersection points with exactly
 one point on each alpha curve and one on each beta curve; since every
 point lies on exactly one curve of each family, generators correspond
 to systems of distinct representatives, enumerated here one alpha curve
-at a time, with no recursion, so that any genus fits the stack.  The
-same point-to-curve map checks a given tuple in O(g).
+at a time, with no recursion, so that any genus fits the stack.  Each
+point's curves are read off ``diagram``'s arc walk, which also checks
+a given tuple in O(g).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import HeegaardDiagram, derived, validate
+from .diagram import HeegaardDiagram, _arc_walk, validate
 
 
 @dataclass(frozen=True, order=True)
@@ -30,7 +31,7 @@ def enumerate_generators(d: HeegaardDiagram) -> list[Generator]:
     report = validate(d)
     if not report.ok:
         raise ValueError(f"enumerate_generators() requires a valid diagram:\n{report}")
-    beta_bit = {p: 1 << j for p, (_, j) in _point_curves(d).items()}
+    beta_bit = {p: 1 << j for p, (_, (j,)) in _arc_walk(d).curves.items()}
     # Extend partial generators (points, bit set of used beta curves) one
     # alpha curve at a time, curves with fewest points first to prune early.
     partial: list[tuple[tuple[str, ...], int]] = [((), 0)]
@@ -44,17 +45,10 @@ def enumerate_generators(d: HeegaardDiagram) -> list[Generator]:
     return sorted(Generator(tuple(sorted(points))) for points, _ in partial)
 
 
-@derived
-def _point_curves(d: HeegaardDiagram) -> dict[str, tuple[int, int]]:
-    """Each point's (alpha curve, beta curve) on a valid diagram."""
-    alpha = {p: i for i, curve in enumerate(d.alpha) for p in curve}
-    return {p: (alpha[p], j) for j, curve in enumerate(d.beta) for p in curve}
-
-
 def _check_generator(d: HeegaardDiagram, g: Generator) -> None:
     """Raise ValueError unless g is a generator of the valid diagram d:
     ``genus`` points of d, one on each alpha and one on each beta curve."""
-    curves = [_point_curves(d).get(p, (-1, -1)) for p in g.points]
+    curves = [_arc_walk(d).curves.get(p, ([-1], [-1])) for p in g.points]
     every = set(range(d.genus))
-    if len(curves) != d.genus or {a for a, _ in curves} != every or {b for _, b in curves} != every:
+    if len(curves) != d.genus or {a for (a,), _ in curves} != every or {b for _, (b,) in curves} != every:
         raise ValueError(f"{g} is not a generator of the diagram")

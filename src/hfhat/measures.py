@@ -10,15 +10,15 @@ combinatorial formulas are
 * ``<c_1, P> = e(P0) + 2 n_x(P0)`` with ``P0 = P - n_z(P) [Sigma]``
 * ``ind(P) = <c_1, P> + 2 n_z(P)`` for kernel elements.
 
-The integer-valued ones (index, embedded chi, Chern pairing) are summed
-in integers, four times over: ``4 e(D_i) = 4 chi(D_i) - corners(D_i)``
-and ``4 n_p(D)`` is the sum of the quadrant coefficients at p.
-Integrality is checked, never rounded: a sum that 4 does not divide
-raises ``NonIntegralMeasure``.  Of the ``Fraction`` measures only
-``euler_measure`` stays public; the point measures live in the tests
-as the reference.  Every measure refuses, with ``ValueError`` and
-before reading a coefficient, a vector that does not have one
-coefficient per region.
+Every measure is summed in integers, four times over: ``4 e(D_i) =
+4 chi(D_i) - corners(D_i)`` and ``4 n_p(D)`` is the sum of the
+quadrant coefficients at p.  ``euler_measure`` divides that sum by 4
+as a ``Fraction``; for the integer-valued ones (index, embedded chi,
+Chern pairing) integrality is checked, never rounded: a sum that 4
+does not divide raises ``NonIntegralMeasure``.  The ``Fraction`` point
+measures live in the tests as the reference.  Every measure refuses,
+with ``ValueError`` and before reading a coefficient, a vector that
+does not have one coefficient per region.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .diagram import HeegaardDiagram, derived, quadrants
-from .domains import Domain
+from .domains import Domain, _reduction
 from .exactla import InternalError
 from .generators import Generator
 
@@ -49,11 +49,7 @@ def _coefficients(d: HeegaardDiagram, D: CoeffsLike) -> Sequence[int]:
 
 
 def euler_measure(d: HeegaardDiagram, D: CoeffsLike) -> Fraction:
-    quadrants(d)  # refuses an invalid diagram, as every measure does
-    return sum(
-        (Fraction(n) * r.euler_measure for n, r in zip(_coefficients(d, D), d.regions)),
-        Fraction(0),
-    )
+    return Fraction(_quarters(d, D, ()), 4)
 
 
 def basepoint_multiplicity(d: HeegaardDiagram, D: CoeffsLike) -> int:
@@ -103,9 +99,12 @@ def chern_pairing(d: HeegaardDiagram, x: Generator, P: CoeffsLike) -> int:
 
     The pairing only reads the n_z = 0 part of P, so [Sigma] pairs to
     zero and the value is e(P0) + 2 n_x(P0) with P0 = P - n_z [Sigma].
+    Refuses, with ValueError, an x that is not a generator of d; the
+    check is stored per generator, with its reduction.
     """
     nz = basepoint_multiplicity(d, P)
     p0 = [c - nz for c in _coefficients(d, P)]
+    _reduction(d, x)  # refuses x unless it is a generator of d
     return _whole(_quarters(d, p0, x.points + x.points), "chern pairing")
 
 

@@ -13,8 +13,9 @@ when that is nonzero.  A class of one generator has grading 0 by
 normalization, so it needs no connecting domain and no index.  The
 partition is built once per diagram object and kept as a tuple, so no
 caller can change what the next one reads.  A class's Chern pairings
-on the periodic basis are computed once per diagram object and class;
-the divisor and the admissibility questions both read them.
+on the periodic basis are computed once per diagram object and class,
+after the stored check that its first member is a generator of the
+diagram; the divisor and the admissibility questions both read them.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ def spinc_partition(d: HeegaardDiagram) -> tuple[SpincClass, ...]:
 
 @derived
 def _pairing_vector(d: HeegaardDiagram, x: Generator) -> tuple[int, ...]:
-    """``<c_1(s), P>`` for each periodic basis vector P, s the class of x."""
+    """``<c_1(s), P>`` for each periodic basis vector P, s the class of x.
+    Refuses an x not of d with ValueError, also with no basis vector."""
+    _reduction(d, x)
     return tuple(chern_pairing(d, x, vec) for vec in periodic_lattice(d).basis)
 
 

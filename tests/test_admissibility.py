@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,8 +13,10 @@ from pathlib import Path
 import pytest
 
 from hfhat import (
+    Generator,
     InternalError,
     NotAdmissible,
+    SpincClass,
     area_certificate,
     chern_pairing,
     connected_sum,
@@ -230,6 +233,26 @@ def test_torsion_classes_share_the_class_free_weak_answer(monkeypatch):
             strong_admissible(d, c)  # its weak part reads the class-free report too
             checked += 1
     assert checked == 36
+
+
+@pytest.mark.parametrize("name", ["s1s2_wind", "lens(5,2)"])
+def test_forged_class_is_refused(name):
+    """A class whose representative is not a generator of the diagram
+    is refused with ValueError by every admissibility question.  On a
+    lens space the periodic basis is empty, so no Chern pairing is ever
+    computed; the class used to get a true verdict and both area
+    certificates there."""
+    d = build(name)
+    forged = SpincClass((Generator(("nope",)),), 0, ())
+    calls = [
+        lambda: weak_admissible(d, forged),
+        lambda: strong_admissible(d, forged),
+        lambda: area_certificate(d, "weak", forged),
+        lambda: area_certificate(d, "strong", forged),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape("{nope} is not a generator of the diagram")):
+            call()
 
 
 def test_stored_checks_survive_optimize():

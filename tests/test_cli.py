@@ -97,6 +97,56 @@ def test_domains_accepts_points_in_any_order(write_corpus, capsys):
     assert outs[0].startswith("2 domains")
 
 
+# Tuples given to ``hf domains`` on gsph(2) that are not generators:
+# alpha_0 carries eta and theta, alpha_1 carries r.eta and r.theta.
+_BAD_GENERATORS = {
+    "foreign point": "theta,nope",
+    "repeated point": "theta,theta",
+    "two points on alpha_0": "theta,eta",
+    "too few points": "theta",
+    "too many points": "theta,r.theta,eta",
+}
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """``hf domains`` checks --from and --to in O(g) each, so it must
+    answer with generator enumeration unavailable."""
+    import hfhat.cli
+
+    def refuse(d):
+        raise AssertionError("hf domains enumerates no generators")
+
+    monkeypatch.setattr(hfhat.cli, "enumerate_generators", refuse)
+
+
+def _domains_argv(f, x, y):
+    return ["domains", str(f), "--from", x, "--to", y, "--index", "1", "--nz", "0"]
+
+
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+@pytest.mark.parametrize("bad", list(_BAD_GENERATORS.values()), ids=list(_BAD_GENERATORS))
+def test_domains_refuses_a_bad_generator(write_corpus, capsys, no_enumeration, flag, bad):
+    """A --from or --to that is not a generator of the diagram exits 4
+    and is named, its points sorted, on stderr; nothing goes to stdout."""
+    f = write_corpus("gsph(2)")
+    given = {"--from": "r.theta,theta", "--to": "r.eta,theta", flag: bad}
+    assert run(_domains_argv(f, given["--from"], given["--to"])) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: unknown generator {','.join(sorted(bad.split(',')))}\n"
+
+
+def test_domains_names_from_first(write_corpus, capsys, no_enumeration):
+    """With both --from and --to bad, --from is named; a good pair still
+    answers."""
+    f = write_corpus("gsph(2)")
+    assert run(_domains_argv(f, "nope", "theta,eta")) == 4
+    assert capsys.readouterr() == ("", "error: unknown generator nope\n")
+    assert run(_domains_argv(f, "r.theta,theta", "r.eta,theta")) == 0
+    assert capsys.readouterr().out.startswith("2 domains")
+
+
 def test_admissible_failure_prints_witness(write_corpus, capsys):
     f = write_corpus("s1s2_bad")
     assert run(["admissible", str(f)]) == 2

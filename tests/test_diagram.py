@@ -192,7 +192,7 @@ def test_quadrant_closure(name, corpus_small):
 @pytest.mark.parametrize("name", SMALL_NAMES)
 def test_euler_measure_totals(name, corpus_small):
     d = corpus_small[name]
-    total = sum(r.euler_measure for r in d.regions)
+    total = sum(r.euler_char - Fraction(r.corner_count, 4) for r in d.regions)
     assert total == 2 - 2 * d.genus
 
 
@@ -720,7 +720,7 @@ def _reference_validate(d):
                 f"sum chi + V - E = {chi_sum + v - e}, expected {2 - 2 * d.genus}",
             )
         )
-    em = sum((r.euler_measure for r in d.regions), Fraction(0))
+    em = sum((r.euler_char - Fraction(r.corner_count, 4) for r in d.regions), Fraction(0))
     if em != 2 - 2 * d.genus:
         bad.append(("euler_measure", f"sum e(D_i) = {em}, expected {2 - 2 * d.genus}"))
     if not any(name in ("arc_coverage", "corner_count", "quadrant_closure") for name, _ in bad):

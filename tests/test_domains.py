@@ -17,10 +17,12 @@ from hfhat import (
     PeriodicLattice,
     UnboundedEnumeration,
     boundary_system,
+    chern_pairing,
     connected_sum,
     connecting_domain,
     enumerate_generators,
     homology,
+    periodic_index,
     periodic_lattice,
     positive_domains,
     spinc_partition,
@@ -615,17 +617,21 @@ def test_positive_domains_sorted():
     ids=["foreign point", "alpha_0 twice", "beta_0 twice", "point twice", "short", "long"],
 )
 def test_foreign_generator_is_refused(points):
-    """connecting_domain and positive_domains refuse, with ValueError
-    naming it, a tuple that is not a generator of the diagram: genus
-    points of the diagram, one on each alpha and one on each beta curve."""
+    """connecting_domain, positive_domains, chern_pairing and
+    periodic_index refuse, with ValueError naming it, a tuple that is
+    not a generator of the diagram: genus points of the diagram, one on
+    each alpha and one on each beta curve."""
     d = grid_diagram(3)
     x = enumerate_generators(d)[0]
     bad = Generator(points)
+    P = periodic_lattice(d).basis[0]
     calls = [
         lambda: connecting_domain(d, x, bad),
         lambda: connecting_domain(d, bad, x),
         lambda: positive_domains(d, bad, x, 1, 0),
         lambda: positive_domains(d, x, bad, 1, 0),
+        lambda: chern_pairing(d, bad, P),
+        lambda: periodic_index(d, bad, P),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(f"{bad} is not a generator of the diagram")):
@@ -634,7 +640,9 @@ def test_foreign_generator_is_refused(points):
 
 def test_generator_guard_runs_once_per_generator(monkeypatch):
     """The guard sits in the stored per-generator reduction, so homology
-    checks each generator once per diagram object."""
+    and then the Chern pairing and periodic index of every generator
+    with every periodic vector check each generator once per diagram
+    object."""
     checked = []
     real = hfhat.domains._check_generator
 
@@ -645,4 +653,8 @@ def test_generator_guard_runs_once_per_generator(monkeypatch):
     monkeypatch.setattr(hfhat.domains, "_check_generator", counted)
     d = build("gsph(3)")
     homology(d)
+    for x in enumerate_generators(d):
+        for P in periodic_lattice(d).basis:
+            chern_pairing(d, x, P)
+            periodic_index(d, x, P)
     assert sorted(checked) == enumerate_generators(d)

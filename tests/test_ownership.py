@@ -1,9 +1,10 @@
 """Derived data is owned by the diagram object and freed with it, the
-CLI holds at most one diagram, and the arc layout is owned by one
-module."""
+CLI holds at most one diagram, and the point and arc layout is owned by
+one module."""
 
 import ast
 import gc
+import random
 import weakref
 from pathlib import Path
 
@@ -13,7 +14,9 @@ import hfhat
 from hfhat import (
     HeegaardDiagram,
     area_certificate,
+    boundary_system,
     build,
+    connected_sum,
     enumerate_generators,
     homology,
     periodic_lattice,
@@ -23,7 +26,10 @@ from hfhat import (
     strong_admissible,
     validate,
 )
+from hfhat.diagram import _arc_walk
 from hfhat.domains import _positive_solutions
+
+from conftest import SMALL_NAMES
 
 
 def test_derived_data_is_computed_once_per_object():
@@ -108,6 +114,42 @@ def test_arc_layout_is_read_only_in_diagram():
     assert all(readers[attr] <= allowed[attr] for attr in allowed), readers
     assert not hasattr(HeegaardDiagram, "curve")
     assert not hasattr(HeegaardDiagram, "arc_endpoints")
+
+
+def test_point_layout_is_read_only_in_diagram():
+    """Only diagram.py reads a diagram's sorted points (``d.points``);
+    every other module takes each point's row and curves from the arc
+    walk, and generators keeps no point-to-curve map of its own."""
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "points"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("d", "d1", "d2")
+            ):
+                readers.add(path.name)
+    assert readers == {"diagram.py"}, readers
+    assert not hasattr(hfhat.generators, "_point_curves")
+
+
+def test_walk_lists_the_points_in_canonical_order():
+    """On the corpus and six seeded sums the walk's point table, its rows
+    and the boundary system's points all follow ``d.points``, and each
+    point lies on one curve of each family."""
+    rng = random.Random("walk point order")
+    diagrams = [build(name) for name in SMALL_NAMES + ["lens(9,5)", "gsph(3)"]]
+    for _ in range(6):
+        diagrams.append(connected_sum(*map(build, rng.sample(SMALL_NAMES, 2))))
+    for d in diagrams:
+        walk = _arc_walk(d)
+        assert tuple(walk.curves) == d.points
+        assert walk.rows == {p: row for row, p in enumerate(d.points)}
+        assert boundary_system(d).points == d.points
+        for p, (on_alpha, on_beta) in walk.curves.items():
+            assert len(on_alpha) == len(on_beta) == 1
+            assert p in d.alpha[on_alpha[0]] and p in d.beta[on_beta[0]]
 
 
 def test_cli_holds_at_most_one_diagram(tmp_path, capsys, monkeypatch):
