@@ -14,6 +14,13 @@ diagram given to another command, ``hf homology``'s periodic witness
 at exit 2 or its offending domains at exit 3, a usage error) is
 printed as text on stderr, with nothing on stdout, also with
 ``--json``.
+
+One table, ``_COMMANDS``, defines every subcommand.  Only the named
+subcommand's parser is built, once per process; the full ``hf`` parser
+is built only to answer ``-h``, a missing or unknown subcommand, an
+option before it, or arguments left over, so every answer is the full
+parser's.  Text is built only when printed; ``_json`` writes exactly
+what ``json.dumps(report, indent=2, sort_keys=True)`` would.
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import corpus
 from .admissibility import area_certificate, strong_admissible, weak_admissible
@@ -72,12 +80,39 @@ def _fmt_frac(x: Fraction) -> str:
     return str(x)
 
 
-def _emit(report: dict, as_json: bool, text_lines: list[str]) -> None:
+def _emit(report: dict, as_json: bool, text: Callable[[], Iterable[str]]) -> None:
+    """Print ``report`` as JSON with ``--json``, else the lines of ``text()``,
+    which is called only then."""
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json(report))
     else:
-        for line in text_lines:
+        for line in text():
             print(line)
+
+
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    Any ``indent`` sends ``json`` to its pure-Python encoder; here a
+    list of only ints or only strings is joined in one step.  A value
+    of any type but str, int, list, tuple and dict with str keys (not
+    their subclasses), or an empty one, is left to ``json``."""
+    kind = type(value)
+    if kind in _LEAVES:
+        return _LEAVES[kind](value)
+    inner = indent + "  "
+    if kind is dict and value and all(type(k) is str for k in value):
+        body = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(body) + indent + "}"
+    if (kind is list or kind is tuple) and value:
+        kinds = set(map(type, value))
+        leaf = _LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
+        body = map(leaf, value) if leaf else [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(body) + indent + "]"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
 
 
 def _table(rows: list[Sequence[str]]) -> list[str]:
@@ -118,17 +153,14 @@ def _cmd_validate(args) -> int:
         with open(args.file, "r", encoding="utf-8") as fh:
             d = parse_hfd(fh.read())
     except _UNREADABLE as exc:
-        _emit({"ok": False, "violations": [str(exc)]}, args.json, [f"invalid: {exc}"])
+        _emit({"ok": False, "violations": [str(exc)]}, args.json, lambda: [f"invalid: {exc}"])
         return EXIT_INVALID
     report = validate(d)
-    doc = {
-        "ok": report.ok,
-        "violations": [f"{name}: {detail}" for name, detail in report.violations],
-    }
+    doc = {"ok": report.ok, "violations": [f"{name}: {detail}" for name, detail in report.violations]}
     if report.ok:
-        _emit(doc, args.json, ["ok"])
+        _emit(doc, args.json, lambda: ["ok"])
         return EXIT_OK
-    _emit(doc, args.json, ["invalid:"] + [f"  {v}" for v in doc["violations"]])
+    _emit(doc, args.json, lambda: ["invalid:"] + [f"  {v}" for v in doc["violations"]])
     return EXIT_INVALID
 
 
@@ -136,8 +168,7 @@ def _cmd_generators(args) -> int:
     d = _load(args.file)
     gens = enumerate_generators(d)
     doc = {"count": len(gens), "generators": [list(g.points) for g in gens]}
-    lines = [f"{len(gens)} generators"] + [f"  {_fmt_gen(g)}" for g in gens]
-    _emit(doc, args.json, lines)
+    _emit(doc, args.json, lambda: [f"{len(gens)} generators"] + [f"  {_fmt_gen(g)}" for g in gens])
     return EXIT_OK
 
 
@@ -154,11 +185,14 @@ def _cmd_spinc(args) -> int:
             for c in classes
         ]
     }
-    lines = [f"{len(classes)} spin-c classes"]
-    for i, c in enumerate(classes):
-        lines.append(f"class {i}  divisor {c.divisor}")
-        lines += _table([["  " + _fmt_gen(g), f"grading {k}"] for g, k in c.gradings])
-    _emit(doc, args.json, lines)
+
+    def text():
+        yield f"{len(classes)} spin-c classes"
+        for i, c in enumerate(classes):
+            yield f"class {i}  divisor {c.divisor}"
+            yield from _table([["  " + _fmt_gen(g), f"grading {k}"] for g, k in c.gradings])
+
+    _emit(doc, args.json, text)
     return EXIT_OK
 
 
@@ -176,11 +210,10 @@ def _cmd_domains(args) -> int:
         found = positive_domains(d, x, y, args.index, args.nz)
     except UnboundedEnumeration as exc:
         doc = {"unbounded": True, "witness": list(exc.witness)}
-        _emit(doc, args.json, [f"unbounded enumeration; periodic witness {list(exc.witness)}"])
+        _emit(doc, args.json, lambda: [f"unbounded enumeration; periodic witness {doc['witness']}"])
         return EXIT_NOT_ADMISSIBLE
     doc = {"count": len(found), "domains": [list(dom.coefficients) for dom in found]}
-    lines = [f"{len(found)} domains"] + [f"  {list(dom.coefficients)}" for dom in found]
-    _emit(doc, args.json, lines)
+    _emit(doc, args.json, lambda: [f"{len(found)} domains"] + [f"  {c}" for c in doc["domains"]])
     return EXIT_OK
 
 
@@ -201,20 +234,12 @@ def _targets(d: HeegaardDiagram, index: Optional[int], strong: bool) -> list:
 
 def _cmd_admissible(args) -> int:
     d = _load(args.file)
-    targets = _targets(d, getattr(args, "class"), args.strong)
     reports = []
-    for c in targets:
-        if args.strong:
-            rep = strong_admissible(d, c)
-        else:
-            rep = weak_admissible(d, c)
-        cert = area_certificate(d, rep.kind, c) if rep.verdict else None
-        reports.append((c, rep, cert))
+    for c in _targets(d, getattr(args, "class"), args.strong):
+        rep = strong_admissible(d, c) if args.strong else weak_admissible(d, c)
+        reports.append((c, rep, area_certificate(d, rep.kind, c) if rep.verdict else None))
     doc = {"kind": "strong" if args.strong else "weak", "reports": []}
-    lines = []
-    ok = True
     for c, rep, cert in reports:
-        label = "all" if c is None else _fmt_gen(c.members[0])
         entry = {"class": None if c is None else [list(g.points) for g in c.members],
                  "verdict": rep.verdict}
         if rep.witness is not None:
@@ -222,35 +247,35 @@ def _cmd_admissible(args) -> int:
         if cert is not None:
             entry["areas"] = [_fmt_frac(a) for a in cert]
         doc["reports"].append(entry)
-        if rep.verdict:
-            lines.append(f"{rep.kind} admissible ({label})")
+
+    def text():
+        for c, rep, cert in reports:
+            label = "all" if c is None else _fmt_gen(c.members[0])
+            if not rep.verdict:
+                yield f"NOT {rep.kind} admissible ({label}); witness {list(rep.witness)}"
+                continue
+            yield f"{rep.kind} admissible ({label})"
             if cert is not None:
-                lines.append("  areas " + " ".join(_fmt_frac(a) for a in cert))
-        else:
-            ok = False
-            lines.append(f"NOT {rep.kind} admissible ({label}); witness {list(rep.witness)}")
-    _emit(doc, args.json, lines)
-    return EXIT_OK if ok else EXIT_NOT_ADMISSIBLE
+                yield "  areas " + " ".join(_fmt_frac(a) for a in cert)
+
+    _emit(doc, args.json, text)
+    return EXIT_OK if all(rep.verdict for _, rep, _ in reports) else EXIT_NOT_ADMISSIBLE
 
 
 def _cmd_homology(args) -> int:
     d = _load(args.file)
     results = homology(d, strict_rectangles=args.strict_rectangles, threads=args.threads)
-    doc = {"classes": [], "total": sum(r.total for r in results)}
-    lines = []
-    for i, r in enumerate(results):
-        doc["classes"].append(
-            {
-                "members": [list(g.points) for g in r.spinc.members],
-                "divisor": r.spinc.divisor,
-                "ranks": [[k, v] for k, v in r.ranks],
-                "total": r.total,
-            }
-        )
-        lines.append(f"class {i}  divisor {r.spinc.divisor}  total rank {r.total}")
-        lines += _table([[f"  grading {k}", f"rank {v}"] for k, v in r.ranks])
-    lines.append(f"total rank {doc['total']}")
-    _emit(doc, args.json, lines)
+    classes = [{"members": [list(g.points) for g in r.spinc.members], "divisor": r.spinc.divisor,
+                "ranks": [[k, v] for k, v in r.ranks], "total": r.total} for r in results]
+    doc = {"classes": classes, "total": sum(r.total for r in results)}
+
+    def text():
+        for i, r in enumerate(results):
+            yield f"class {i}  divisor {r.spinc.divisor}  total rank {r.total}"
+            yield from _table([[f"  grading {k}", f"rank {v}"] for k, v in r.ranks])
+        yield f"total rank {doc['total']}"
+
+    _emit(doc, args.json, text)
     return EXIT_OK
 
 
@@ -275,7 +300,7 @@ def _cmd_stabilize(args) -> int:
     _emit(
         {"genus": out.genus, "regions": len(out.regions), "output": args.output},
         args.json,
-        [f"wrote genus {out.genus} diagram with {len(out.regions)} regions to {args.output}"],
+        lambda: [f"wrote genus {out.genus} diagram with {len(out.regions)} regions to {args.output}"],
     )
     return EXIT_OK
 
@@ -291,82 +316,86 @@ def _cmd_corpus(args) -> int:
     _emit(
         {"name": args.name, "genus": d.genus, "regions": len(d.regions), "output": args.output},
         args.json,
-        [f"wrote {args.name}: genus {d.genus}, {len(d.regions)} regions to {args.output}"],
+        lambda: [f"wrote {args.name}: genus {d.genus}, {len(d.regions)} regions to {args.output}"],
     )
     return EXIT_OK
 
 
+_FILE = (("file",), {})
+_OUTPUT = (("-o", "--output"), {"required": True})
+
+# name -> (help, handler, arguments): each argument is a (flags, options)
+# pair for ``add_argument``; ``--json`` and ``--threads`` follow them.
+_COMMANDS = {
+    "validate": ("check an HFD file", _cmd_validate, (_FILE,)),
+    "generators": ("list intersection-point generators", _cmd_generators, (_FILE,)),
+    "spinc": ("spin-c classes, divisors, gradings", _cmd_spinc, (_FILE,)),
+    "domains": ("positive domains between two generators", _cmd_domains, (
+        _FILE,
+        (("--from",), {"required": True, "metavar": "X", "help": "comma-joined points"}),
+        (("--to",), {"required": True, "metavar": "Y", "help": "comma-joined points"}),
+        (("--index",), {"type": int, "required": True, "help": "Maslov index"}),
+        (("--nz",), {"type": int, "required": True, "help": "basepoint multiplicity"}),
+    )),
+    "admissible": ("weak/strong admissibility with certificates", _cmd_admissible, (
+        _FILE,
+        (("--class",), {"type": int, "default": None, "metavar": "K", "help": "spin-c class index"}),
+        (("--strong",), {"action": "store_true"}),
+    )),
+    "homology": ("graded hat homology over F2", _cmd_homology, (
+        _FILE,
+        (("--strict-rectangles",),
+         {"action": "store_true", "help": "count only bigons; rectangles become errors"}),
+    )),
+    "stabilize": ("add a standard one-point torus summand", _cmd_stabilize, (_FILE, _OUTPUT)),
+    "corpus": ("write a named example diagram", _cmd_corpus, (
+        (("name",), {}),
+        (("-p",), {"type": int, "default": None}),
+        (("-q",), {"type": int, "default": None}),
+        (("-g",), {"type": int, "default": None}),
+        _OUTPUT,
+    )),
+}
+
+
+def _arguments(parser: _Parser, name: str) -> _Parser:
+    """Add subcommand ``name``'s arguments and handler to ``parser``."""
+    _, handler, arguments = _COMMANDS[name]
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    parser.add_argument("--json", action="store_true", help="stable JSON output")
+    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored; computation is serial")
+    parser.set_defaults(fn=handler)
+    return parser
+
+
 @functools.cache
-def _parser() -> _Parser:
-    """The ``hf`` parser, built on the first ``run`` and kept for the
-    process: building it costs about forty parses, and parsing leaves
-    it unchanged."""
+def _parser(name: Optional[str] = None) -> _Parser:
+    """Subcommand ``name``'s own parser, or with no name the full ``hf``
+    parser.  Each is built on first use and kept for the process:
+    parsing leaves it unchanged."""
+    if name is not None:
+        return _arguments(_Parser(prog=f"hf {name}"), name)
     parser = _Parser(prog="hf", description="exact Heegaard Floer hat calculator")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--json", action="store_true", help="stable JSON output")
-        p.add_argument("--threads", type=int, default=1, help="accepted and ignored; computation is serial")
-
-    p = sub.add_parser("validate", help="check an HFD file")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("generators", help="list intersection-point generators")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=_cmd_generators)
-
-    p = sub.add_parser("spinc", help="spin-c classes, divisors, gradings")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=_cmd_spinc)
-
-    p = sub.add_parser("domains", help="positive domains between two generators")
-    p.add_argument("file")
-    p.add_argument("--from", required=True, metavar="X", help="comma-joined points")
-    p.add_argument("--to", required=True, metavar="Y", help="comma-joined points")
-    p.add_argument("--index", type=int, required=True, help="Maslov index")
-    p.add_argument("--nz", type=int, required=True, help="basepoint multiplicity")
-    common(p)
-    p.set_defaults(fn=_cmd_domains)
-
-    p = sub.add_parser("admissible", help="weak/strong admissibility with certificates")
-    p.add_argument("file")
-    p.add_argument("--class", type=int, default=None, metavar="K", help="spin-c class index")
-    p.add_argument("--strong", action="store_true")
-    common(p)
-    p.set_defaults(fn=_cmd_admissible)
-
-    p = sub.add_parser("homology", help="graded hat homology over F2")
-    p.add_argument("file")
-    p.add_argument("--strict-rectangles", action="store_true",
-                   help="count only bigons; rectangles become errors")
-    common(p)
-    p.set_defaults(fn=_cmd_homology)
-
-    p = sub.add_parser("stabilize", help="add a standard one-point torus summand")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_stabilize)
-
-    p = sub.add_parser("corpus", help="write a named example diagram")
-    p.add_argument("name")
-    p.add_argument("-p", type=int, default=None)
-    p.add_argument("-q", type=int, default=None)
-    p.add_argument("-g", type=int, default=None)
-    p.add_argument("-o", "--output", required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_corpus)
-
+    for command, (help_, _, _) in _COMMANDS.items():
+        _arguments(sub.add_parser(command, help=help_), command)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, by the named subcommand's parser
+    alone unless argparse's answer needs the full one."""
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return _parser().parse_args(argv)
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

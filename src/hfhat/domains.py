@@ -425,12 +425,12 @@ def positive_domains(
     UnboundedEnumeration otherwise.  The sweep runs once per diagram
     object and starting domain ``D0 + n_z [Sigma]``.
     """
-    from .measures import maslov_index
+    from .measures import _maslov_index
 
     results = []
     for coeffs in _positive_solutions(d, x, y, nz):
         dom = Domain(coeffs, x, y)
-        if maslov_index(d, dom) == target_index:
+        if _maslov_index(d, dom) == target_index:
             _assert_mirror(d, dom)
             results.append(dom)
     return results

@@ -25,7 +25,7 @@ from .diagram import HeegaardDiagram, _arc_walk, _one_piece, derived, quadrants,
 from .domains import Domain, UnboundedEnumeration, _weak_witness, positive_domains
 from .exactla import InternalError
 from .generators import Generator
-from .measures import _coefficients, _quarter_euler, embedded_euler_char, maslov_index
+from .measures import _checked, _embedded_euler_char, _maslov_index, _quarter_euler
 from .spinc import SpincClass, spinc_partition
 
 BIGON = "Bigon"
@@ -97,11 +97,11 @@ def classify_rigid(d: HeegaardDiagram, D: Domain) -> RigidShape:
     have the paper's embedded Euler characteristic g + e - n_x - n_y
     equal to g, a Rectangle g - 1; otherwise InternalError is raised,
     as it is for a domain that is negative somewhere, covers the
-    basepoint or does not have index 1.
+    basepoint or does not have index 1.  A domain whose ends are not
+    generators of d is refused with ValueError.
     """
-    quadrants(d)  # refuses an invalid diagram before reading coefficients
-    coeffs = _coefficients(d, D)
-    if any(c < 0 for c in coeffs) or coeffs[d.basepoint] != 0 or maslov_index(d, D) != 1:
+    coeffs = _checked(d, D).coefficients
+    if any(c < 0 for c in coeffs) or coeffs[d.basepoint] != 0 or _maslov_index(d, D) != 1:
         raise InternalError(f"classify_rigid needs an index-1 positive n_z = 0 domain, got {coeffs}")
     return _classify_rigid(d, D)
 
@@ -150,8 +150,8 @@ def _classify_rigid(d: HeegaardDiagram, D: Domain) -> RigidShape:
         return RigidShape(OTHER, sup, tuple(corner_pts))
     # The embedded surface of a disk is the disk plus one trivial strip
     # per fixed point: g - 1 strips for a bigon, g - 2 for a rectangle.
-    if embedded_euler_char(d, D) != chi:
-        raise InternalError(f"{tag} {coeffs} has embedded chi {embedded_euler_char(d, D)}, expected {chi}")
+    if _embedded_euler_char(d, D) != chi:
+        raise InternalError(f"{tag} {coeffs} has embedded chi {_embedded_euler_char(d, D)}, expected {chi}")
     return RigidShape(tag, sup, tuple(sorted(corner_pts)))
 
 

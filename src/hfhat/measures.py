@@ -18,7 +18,8 @@ Chern pairing) integrality is checked, never rounded: a sum that 4
 does not divide raises ``NonIntegralMeasure``.  The ``Fraction`` point
 measures live in the tests as the reference.  Every measure refuses,
 with ``ValueError`` and before reading a coefficient, a vector that
-does not have one coefficient per region.
+does not have one coefficient per region; the index and embedded chi
+also refuse a domain whose ends are not generators of the diagram.
 """
 
 from __future__ import annotations
@@ -80,15 +81,34 @@ def _whole(quarters: int, what: str) -> int:
     return quarters // 4
 
 
+def _checked(d: HeegaardDiagram, D: Domain) -> Domain:
+    """D, refused with ValueError on an invalid d, a wrong length, or an end
+    that is not a generator of d (checked once per generator, by ``_reduction``)."""
+    quadrants(d)
+    _coefficients(d, D)
+    _reduction(d, D.from_gen)
+    _reduction(d, D.to_gen)
+    return D
+
+
 def maslov_index(d: HeegaardDiagram, D: Domain) -> int:
     """e + n_from + n_to; raises NonIntegralMeasure on corrupt data."""
-    points = D.from_gen.points + D.to_gen.points
-    return _whole(_quarters(d, D, points), "maslov index")
+    return _maslov_index(d, _checked(d, D))
+
+
+def _maslov_index(d: HeegaardDiagram, D: Domain) -> int:
+    """``maslov_index`` of a D whose ends are known generators of d."""
+    return _whole(_quarters(d, D, D.from_gen.points + D.to_gen.points), "maslov index")
 
 
 def embedded_euler_char(d: HeegaardDiagram, D: Domain) -> int:
     """Euler characteristic of the embedded surface representative,
     g + e - n_from - n_to, that is g + 2e - ind."""
+    return _embedded_euler_char(d, _checked(d, D))
+
+
+def _embedded_euler_char(d: HeegaardDiagram, D: Domain) -> int:
+    """``embedded_euler_char`` of a D whose ends are known generators of d."""
     points = D.from_gen.points + D.to_gen.points
     quarters = 4 * d.genus + 2 * _quarters(d, D, ()) - _quarters(d, D, points)
     return _whole(quarters, "embedded euler characteristic")
@@ -112,7 +132,7 @@ def periodic_index(d: HeegaardDiagram, x: Generator, P: CoeffsLike) -> int:
     """ind(P) = <c_1, P> + 2 n_z(P); agrees with the Maslov index of P
     viewed as a domain from x to itself."""
     value = chern_pairing(d, x, P) + 2 * basepoint_multiplicity(d, P)
-    index = maslov_index(d, Domain(tuple(_coefficients(d, P)), x, x))
+    index = _maslov_index(d, Domain(tuple(_coefficients(d, P)), x, x))
     if value != index:
         raise InternalError(f"periodic index {value} differs from the Maslov index {index}")
     return value

@@ -27,7 +27,7 @@ from .diagram import HeegaardDiagram, derived
 from .domains import _reduction, connecting_domain, periodic_lattice
 from .exactla import InternalError
 from .generators import Generator, enumerate_generators
-from .measures import chern_pairing, maslov_index
+from .measures import _maslov_index, chern_pairing
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def _gradings(
         dom = connecting_domain(d, x, base)
         if dom is None:
             raise InternalError(f"no connecting domain inside a Spin^c class, from {x} to {base}")
-        raw[x] = maslov_index(d, dom)
+        raw[x] = _maslov_index(d, dom)
     low = min(raw.values())
     out = []
     for x in members:

@@ -172,15 +172,16 @@ def test_census_chi_matches_glue_walk():
 def test_classify_rigid_disk_test_matches_glue_walk(monkeypatch):
     """classify_rigid's own census: on every support with contiguous
     quadrants and two or four acute corners, made a domain between
-    generators that move exactly at those corners (index and embedded
-    chi stubbed to a disk's), the shape is a Bigon or Rectangle exactly
-    when the glued support is one piece of Euler characteristic 1."""
+    point tuples that move exactly at those corners (embedded chi
+    stubbed to a disk's), the shape is a Bigon or Rectangle exactly
+    when the glued support is one piece of Euler characteristic 1.
+    The tuples are not generators, which exported ``classify_rigid``
+    refuses, so the census is read from its shape routine."""
     import hfhat.floer
 
-    monkeypatch.setattr(hfhat.floer, "maslov_index", lambda d, D: 1)
     monkeypatch.setattr(
         hfhat.floer,
-        "embedded_euler_char",
+        "_embedded_euler_char",
         lambda d, D: d.genus - len(D.from_gen.points) + 1,
     )
     checked, disks, obtuse_seen = 0, 0, 0
@@ -202,7 +203,7 @@ def test_classify_rigid_disk_test_matches_glue_walk(monkeypatch):
                 coeffs = tuple(int(ri in support) for ri in range(len(d.regions)))
                 dom = Domain(coeffs, Generator(tuple(corners[:half])), Generator(tuple(corners[half:])))
                 disk = reference_one_piece(d, support, (ALPHA, BETA)) and _glue_chi(d, support) == 1
-                assert (classify_rigid(d, dom).tag in (BIGON, RECTANGLE)) == disk, (d, support)
+                assert (hfhat.floer._classify_rigid(d, dom).tag in (BIGON, RECTANGLE)) == disk, (d, support)
                 checked += 1
                 disks += disk
                 obtuse_seen += sum(len(c) == 3 for c in census)
@@ -248,21 +249,21 @@ def _classify_all_points(d, D):
         tag, chi = RECTANGLE, d.genus - 1
     else:
         return RigidShape(OTHER, sup, tuple(corner_pts))
-    assert hfhat.floer.embedded_euler_char(d, D) == chi
+    assert hfhat.floer._embedded_euler_char(d, D) == chi
     return RigidShape(tag, sup, tuple(sorted(corner_pts)))
 
 
 def test_support_census_matches_all_points_census(monkeypatch):
     """On every 0/1 support away from the basepoint, pinched ones
-    included, made a domain between generators that move at its acute
-    corners (index and embedded chi stubbed to a disk's), classify_rigid
-    gives the shape and corners that a census over every point gives."""
+    included, made a domain between point tuples that move at its acute
+    corners (embedded chi stubbed to a disk's), classify_rigid's shape
+    routine gives the shape and corners that a census over every point
+    gives."""
     import hfhat.floer
 
-    monkeypatch.setattr(hfhat.floer, "maslov_index", lambda d, D: 1)
     monkeypatch.setattr(
         hfhat.floer,
-        "embedded_euler_char",
+        "_embedded_euler_char",
         lambda d, D: d.genus - len(D.from_gen.points) + 1,
     )
     diagrams = [build(n) for n in SMALL_NAMES + ["lens(8,3)", "gsph(3)"]] + [rectangle_diagram()]
@@ -280,7 +281,7 @@ def test_support_census_matches_all_points_census(monkeypatch):
                 half = len(corners) // 2
                 coeffs = tuple(int(ri in support) for ri in range(len(d.regions)))
                 dom = Domain(coeffs, Generator(tuple(corners[:half])), Generator(tuple(corners[half:])))
-                shape = classify_rigid(d, dom)
+                shape = hfhat.floer._classify_rigid(d, dom)
                 assert shape == _classify_all_points(d, dom), (d, support)
                 tags.add(shape.tag)
                 pinched += bool(shape.support) and not shape.corners
@@ -299,8 +300,8 @@ def test_differential_does_not_recompute_the_index_it_enumerated(monkeypatch):
     x, y = enumerate_generators(d)
     dom = positive_domains(d, x, y, 1, 0)[0]
     indices = []
-    real = hfhat.floer.maslov_index
-    monkeypatch.setattr(hfhat.floer, "maslov_index", lambda d, D: indices.append(D) or real(d, D))
+    real = hfhat.floer._maslov_index
+    monkeypatch.setattr(hfhat.floer, "_maslov_index", lambda d, D: indices.append(D) or real(d, D))
     (c,) = spinc_partition(d)
     assert [tag for *_, tag in differential(d, c).audit] == [RECTANGLE, RECTANGLE]
     assert indices == []
@@ -323,8 +324,8 @@ def test_classify_rigid_checks_embedded_euler_char(monkeypatch):
     ]
     for d, dom, tag in cases:
         assert classify_rigid(d, dom).tag == tag
-    true_chi = hfhat.floer.embedded_euler_char
-    monkeypatch.setattr(hfhat.floer, "embedded_euler_char", lambda d, D: true_chi(d, D) + 1)
+    true_chi = hfhat.floer._embedded_euler_char
+    monkeypatch.setattr(hfhat.floer, "_embedded_euler_char", lambda d, D: true_chi(d, D) + 1)
     for d, dom, _ in cases:
         with pytest.raises(InternalError):
             classify_rigid(d, dom)

@@ -1,11 +1,15 @@
 """Euler measure, Maslov index, embedded chi, and Chern pairings."""
 
 import random
+import re
 
 import pytest
 
+import hfhat.floer
+import hfhat.measures
 from hfhat import (
     Domain,
+    Generator,
     NonIntegralMeasure,
     basepoint_multiplicity,
     chern_pairing,
@@ -14,6 +18,7 @@ from hfhat import (
     embedded_euler_char,
     enumerate_generators,
     euler_measure,
+    homology,
     maslov_index,
     periodic_index,
     periodic_lattice,
@@ -176,6 +181,38 @@ def test_measures_refuse_a_vector_of_the_wrong_length(length):
     for call in calls:
         with pytest.raises(ValueError, match=f"{length} coefficients given for the 3 regions"):
             call()
+
+
+@pytest.mark.parametrize("points", [("nope",), ("eta", "theta"), ()], ids=["foreign point", "two points", "none"])
+def test_index_measures_refuse_a_domain_between_non_generators(points):
+    """On s1s2_g1 (genus 1) maslov_index, embedded_euler_char and
+    classify_rigid refuse, with ValueError naming it, a from or to end
+    that is not a generator of d, where they used to raise KeyError or
+    NonIntegralMeasure."""
+    d = build("s1s2_g1")
+    x = enumerate_generators(d)[0]
+    bad = Generator(points)
+    zero = (0,) * len(d.regions)
+    for dom in (Domain(zero, bad, x), Domain(zero, x, bad)):
+        for measure in (maslov_index, embedded_euler_char, classify_rigid):
+            with pytest.raises(ValueError, match=re.escape(f"{bad} is not a generator of the diagram")):
+                measure(d, dom)
+
+
+@pytest.mark.parametrize("name", ["gsph(2)", "s1s2_g1"])
+def test_internal_index_calls_skip_the_end_check(name, monkeypatch):
+    """homology and the Spin^c gradings hold checked generators, so
+    their index and embedded chi skip the exported functions' check."""
+    checks = []
+    for module in (hfhat.measures, hfhat.floer):
+        monkeypatch.setattr(module, "_checked", lambda d, D: checks.append(D) or D)
+    d = build(name)
+    homology(d)
+    assert checks == []
+    x = enumerate_generators(d)[0]
+    dom = Domain((0,) * len(d.regions), x, x)
+    assert maslov_index(d, dom) == 0
+    assert checks == [dom]
 
 
 def measure_index(d, dom):

@@ -128,7 +128,7 @@ def test_lens_partition_builds_no_domain(name, monkeypatch):
     for module in (hfhat.spinc, hfhat.domains):
         monkeypatch.setattr(module, "connecting_domain", refuse)
     for module in (hfhat.spinc, hfhat.measures):
-        monkeypatch.setattr(module, "maslov_index", refuse)
+        monkeypatch.setattr(module, "_maslov_index", refuse)
     d = build(name)
     classes = spinc_partition(d)
     assert calls == []
