@@ -24,9 +24,8 @@ shares the class-free weak verdict and certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .diagram import HeegaardDiagram, derived
 from .domains import _integer_direction, _weak_witness, periodic_lattice, recession_direction
@@ -42,8 +41,7 @@ class NotAdmissible(Exception):
         super().__init__(f"no area certificate: witness {witness}")
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     kind: str  # "weak" | "strong"
     verdict: bool
     witness: Optional[tuple[int, ...]] = None

@@ -43,7 +43,7 @@ from .diagram import (
     stabilize,
     validate,
 )
-from .domains import UnboundedEnumeration, positive_domains
+from .domains import UnboundedEnumeration, _lattice_points, positive_domains
 from .floer import NotCombinatorial, homology
 from .generators import Generator, _check_generator, enumerate_generators
 from .spinc import spinc_partition
@@ -206,12 +206,19 @@ def _cmd_domains(args) -> int:
         except ValueError:
             print(f"error: unknown generator {_fmt_gen(g)}", file=sys.stderr)
             return EXIT_USAGE
+    stored = set(d._derived)
     try:
         found = positive_domains(d, x, y, args.index, args.nz)
     except UnboundedEnumeration as exc:
         doc = {"unbounded": True, "witness": list(exc.witness)}
         _emit(doc, args.json, lambda: [f"unbounded enumeration; periodic witness {doc['witness']}"])
         return EXIT_NOT_ADMISSIBLE
+    finally:
+        # The lattice points of this query's starting domain go with the
+        # command, so the held diagram's store stays bounded by the diagram.
+        for slot in d._derived.keys() - stored:
+            if type(slot) is tuple and slot[0] is _lattice_points.__wrapped__:
+                del d._derived[slot]
     doc = {"count": len(found), "domains": [list(dom.coefficients) for dom in found]}
     _emit(doc, args.json, lambda: [f"{len(found)} domains"] + [f"  {c}" for c in doc["domains"]])
     return EXIT_OK

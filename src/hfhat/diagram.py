@@ -30,10 +30,9 @@ support with the same union-find.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .exactla import InternalError
 
@@ -55,8 +54,7 @@ class HFDFormatError(ValueError):
     """Raised when an HFD document is malformed."""
 
 
-@dataclass(frozen=True)
-class ArcRef:
+class ArcRef(NamedTuple):
     """Oriented reference to one arc inside a region boundary cycle."""
 
     curve: str  # "a" or "b"
@@ -65,8 +63,7 @@ class ArcRef:
     dir: int  # +1 along the curve orientation, -1 against it
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     genus: int
     cycles: tuple[tuple[ArcRef, ...], ...]
 
@@ -79,16 +76,56 @@ class Region:
         return 2 - 2 * self.genus - len(self.cycles)
 
 
-@dataclass(frozen=True)
 class HeegaardDiagram:
+    """A pointed Heegaard diagram: its genus, the alpha and beta curves
+    as cyclic point lists, the regions, and the basepoint region.
+
+    Immutable: assigning an attribute raises AttributeError.  Equality,
+    hashing and ``repr`` read the five fields alone.  ``_derived`` holds
+    the results of ``derived`` functions, keyed by function; it is not
+    part of the diagram's value, so equal but distinct objects each keep
+    their own, and ``_replace`` gives a diagram with an empty one.
+    """
+
+    __slots__ = ("genus", "alpha", "beta", "regions", "basepoint", "_derived", "__weakref__")
+    _fields = ("genus", "alpha", "beta", "regions", "basepoint")
+
     genus: int
     alpha: tuple[tuple[str, ...], ...]
     beta: tuple[tuple[str, ...], ...]
     regions: tuple[Region, ...]
     basepoint: int
-    # Results of ``derived`` functions, keyed by function.  Not part of
-    # the diagram's value: equal but distinct objects each keep their own.
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _derived: dict
+
+    def __init__(self, genus, alpha, beta, regions, basepoint) -> None:
+        for name, value in zip(self._fields, (genus, alpha, beta, regions, basepoint)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_derived", {})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _value(self) -> tuple:
+        return (self.genus, self.alpha, self.beta, self.regions, self.basepoint)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._value()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes) -> HeegaardDiagram:
+        """A new diagram with ``changes`` to its fields, and an empty store."""
+        return HeegaardDiagram(**{**dict(zip(self._fields, self._value())), **changes})
 
     @property
     def points(self) -> tuple[str, ...]:
@@ -123,8 +160,7 @@ def derived(build: Callable[..., T]) -> Callable[..., T]:
     return get
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[tuple[str, str], ...]
 
     @property
@@ -316,8 +352,7 @@ for _arrive, _arrival_half in ((1, "in"), (-1, "out")):
         _CORNER_SLOT[BETA, _arrive, _depart] = _SLOT_OF[_departure_half, _arrival_half]
 
 
-@dataclass(frozen=True)
-class _ArcWalk:
+class _ArcWalk(NamedTuple):
     """The point and arc tables, and what one walk over every region's
     arc references reads off them.
 
@@ -534,11 +569,10 @@ def _one_piece(regions: Iterable[int], arcs: Iterable[list[tuple[int, int]]]) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadrantStructure:
+class QuadrantStructure(NamedTuple):
     """The 4-quadrant incidence map at each point."""
 
-    corners: dict[str, tuple[int, int, int, int]] = field(hash=False)
+    corners: dict[str, tuple[int, int, int, int]]
 
     def quadrant_regions(self, p: str) -> tuple[int, int, int, int]:
         """Region index occupying each of the 4 slots at point p."""

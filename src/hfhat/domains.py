@@ -49,11 +49,10 @@ a failure of weak admissibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .diagram import HeegaardDiagram, _arc_walk, derived, validate
 from .exactla import GE, InternalError, canonical_basis, column_echelon, combine, hermite_reduce
@@ -76,8 +75,7 @@ class UnboundedEnumeration(Exception):
         )
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(NamedTuple):
     """Integer region vector connecting ``from_gen`` to ``to_gen``."""
 
     coefficients: tuple[int, ...]
@@ -85,8 +83,7 @@ class Domain:
     to_gen: Generator
 
 
-@dataclass(frozen=True)
-class PeriodicLattice:
+class PeriodicLattice(NamedTuple):
     """Basis of the n_z = 0 kernel plus the fundamental class."""
 
     basis: tuple[tuple[int, ...], ...]
@@ -97,8 +94,7 @@ class PeriodicLattice:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class BoundarySystem:
+class BoundarySystem(NamedTuple):
     """Matrices sending region vectors to point 0-chains.
 
     ``l_alpha @ n`` is the alpha boundary of the domain ``n`` as a

@@ -28,11 +28,10 @@ raise ``InternalError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -144,16 +143,17 @@ def hermite_reduce(
     the column lattice of ``h``, not on which echelon basis of that
     lattice ``h`` is, so ``b`` lies in the lattice exactly when ``r`` is
     zero.  A pivot column whose quotient is 0 leaves ``r`` as it is, so
-    the rows are updated only for nonzero quotients.
+    the rows are updated only for nonzero quotients, and then only at
+    the column's nonzero entries, all at or below the pivot row.
     """
     r = list(b)
     y = [0] * len(h)
+    rows = range(len(r))
     for row, col in pivots:
         column = h[col]
         q = y[col] = r[row] // column[row]
         if q:
-            # Column echelon form: column[i] == 0 above the pivot row.
-            for i in range(row, len(column)):
+            for i in compress(rows, column):
                 r[i] -= q * column[i]
     return y, r
 
@@ -224,8 +224,7 @@ class InternalError(Exception):
     """
 
 
-@dataclass(frozen=True)
-class LpResult:
+class LpResult(NamedTuple):
     """Outcome of ``lp_optimize``: exactly one of the three variants."""
 
     status: str  # "optimal" | "unbounded" | "infeasible"

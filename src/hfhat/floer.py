@@ -19,7 +19,7 @@ the d^2 check and the ranks read them, and ``matrix`` is derived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import HeegaardDiagram, _arc_walk, _one_piece, derived, quadrants, validate
 from .domains import Domain, UnboundedEnumeration, _weak_witness, positive_domains
@@ -38,15 +38,13 @@ _CONTIGUOUS = {
 } | {frozenset(range(4))}
 
 
-@dataclass(frozen=True)
-class RigidShape:
+class RigidShape(NamedTuple):
     tag: str
     support: tuple[int, ...]
     corners: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class GradedComplex:
+class GradedComplex(NamedTuple):
     """Differential data of one Spin^c class: ``columns[j]`` is
     d(order[j]) as an int whose bit i is the coefficient on order[i]."""
 
@@ -233,8 +231,7 @@ def _gf2_rank(vectors) -> int:
     return len(basis)
 
 
-@dataclass(frozen=True)
-class HomologyClassReport:
+class HomologyClassReport(NamedTuple):
     spinc: SpincClass
     ranks: tuple[tuple[int, int], ...]  # (grading, rank), sorted
 

@@ -11,13 +11,12 @@ a given tuple in O(g).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import HeegaardDiagram, _arc_walk, validate
 
 
-@dataclass(frozen=True, order=True)
-class Generator:
+class Generator(NamedTuple):
     """Canonical form: the sorted tuple of its point identifiers."""
 
     points: tuple[str, ...]

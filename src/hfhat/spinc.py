@@ -20,8 +20,8 @@ diagram; the divisor and the admissibility questions both read them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .diagram import HeegaardDiagram, derived
 from .domains import _reduction, connecting_domain, periodic_lattice
@@ -30,8 +30,7 @@ from .generators import Generator, enumerate_generators
 from .measures import _maslov_index, chern_pairing
 
 
-@dataclass(frozen=True)
-class SpincClass:
+class SpincClass(NamedTuple):
     members: tuple[Generator, ...]
     divisor: int
     gradings: tuple[tuple[Generator, int], ...]

@@ -1,6 +1,5 @@
 """Weak/strong admissibility verdicts, witnesses, and area certificates."""
 
-import dataclasses
 import os
 import random
 import re
@@ -147,7 +146,7 @@ def test_true_verdict_without_certificate_is_a_fault(mode, monkeypatch):
 
     def no_margin(objective, constraints):
         res = real(objective, constraints)
-        return dataclasses.replace(res, value=Fraction(0)) if res.optimal else res
+        return res._replace(value=Fraction(0)) if res.optimal else res
 
     monkeypatch.setattr(adm, "lp_optimize", no_margin)
     d = build("s1s2_g1")
@@ -261,7 +260,6 @@ def test_stored_checks_survive_optimize():
     src = Path(__file__).resolve().parents[1] / "src"
     code = textwrap.dedent(
         """
-        from dataclasses import replace
         import hfhat.admissibility as adm
         import hfhat.domains as dom
         import hfhat.spinc as spinc
@@ -274,7 +272,7 @@ def test_stored_checks_survive_optimize():
         def corrupt(change):
             def patched(objective, constraints):
                 res = lp_optimize(objective, constraints)
-                return replace(res, point=change(res.point)) if res.optimal else res
+                return res._replace(point=change(res.point)) if res.optimal else res
             return patched
 
         def certificate_positivity():
@@ -301,7 +299,7 @@ def test_stored_checks_survive_optimize():
             d = build("gsph(2)")
             lattice = dom.periodic_lattice(d)
             p0, p1 = lattice.basis
-            coupled = replace(lattice, basis=(p0, tuple(a + b for a, b in zip(p1, p0))))
+            coupled = lattice._replace(basis=(p0, tuple(a + b for a, b in zip(p1, p0))))
             dom.periodic_lattice = lambda d: coupled
             _weak_witness(d)
             dom.lp_optimize = lambda objective, constraints: LpResult("unbounded")

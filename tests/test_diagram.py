@@ -1,6 +1,5 @@
 """Diagram model: HFD round trips, validation, sums, stabilization."""
 
-import dataclasses
 import inspect
 import json
 import random
@@ -117,7 +116,7 @@ def test_corpus_validates(name, corpus_small):
 
 def test_validate_flags_missing_region():
     d = build("s1s2_g1")
-    broken = dataclasses.replace(d, regions=d.regions[:-1], basepoint=0)
+    broken = d._replace(regions=d.regions[:-1], basepoint=0)
     report = validate(broken)
     assert not report.ok
 
@@ -126,16 +125,16 @@ def test_validate_flags_flipped_dir():
     d = build("s1s2_g1")
     cyc = d.regions[0].cycles[0]
     flipped = tuple(
-        dataclasses.replace(r, dir=-r.dir) if i == 0 else r for i, r in enumerate(cyc)
+        r._replace(dir=-r.dir) if i == 0 else r for i, r in enumerate(cyc)
     )
     regions = (Region(0, (flipped,)),) + d.regions[1:]
-    report = validate(dataclasses.replace(d, regions=regions))
+    report = validate(d._replace(regions=regions))
     assert not report.ok
 
 
 def test_validate_flags_bad_basepoint():
     d = build("s3_g1")
-    report = validate(dataclasses.replace(d, basepoint=5))
+    report = validate(d._replace(basepoint=5))
     assert not report.ok
     assert any("basepoint" in v for v in report.violations)
 
@@ -143,14 +142,14 @@ def test_validate_flags_bad_basepoint():
 def test_validate_flags_point_on_two_alpha_curves():
     d = build("gsph(2)")
     alpha = (d.alpha[0], d.alpha[0])
-    report = validate(dataclasses.replace(d, alpha=alpha))
+    report = validate(d._replace(alpha=alpha))
     assert not report.ok
 
 
 def test_validate_flags_wrong_genus_budget():
     d = build("s1s2_g1")
     regions = (Region(1, d.regions[0].cycles),) + d.regions[1:]
-    report = validate(dataclasses.replace(d, regions=regions))
+    report = validate(d._replace(regions=regions))
     assert not report.ok
 
 
@@ -227,8 +226,8 @@ def test_rectangle_diagram_fixture_is_valid():
 def _with_first_ref(d, **changes):
     """``d`` with the first arc reference of region 0 changed."""
     cycle = d.regions[0].cycles[0]
-    cycle = (dataclasses.replace(cycle[0], **changes),) + cycle[1:]
-    return dataclasses.replace(d, regions=(Region(d.regions[0].genus, (cycle,)),) + d.regions[1:])
+    cycle = (cycle[0]._replace(**changes),) + cycle[1:]
+    return d._replace(regions=(Region(d.regions[0].genus, (cycle,)),) + d.regions[1:])
 
 
 _S3 = build("s3_g1")
@@ -238,18 +237,18 @@ _S3 = build("s3_g1")
     "broken,violations",
     [
         (
-            dataclasses.replace(_S3, genus=0),
+            _S3._replace(genus=0),
             [
                 ("genus", "genus 0 < 1"),
                 ("curve_count", "expected 0 curves per family, got 1 alpha / 1 beta"),
             ],
         ),
         (
-            dataclasses.replace(_S3, genus=2),
+            _S3._replace(genus=2),
             [("curve_count", "expected 2 curves per family, got 1 alpha / 1 beta")],
         ),
         (
-            dataclasses.replace(_S3, regions=(Region(-1, _S3.regions[0].cycles),)),
+            _S3._replace(regions=(Region(-1, _S3.regions[0].cycles),)),
             [("region_genus", "region 0 has negative genus")],
         ),
         (_with_first_ref(_S3, curve="c"), [("arc_ref", "region 0 cycle 0: bad curve tag")]),
@@ -300,7 +299,7 @@ def test_structural_violations_are_reported_alone(broken, violations):
     ids=lambda f: f.__name__,
 )
 def test_derived_data_refuses_an_invalid_diagram(function):
-    broken = dataclasses.replace(build("s3_g1"), basepoint=5)
+    broken = build("s3_g1")._replace(basepoint=5)
     want = f"{function.__name__}() requires a valid diagram:\nbasepoint: basepoint region 5 out of range"
     with pytest.raises(ValueError) as exc:
         function(broken)
@@ -309,7 +308,7 @@ def test_derived_data_refuses_an_invalid_diagram(function):
 
 @pytest.mark.parametrize("broken_first", [True, False])
 def test_connected_sum_refuses_an_invalid_summand(broken_first):
-    broken = dataclasses.replace(build("s3_g1"), basepoint=5)
+    broken = build("s3_g1")._replace(basepoint=5)
     pair = (broken, build("lens(3,1)")) if broken_first else (build("lens(3,1)"), broken)
     with pytest.raises(ValueError) as exc:
         connected_sum(*pair)
@@ -331,8 +330,8 @@ _TAKES_A_DIAGRAM = [
 
 def _with_genus_bumped(d):
     first, *rest = d.regions
-    bumped = dataclasses.replace(first, genus=first.genus + 1)
-    return dataclasses.replace(d, regions=(bumped, *rest))
+    bumped = first._replace(genus=first.genus + 1)
+    return d._replace(regions=(bumped, *rest))
 
 
 @pytest.mark.parametrize("fault", ["basepoint", "region_genus"])
@@ -345,7 +344,7 @@ def test_every_function_refuses_an_invalid_diagram(name, fault):
     past its check of the domain."""
     valid = build("gsph(2)")
     if fault == "basepoint":
-        broken = dataclasses.replace(valid, basepoint=99)
+        broken = valid._replace(basepoint=99)
     else:
         broken = _with_genus_bumped(valid)
     assert not validate(broken).ok
@@ -458,7 +457,7 @@ def _split_basepoint_region(d):
     regions = list(d.regions)
     regions[d.basepoint] = Region(1, z.cycles[:2])
     regions.append(Region(0, z.cycles[2:]))
-    return dataclasses.replace(d, regions=tuple(regions))
+    return d._replace(regions=tuple(regions))
 
 
 def test_validate_flags_disconnected_surface(tmp_path, capsys):
@@ -469,7 +468,7 @@ def test_validate_flags_disconnected_surface(tmp_path, capsys):
     assert [name for name, _ in report.violations] == ["surface_connectivity"]
     # With a region doubled the complex is no closed surface, and no
     # connectivity line is reported, although it is still in pieces.
-    doubled = dataclasses.replace(split, regions=split.regions + split.regions[-1:])
+    doubled = split._replace(regions=split.regions + split.regions[-1:])
     names = {name for name, _ in validate(doubled).violations}
     assert "arc_coverage" in names and "surface_connectivity" not in names
     with pytest.raises(ValueError):
@@ -495,10 +494,10 @@ def _mutate(d, rng):
         t = rng.randrange(len(cyc))
         ref = cyc[t]
         if kind == "dir":
-            cyc[t] = dataclasses.replace(ref, dir=-ref.dir)
+            cyc[t] = ref._replace(dir=-ref.dir)
         else:
             length = len(curve(d, ref.curve, ref.index))
-            cyc[t] = dataclasses.replace(ref, arc=rng.randrange(length))
+            cyc[t] = ref._replace(arc=rng.randrange(length))
         regions[ri][ci] = tuple(cyc)
     elif kind == "merge" and len(regions) > 1:
         rj = rng.choice([k for k in range(len(regions)) if k != ri])
@@ -771,7 +770,7 @@ def _oracle_mutant(d, rng):
         elif len(cyc) > 1:
             del cyc[t]
     elif kind == "flip":
-        cyc[t] = dataclasses.replace(cyc[t], dir=-cyc[t].dir)
+        cyc[t] = cyc[t]._replace(dir=-cyc[t].dir)
     elif kind == "swap":
         ref = cyc[t]
         same = [
@@ -781,10 +780,10 @@ def _oracle_mutant(d, rng):
         ]
         rj, cj, u = rng.choice(same)
         other = regions[rj][cj][u]
-        cyc[t] = dataclasses.replace(ref, arc=other.arc)
+        cyc[t] = ref._replace(arc=other.arc)
         regions[ri][ci] = tuple(cyc)
         moved = list(regions[rj][cj])
-        moved[u] = dataclasses.replace(other, arc=ref.arc)
+        moved[u] = other._replace(arc=ref.arc)
         cyc = moved
         ri, ci = rj, cj
     elif kind == "rename":
@@ -829,7 +828,7 @@ def _oracle_mutant(d, rng):
             basepoint = len(regions)
         else:
             change = {"arc": {"arc": 99}, "index": {"index": 99}, "tag": {"curve": "c"}}[fault]
-            cyc[t] = dataclasses.replace(cyc[t], **change)
+            cyc[t] = cyc[t]._replace(**change)
     regions[ri][ci] = tuple(cyc)
     new = tuple(Region(g, tuple(c for c in cycles if c)) for g, cycles in zip(genera, regions))
     return HeegaardDiagram(genus, tuple(alpha), tuple(beta), new, basepoint)

@@ -226,7 +226,6 @@ def test_factored_refuses_beta_that_is_not_negated_alpha(flags):
     raises InternalError, also with asserts stripped."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
-        "import dataclasses\n"
         "import hfhat.domains as domains\n"
         "from hfhat import InternalError, build\n"
         "real = domains.boundary_system\n"
@@ -235,7 +234,7 @@ def test_factored_refuses_beta_that_is_not_negated_alpha(flags):
         "    rows = [list(r) for r in sys_.l_beta]\n"
         "    i, j = next((i, j) for i, r in enumerate(rows) for j, v in enumerate(r) if v)\n"
         "    rows[i][j] = -rows[i][j]\n"
-        "    return dataclasses.replace(sys_, l_beta=tuple(map(tuple, rows)))\n"
+        "    return sys_._replace(l_beta=tuple(map(tuple, rows)))\n"
         "domains.boundary_system = flipped\n"
         "try:\n"
         "    domains._factored(build('lens(5,2)'))\n"

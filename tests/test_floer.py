@@ -1,6 +1,5 @@
 """Rigid-shape classification, the F2 differential, and homology."""
 
-import dataclasses
 import os
 import random
 import subprocess
@@ -355,7 +354,7 @@ def test_gsph_homology(g):
 def test_homology_requires_valid_diagram():
     d = build("s3_g1")
     with pytest.raises(ValueError):
-        homology(dataclasses.replace(d, basepoint=3))
+        homology(d._replace(basepoint=3))
 
 
 def test_homology_raises_on_inadmissible_diagram():
@@ -411,8 +410,8 @@ def test_grading_buckets_keep_the_pair_order(divisor, monkeypatch):
     d = build("gsph(4)")
     rng = random.Random(divisor)
     (c,) = spinc_partition(d)
-    c = dataclasses.replace(
-        c, divisor=divisor, gradings=tuple((g, rng.randrange(-2, 3)) for g in c.members)
+    c = c._replace(
+        divisor=divisor, gradings=tuple((g, rng.randrange(-2, 3)) for g in c.members)
     )
     gradings = dict(c.gradings)
     drops = {(x, y): gradings[x] - gradings[y] - 1 for x, y in permutations(c.members, 2)}
@@ -432,7 +431,7 @@ def test_inadmissible_class_raises_before_pruning(name):
     d = build(name)
     for c in spinc_partition(d):
         assert len(c.members) >= 2
-        flat = dataclasses.replace(c, gradings=tuple((g, 0) for g in c.members))
+        flat = c._replace(gradings=tuple((g, 0) for g in c.members))
         for cls in (c, flat):
             with pytest.raises(UnboundedEnumeration) as exc:
                 differential(d, cls)

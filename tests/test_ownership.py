@@ -27,7 +27,7 @@ from hfhat import (
     validate,
 )
 from hfhat.diagram import _arc_walk
-from hfhat.domains import _positive_solutions
+from hfhat.domains import _lattice_points, _positive_solutions
 
 from conftest import SMALL_NAMES
 
@@ -178,3 +178,24 @@ def test_cli_holds_at_most_one_diagram(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert alive_at_parse == [False]
     assert hfhat.cli._held[0] == second.read_text(encoding="utf-8")
+
+
+def test_cli_domains_sweep_keeps_the_held_store_bounded(tmp_path, capsys):
+    """``hf domains`` leaves no per-query lattice points on the held
+    diagram: sweeping ``--nz`` on one file keeps its store's size."""
+    import hfhat.cli
+
+    d = build("gsph(3)")
+    path = tmp_path / "gsph3.hfd"
+    path.write_text(serialize_hfd(d), encoding="utf-8")
+    x = ",".join(enumerate_generators(d)[0].points)
+    sizes = []
+    for k in range(12):
+        argv = ["domains", str(path), "--from", x, "--to", x, "--index", str(2 * k), "--nz", str(k)]
+        assert hfhat.cli.run(argv) == 0
+        sizes.append(len(hfhat.cli._held[1]._derived))
+    capsys.readouterr()
+    assert sizes == sizes[:1] * 12, sizes
+    assert hfhat.cli.run(["homology", str(path)]) == 0
+    assert any(isinstance(slot, tuple) and slot[0] is _lattice_points.__wrapped__
+               for slot in hfhat.cli._held[1]._derived)
