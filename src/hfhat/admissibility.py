@@ -25,11 +25,12 @@ shares the class-free weak verdict and certificate.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .diagram import HeegaardDiagram, derived
 from .domains import _integer_direction, _weak_witness, periodic_lattice, recession_direction
-from .exactla import EQ, GE, LE, InternalError, lp_optimize, vanishing_sublattice
+from .exactla import EQ, GE, LE, InternalError, _scaled, lp_optimize, vanishing_sublattice
 from .spinc import SpincClass, _pairing_vector
 
 
@@ -195,7 +196,11 @@ def _certificate(
     areas = tuple(res.point[:n])
     if any(a <= 0 for a in areas):
         raise InternalError(f"area certificate {areas} is not strictly positive")
+    # Checked in integers: row . (L a) against L rhs, with L the lcm
+    # of the area denominators.
+    scale = lcm(*(a.denominator for a in areas))
+    scaled = _scaled(areas, scale)
     for row, _, rhs in equalities:
-        if sum(Fraction(cf) * a for cf, a in zip(row, areas)) != rhs:
+        if sum(cf * a for cf, a in zip(row, scaled)) != rhs * scale:
             raise InternalError(f"area certificate {areas} gives {row} an area other than {rhs}")
     return areas

@@ -378,11 +378,16 @@ def _lattice_points(
             raise InternalError(f"bounding LP is {lo.status} with no recession direction")
         return math.ceil(-lo.value), math.floor(hi.value)
 
-    def sweep(coord: int, base: list[int]) -> None:
+    # Depth first, children in increasing t: an explicit stack rather
+    # than a recursive closure, which would refer to itself and leave
+    # ``results`` to the cyclic garbage collector.
+    stack = [(0, list(d0))]
+    while stack:
+        coord, base = stack.pop()
         if coord == split:
             box = box_bounds(base)
             if box is None:
-                return
+                continue
             for ts in product(*(range(low, high + 1) for low, high in box)):
                 leaf = list(base)
                 for t, column in zip(ts, columns):
@@ -390,16 +395,17 @@ def _lattice_points(
                         leaf[i] += t * coef
                 if all(c >= 0 for c in leaf):
                     results.append(tuple(leaf))
-            return
+            continue
         rng = lp_bounds(base, coord)
         if rng is None:
-            return
+            continue
         low, high = rng
         vec = basis[coord]
-        for val in range(low, high + 1):
-            sweep(coord + 1, [b + val * v for b, v in zip(base, vec)])
+        stack.extend(
+            (coord + 1, [b + val * v for b, v in zip(base, vec)])
+            for val in range(high, low - 1, -1)
+        )
 
-    sweep(0, list(d0))
     results.sort()
     return tuple(results)
 

@@ -19,17 +19,21 @@ read), and the simplex uses Bland's rule so results are reproducible.
 The simplex starts on the slack basis: a row whose slack is a feasible
 unit column starts on it, and only the other rows get an artificial
 column, so phase 1 runs only when some row needs one.  The tableau is
-a list of rows of Python ints over one common positive denominator,
+a list of rows of Python ints, each over its own positive denominator,
 updated by fraction-free pivots (Bareiss, Math. Comp. 22 (1968), in
-the Gauss-Jordan form of Edmonds, J. Res. NBS 71B (1967)); every
-division in a pivot is checked to be exact.  Failed internal checks
-raise ``InternalError``.
+the Gauss-Jordan form of Edmonds, J. Res. NBS 71B (1967)) that touch
+only the entries a pivot changes: a free variable is split as u - w,
+but the w columns, always the negated u columns, are not stored; a
+row with a zero in the pivot column keeps its integers and its
+denominator; and a row already over the pivot changes only where the
+pivot row is nonzero.  Every division is checked to be exact.  Failed
+internal checks raise ``InternalError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
@@ -250,19 +254,25 @@ def lp_optimize(
     ``constraints`` is a list of ``(coefficients, relation, rhs)`` with
     relation one of ``"<="``, ``">="``, ``"=="``.  Two-phase primal
     simplex with Bland's rule (termination guaranteed with exact
-    arithmetic).  The initial basis is the slacks plus one artificial
-    per remaining row: a ``<=`` row with rhs >= 0 and a ``>=`` row with
-    rhs <= 0 start on their own slacks; equality rows and inequality
-    rows with a rhs of the other sign start on an artificial, and
-    phase 1 (minimize their sum) runs only if there is one.  Every
-    constraint is multiplied by the lcm ``L`` of all denominators in
-    the data, so the tableau starts as integers; it is then kept as
-    integers ``N`` over one common denominator ``d > 0`` (the tableau
-    is ``N / d``).  Slack and artificial
-    variables are measured in units of ``1/L``, which changes no
-    pivot choice, so the vertices visited are those of the rational
-    tableau.  Returns Optimal(value, point), Unbounded or Infeasible;
-    an optimal point is verified against every constraint.
+    arithmetic).  Each variable is split as ``x = u - w`` with ``u, w
+    >= 0``; the initial basis is the slacks plus one artificial per
+    remaining row: a ``<=`` row with rhs >= 0 and a ``>=`` row with rhs
+    <= 0 start on their own slacks; equality rows and inequality rows
+    with a rhs of the other sign start on an artificial, and phase 1
+    (minimize their sum) runs only if there is one.
+
+    Every constraint is multiplied by the lcm ``L`` of all denominators
+    in the data, so the tableau starts as integers.  Its columns are
+    indexed in the order u, w, slacks, artificials (Bland's rule, the
+    basis and the ratio test's tie-break read that order), but only the
+    u, slack and artificial columns and the rhs are stored: every row
+    operation is linear, so each w column stays the negated u column.
+    Row ``i`` is kept as integers ``N_i`` over its own denominator
+    ``den_i > 0`` (the row is ``N_i / den_i``); see ``_pivot``.  Slack
+    and artificial variables are measured in units of ``1/L``, which
+    changes no pivot choice, so the vertices visited are those of the
+    rational tableau.  Returns Optimal(value, point), Unbounded or
+    Infeasible; an optimal point is verified against every constraint.
     """
     n = len(objective)
     scale = 1
@@ -278,82 +288,87 @@ def lp_optimize(
         for coeffs, rel, b in constraints
     ]
 
-    # Columns: x = u - w with u, w >= 0 (2n), one slack per inequality,
-    # one artificial per row that does not start on its slack, then the
-    # right-hand side.  GE rows are negated into LE rows first; a row
+    # Stored columns: u (n), one slack per inequality, one artificial
+    # per row that does not start on its slack, then the right-hand
+    # side.  Stored column k >= n is column k + n of the u, w, slack,
+    # artificial order.  GE rows are negated into LE rows first; a row
     # that starts on an artificial is negated to rhs >= 0.
     m = len(system)
     flipped = [
         ([-c for c in coeffs], LE, -b) if rel == GE else (coeffs, rel, b)
         for coeffs, rel, b in system
     ]
-    num_slack = sum(1 for _, rel, _ in flipped if rel == LE)
-    art_at = 2 * n + num_slack
-    total = art_at + sum(1 for _, rel, b in flipped if rel == EQ or b < 0)
+    art_at = n + sum(1 for _, rel, _ in flipped if rel == LE)
+    width = art_at + sum(1 for _, rel, b in flipped if rel == EQ or b < 0)
     rows: list[list[int]] = []
     basis: list[int] = []
-    si, ai = 2 * n, art_at
+    si, ai = n, art_at
     for coeffs, rel, b in flipped:
-        row = coeffs + [-c for c in coeffs] + [0] * (total - 2 * n) + [b]
+        row = coeffs + [0] * (width - n) + [b]
         if rel == LE:
             row[si] = 1
             si += 1
         if rel == LE and b >= 0:
-            basis.append(si - 1)
+            basis.append(n + si - 1)
         else:
             if b < 0:
                 row = [-c for c in row]
             row[ai] = 1
-            basis.append(ai)
+            basis.append(n + ai)
             ai += 1
         rows.append(row)
-    basic = [False] * total
+    basic = [False] * (n + width)
     for j in basis:
         basic[j] = True
+    dens = [1] * (m + 1)
     d = 1
 
-    if total > art_at:
+    if width > art_at:
         # Phase 1: maximize -(sum of artificials).  The last row holds
-        # the reduced costs times d; at the starting basis that is the
-        # sum of the artificial rows, less 1 in every artificial column.
-        art_rows = [row for row, bj in zip(rows, basis) if bj >= art_at]
+        # the reduced costs; at the starting basis that is the sum of
+        # the artificial rows, less 1 in every artificial column.
+        art_rows = [row for row, bj in zip(rows, basis) if bj >= n + art_at]
         phase1 = [sum(col) for col in zip(*art_rows)]
-        for j in range(art_at, total):
-            phase1[j] -= 1
+        for k in range(art_at, width):
+            phase1[k] -= 1
         rows.append(phase1)
-        status, d = _simplex(rows, basis, basic, d)
+        status, d = _simplex(rows, dens, basis, basic, n, d)
         if status != "optimal":
             raise InternalError("phase 1 of the simplex is unbounded")
-        if sum(rows[i][-1] for i in range(m) if basis[i] >= art_at) != 0:
+        # Every rhs is >= 0, so the artificials sum to 0 only if each is 0.
+        if any(rows[i][-1] for i in range(m) if basis[i] >= n + art_at):
             return LpResult("infeasible")
         # Pivot remaining artificials out of the basis where possible.
+        # A w column is nonzero only where its u column is, so the first
+        # nonzero stored column is the first nonzero column of the order.
         for i in range(m):
-            if basis[i] >= art_at:
-                j = next((j for j in range(art_at) if rows[i][j] != 0), None)
-                if j is not None:
-                    d = _pivot(rows, basis, basic, d, i, j)
+            if basis[i] >= n + art_at:
+                k = next((k for k in range(art_at) if rows[i][k] != 0), None)
+                if k is not None:
+                    d = _pivot(rows, dens, basis, basic, n, d, i, k if k < n else k + n)
 
     # Phase 2: drop the artificial columns (they stay at zero) and the
-    # phase-1 cost row; the new cost row is d * c - c_B . N, with the
-    # objective c scaled to integers.
+    # phase-1 cost row; the new cost row, over d, is d * c - c_B . N,
+    # with the objective c scaled to integers (c_w = -c_u).
     obj_scale = lcm(1, *(o.denominator for o in objective))
     cost = _scaled(objective, obj_scale)
-    cost += [-c for c in cost] + [0] * num_slack
     rows = [row[:art_at] + row[-1:] for row in rows[:m]]
-    phase2 = [d * c for c in cost] + [0]
-    for row, bj in zip(rows, basis):
-        cb = cost[bj] if bj < art_at else 0
+    del dens[m:]
+    phase2 = [d * c for c in cost] + [0] * (art_at - n + 1)
+    for row, den, bj in zip(rows, dens, basis):
+        cb = cost[bj] if bj < n else -cost[bj - n] if bj < 2 * n else 0
         if cb:
-            phase2 = [z - cb * a for z, a in zip(phase2, row)]
+            phase2 = [z - cb * a for z, a in zip(phase2, _rescaled(row, den, d))]
     rows.append(phase2)
-    status, d = _simplex(rows, basis, basic, d)
+    dens.append(d)
+    status, d = _simplex(rows, dens, basis, basic, n, d)
     if status == "unbounded":
         return LpResult("unbounded")
 
-    values = [0] * art_at
-    for row, bj in zip(rows, basis):
-        if bj < art_at:
-            values[bj] = row[-1]
+    values = [0] * (2 * n)
+    for row, den, bj in zip(rows, dens, basis):
+        if bj < 2 * n:
+            values[bj] = _rescaled(row[-1:], den, d)[0]
     x = [values[j] - values[n + j] for j in range(n)]
     # Exactness check, in integers: (L a) . (d x) against (L b) d.
     for coeffs, rel, b in system:
@@ -366,27 +381,37 @@ def lp_optimize(
 
 
 def _simplex(
-    rows: list[list[int]], basis: list[int], basic: list[bool], d: int
+    rows: list[list[int]], dens: list[int], basis: list[int], basic: list[bool], n: int, d: int
 ) -> tuple[str, int]:
-    """Primal simplex with Bland's rule on an integer tableau over ``d``.
+    """Primal simplex with Bland's rule on ``lp_optimize``'s tableau.
 
-    The last row is the reduced-cost row times ``d``; only its signs
-    are read.  Returns the status and the final common denominator.
+    ``n`` is the number of u columns and ``d`` the current common
+    denominator (the last pivot, or 1).  The last row is the
+    reduced-cost row over its own denominator; only its signs are read,
+    and w's reduced costs are the negated u's.  A row's denominator
+    cancels from its ratio, so the ratio test compares stored integers.
+    Returns the status and the final common denominator.
     """
     m = len(rows) - 1
-    columns = len(rows[0]) - 1
+    width = len(rows[0]) - 1
     while True:
         reduced = rows[m]
         entering = next(
-            (j for j in range(columns) if reduced[j] > 0 and not basic[j]), -1
+            chain(
+                (j for j in range(n) if reduced[j] > 0 and not basic[j]),
+                (n + j for j in range(n) if reduced[j] < 0 and not basic[n + j]),
+                (n + k for k in range(n, width) if reduced[k] > 0 and not basic[n + k]),
+            ),
+            -1,
         )
         if entering < 0:
             return "optimal", d
+        k, sign = _stored(entering, n)
         # Ratio test by cross-multiplication (every compared entry is
         # positive); ties go to the smaller basis index.
         leaving = -1
         for i in range(m):
-            a = rows[i][entering]
+            a = sign * rows[i][k]
             if a > 0:
                 v = rows[i][-1]
                 if leaving < 0:
@@ -397,43 +422,89 @@ def _simplex(
                     leaving, best_v, best_a = i, v, a
         if leaving < 0:
             return "unbounded", d
-        d = _pivot(rows, basis, basic, d, leaving, entering)
+        d = _pivot(rows, dens, basis, basic, n, d, leaving, entering)
+
+
+def _stored(col: int, n: int) -> tuple[int, int]:
+    """Stored column and sign of column ``col`` of the u, w, slack,
+    artificial order: w_j is the negated u_j."""
+    if col < n:
+        return col, 1
+    return col - n, -1 if col < 2 * n else 1
+
+
+def _rescaled(row: list[int], den: int, d: int) -> list[int]:
+    """``row`` over ``den`` as integers over ``d``; every division is
+    checked to be exact."""
+    if den == d:
+        return row
+    new = [v * d // den for v in row]
+    # Each floor division leaves a remainder in [0, den), so the sums
+    # agree exactly when every division was exact.
+    if den * sum(new) != d * sum(row):
+        raise InternalError("inexact division in rescaling a tableau row")
+    return new
 
 
 def _pivot(
-    rows: list[list[int]], basis: list[int], basic: list[bool], d: int, row: int, col: int
+    rows: list[list[int]],
+    dens: list[int],
+    basis: list[int],
+    basic: list[bool],
+    n: int,
+    d: int,
+    row: int,
+    col: int,
 ) -> int:
-    """Fraction-free Gauss-Jordan pivot; returns the new denominator.
+    """Fraction-free Gauss-Jordan pivot on column ``col`` of the u, w,
+    slack, artificial order; returns the new common denominator.
 
-    Every other row becomes ``(a * p - f * r) / d`` (Edmonds' form of
-    Bareiss elimination, exact because every entry is, up to sign, a
-    minor of the starting matrix), and the pivot entry ``p`` becomes
-    the common denominator.  A negative pivot negates its row first, so the
-    denominator stays positive.
+    In Edmonds' form of Bareiss elimination every row is kept over the
+    common denominator ``d`` and becomes ``(a * p - f * r) / d``, exact
+    because every entry is, up to sign, a minor of the starting matrix;
+    the pivot entry ``p`` becomes the common denominator.  Here a row
+    whose entry ``f`` in the pivot column is 0 is left as it is, over
+    its own denominator ``den``: it is the same rational row.  The pivot
+    row is first brought to ``d``; then a row with ``f != 0`` becomes
+    ``(a * p - f * r) / den`` over ``p``, which is Edmonds' integer row
+    exactly.  When ``den == p`` that is ``a - f * r / p``, so only the
+    columns where the pivot row is nonzero change.  A negative pivot
+    negates its row first, so every denominator stays positive.  Every
+    division is checked to be exact.
     """
-    pr = rows[row]
-    p = pr[col]
-    if p < 0:
-        pr = rows[row] = [-v for v in pr]
-        p = -p
+    k, sign = _stored(col, n)
+    pr = _rescaled(rows[row], dens[row], d)
+    if sign * pr[k] < 0:
+        pr = [-v for v in pr]
+    rows[row] = pr
+    p = sign * pr[k]
+    support = [(j, v) for j, v in enumerate(pr) if v]
     pr_sum = sum(pr)
     for i, r in enumerate(rows):
-        if i == row:
+        f = sign * r[k]
+        if not f or i == row:
             continue
-        f = r[col]
-        if f:
-            new = [(a * p - f * b) // d for a, b in zip(r, pr)]
-            expected = p * sum(r) - f * pr_sum
-        elif p != d:
-            new = [a * p // d for a in r]
-            expected = p * sum(r)
+        den = dens[i]
+        if den != p:
+            new = [(a * p - f * b) // den for a, b in zip(r, pr)]
+            if den * sum(new) != p * sum(r) - f * pr_sum:
+                raise InternalError("inexact division in a fraction-free pivot")
+            rows[i] = new
+            dens[i] = p
+        elif p == 1:
+            for j, b in support:
+                r[j] -= f * b
         else:
-            continue
-        # Each floor division leaves a remainder in [0, d), so the sums
-        # agree exactly when every division was exact.
-        if d * sum(new) != expected:
-            raise InternalError("inexact division in a fraction-free pivot")
-        rows[i] = new
+            # As in _rescaled, the floors sum to f * pr_sum / p exactly
+            # when every division was exact.
+            total = 0
+            for j, b in support:
+                q = f * b // p
+                r[j] -= q
+                total += q
+            if p * total != f * pr_sum:
+                raise InternalError("inexact division in a fraction-free pivot")
+    dens[row] = p
     basic[basis[row]] = False
     basic[col] = True
     basis[row] = col

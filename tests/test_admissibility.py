@@ -118,6 +118,29 @@ def test_weak_certificate_on_lens_skips_phase_one(simplex_runs):
     check_weak_certificate(d, areas, periodic_lattice(d).basis)
 
 
+@pytest.mark.parametrize("mode", ["weak", "strong"])
+def test_certificate_check_rejects_a_wrong_area(monkeypatch, mode):
+    """A strictly positive LP point that gives a periodic domain (weak)
+    or the surface (strong) the wrong area fails the exact check."""
+    from hfhat import admissibility
+
+    d = build("s1s2_g1")
+    c = None if mode == "weak" else spinc_partition(d)[0]
+    assert (weak_admissible(d) if c is None else strong_admissible(d, c)).verdict
+    i = next(i for i, v in enumerate(periodic_lattice(d).basis[0]) if v)
+    real = admissibility.lp_optimize
+
+    def nudged(objective, constraints):
+        res = real(objective, constraints)
+        point = list(res.point)
+        point[i] += Fraction(1, 7)
+        return res._replace(point=tuple(point))
+
+    monkeypatch.setattr(admissibility, "lp_optimize", nudged)
+    with pytest.raises(InternalError, match="an area other than"):
+        area_certificate(d, mode, c)
+
+
 @pytest.mark.parametrize("name", ADMISSIBLE_NAMES)
 def test_admissible_corpus_passes_weak_everywhere(name, corpus_small):
     d = corpus_small[name]

@@ -23,7 +23,7 @@ from hfhat.exactla import (
     vanishing_sublattice,
 )
 
-from conftest import smith_solvability
+from conftest import SMALL_NAMES, smith_solvability
 
 RNG = random.Random(20260824)
 # Draws for the back-substitution cases, kept apart so RNG's sequence is unchanged.
@@ -382,11 +382,15 @@ def test_lp_random_against_scipy():
 # ---------------------------------------------------------------------------
 
 
-def _reference_lp(objective, constraints, start="slack"):
+def _reference_lp(objective, constraints, start="slack", pivots=None):
     """``start="slack"`` is lp_optimize's initial basis: a row whose slack
     enters with +1 at a nonnegative rhs starts on it, every other row on
     an artificial.  ``start="artificial"`` gives every row an artificial,
-    a different path to the same optimal value."""
+    a different path to the same optimal value.  ``pivots``, when given,
+    gets every pivot as ``(row, entering)``, with the columns in the
+    order u, w, slacks, artificials."""
+    if pivots is None:
+        pivots = []
     n = len(objective)
     obj = [Fraction(c) for c in objective]
     rows, rhs, slack_signs = [], [], []
@@ -427,17 +431,17 @@ def _reference_lp(objective, constraints, start="slack"):
         tableau.append(row)
     if total > art_at:
         cost1 = [Fraction(0)] * art_at + [Fraction(-1)] * (total - art_at)
-        assert _reference_simplex(tableau, basis, cost1, total) == "optimal"
+        assert _reference_simplex(tableau, basis, cost1, total, pivots) == "optimal"
         if sum(tableau[i][total] for i in range(m) if basis[i] >= art_at) != 0:
             return "infeasible", None, None
         for i in range(m):
             if basis[i] >= art_at:
                 for j in range(art_at):
                     if tableau[i][j] != 0:
-                        _reference_pivot(tableau, basis, i, j)
+                        _reference_pivot(tableau, basis, i, j, pivots)
                         break
     cost2 = obj + [-c for c in obj] + [Fraction(0)] * (total - 2 * n)
-    if _reference_simplex(tableau, basis, cost2, total, art_at) == "unbounded":
+    if _reference_simplex(tableau, basis, cost2, total, pivots, art_at) == "unbounded":
         return "unbounded", None, None
     solution = [Fraction(0)] * total
     for i, bj in enumerate(basis):
@@ -446,7 +450,7 @@ def _reference_lp(objective, constraints, start="slack"):
     return "optimal", sum(o * p for o, p in zip(obj, point)), point
 
 
-def _reference_simplex(tableau, basis, cost, total, forbidden_from=None):
+def _reference_simplex(tableau, basis, cost, total, pivots, forbidden_from=None):
     m = len(tableau)
     while True:
         reduced = list(cost)
@@ -472,10 +476,11 @@ def _reference_simplex(tableau, basis, cost, total, forbidden_from=None):
                     best, leaving = ratio, i
         if leaving < 0:
             return "unbounded"
-        _reference_pivot(tableau, basis, leaving, entering)
+        _reference_pivot(tableau, basis, leaving, entering, pivots)
 
 
-def _reference_pivot(tableau, basis, row, col):
+def _reference_pivot(tableau, basis, row, col, pivots):
+    pivots.append((row, col))
     piv = tableau[row][col]
     tableau[row] = [c / piv for c in tableau[row]]
     for i in range(len(tableau)):
@@ -489,36 +494,46 @@ def _reference_pivot(tableau, basis, row, col):
 LP_RNG = random.Random(20261018)
 
 
-def _lp_entry(zero=0.3):
-    if LP_RNG.random() < zero:
+# Draws for the pivot-path cases, kept apart from LP_RNG.
+PATH_RNG = random.Random(20261020)
+
+
+def _lp_entry(rng, zero=0.3):
+    if rng.random() < zero:
         return 0
-    v = LP_RNG.randint(-4, 4)
-    return Fraction(v, LP_RNG.randint(1, 6)) if LP_RNG.random() < 0.4 else v
+    v = rng.randint(-4, 4)
+    return Fraction(v, rng.randint(1, 6)) if rng.random() < 0.4 else v
+
+
+def _random_lp(rng, max_vars, max_rows):
+    """An LP with fractional data, equality rows (duplicated, so an
+    artificial is pivoted out), zero right-hand sides, and boxed or free
+    variables."""
+    n = rng.randint(1, max_vars)
+    obj = [_lp_entry(rng) for _ in range(n)]
+    cons = []
+    while len(cons) < rng.randint(1, max_rows):
+        rel = rng.choice([LE, GE, EQ])
+        row = [_lp_entry(rng) for _ in range(n)]
+        b = 0 if rng.random() < 0.3 else _lp_entry(rng, 0)
+        cons.append((row, rel, b))
+        if rel == EQ and rng.random() < 0.3:
+            cons.append((row, EQ, b))
+    if rng.random() < 0.5:
+        for i in range(n):
+            unit = [0] * n
+            unit[i] = 1
+            cons += [(unit, LE, rng.randint(0, 5)), (unit, GE, -rng.randint(0, 5))]
+    return obj, cons
 
 
 @pytest.mark.parametrize("size", [(3, 5), (6, 12), (10, 21)])
 def test_lp_matches_reference_simplex(size):
-    """Same status, value and point as the rational tableau, on LPs with
-    fractional data, equality rows (duplicated, so an artificial is
-    pivoted out), zero right-hand sides, and boxed or free variables."""
-    max_vars, max_rows = size
+    """Same status, value and point as the rational tableau, on
+    ``_random_lp``'s LPs."""
     statuses = set()
     for _ in range(40):
-        n = LP_RNG.randint(1, max_vars)
-        obj = [_lp_entry() for _ in range(n)]
-        cons = []
-        while len(cons) < LP_RNG.randint(1, max_rows):
-            rel = LP_RNG.choice([LE, GE, EQ])
-            row = [_lp_entry() for _ in range(n)]
-            b = 0 if LP_RNG.random() < 0.3 else _lp_entry(0)
-            cons.append((row, rel, b))
-            if rel == EQ and LP_RNG.random() < 0.3:
-                cons.append((row, EQ, b))
-        if LP_RNG.random() < 0.5:
-            for i in range(n):
-                unit = [0] * n
-                unit[i] = 1
-                cons += [(unit, LE, LP_RNG.randint(0, 5)), (unit, GE, -LP_RNG.randint(0, 5))]
+        obj, cons = _random_lp(LP_RNG, *size)
         res = lp_optimize(obj, cons)
         want = _reference_lp(obj, cons)
         assert (res.status, res.value, res.point) == want
@@ -565,23 +580,24 @@ def test_lp_on_slack_basis_runs_phase_two_only(simplex_runs):
 
 def test_phase_two_only_lp_still_checks_pivot_division(monkeypatch):
     """Hand the slack-basis LP's only simplex run, on a tableau with no
-    artificial column, a wrong denominator: its first pivot divides
-    inexactly and must raise."""
+    artificial column, a wrong denominator on its cost row: its first
+    pivot updates that row, divides inexactly and must raise."""
     from hfhat import exactla
     from hfhat.exactla import InternalError
 
     runs = []
     real = exactla._simplex
 
-    def wrong_denominator(rows, basis, basic, d):
+    def wrong_denominator(rows, dens, basis, basic, n, d):
         runs.append((d, len(rows[0]) - 1))
-        return real(rows, basis, basic, 3 * d)
+        dens[-1] *= 3
+        return real(rows, dens, basis, basic, n, d)
 
     monkeypatch.setattr(exactla, "_simplex", wrong_denominator)
     with pytest.raises(InternalError, match="inexact division"):
         lp_optimize([1, 1], [([1, 0], LE, 2), ([0, 1], LE, 3)])
-    # d = 1, and the columns are u, w and the two slacks.
-    assert runs == [(1, 6)]
+    # d = 1, and the stored columns are u and the two slacks.
+    assert runs == [(1, 4)]
 
 
 def test_pivot_rejects_inexact_division():
@@ -590,5 +606,118 @@ def test_pivot_rejects_inexact_division():
     # Over d = 3 these rows are no tableau of integer minors: 1 * 1 - 1 * 0
     # is not divisible by 3.
     rows = [[1, 0], [1, 1], [0, 0]]
-    with pytest.raises(InternalError):
-        _pivot(rows, [0, 1], [True, True], 3, 0, 0)
+    with pytest.raises(InternalError, match="inexact division"):
+        _pivot(rows, [3, 3, 3], [0, 1], [True, True], 0, 3, 0, 0)
+
+
+def test_pivot_rejects_inexact_division_on_the_pivot_row_support():
+    """A row over the pivot p itself (p != 1) changes only where the
+    pivot row is nonzero, and those divisions are checked too."""
+    from hfhat.exactla import InternalError, _pivot
+
+    # Row 1 is over den == p == 2: 3 - 1 * 1 / 2 is no integer.
+    rows = [[2, 0, 1], [1, 2, 3], [0, 0, 0]]
+    with pytest.raises(InternalError, match="inexact division"):
+        _pivot(rows, [2, 2, 2], [0, 1], [True, True], 0, 2, 0, 0)
+
+
+def _record_pivots(monkeypatch):
+    """``(pivots, cases)``: lp_optimize's pivots as ``(row, entering)``,
+    with the columns in the order u, w, slacks, artificials, and the
+    cases of its tableau that they met."""
+    from hfhat import exactla
+
+    pivots, cases, depth = [], set(), []
+    real_simplex, real_pivot = exactla._simplex, exactla._pivot
+
+    def simplex(*args):
+        depth.append(True)
+        try:
+            return real_simplex(*args)
+        finally:
+            depth.pop()
+
+    def pivot(rows, dens, basis, basic, n, d, row, col):
+        k = col if col < n else col - n
+        p = abs(rows[row][k]) * d // dens[row]
+        if n <= col < 2 * n:
+            cases.add("w enters")
+        if n <= basis[row] < 2 * n:
+            cases.add("w leaves")
+        if dens[row] != d:
+            cases.add("stale pivot row")
+        if p != 1 and any(
+            i != row and r[k] and den == p for i, (r, den) in enumerate(zip(rows, dens))
+        ):
+            cases.add("den == p != 1")
+        if not depth:
+            cases.add("artificial pivoted out")
+        pivots.append((row, col))
+        return real_pivot(rows, dens, basis, basic, n, d, row, col)
+
+    monkeypatch.setattr(exactla, "_simplex", simplex)
+    monkeypatch.setattr(exactla, "_pivot", pivot)
+    return pivots, cases
+
+
+def test_lp_pivots_match_reference_simplex(monkeypatch):
+    """Not only the answer: lp_optimize makes the rational tableau's
+    pivots, in order, on seeded LPs that between them meet every case of
+    its stored tableau."""
+    pivots, cases = _record_pivots(monkeypatch)
+    for _ in range(150):
+        obj, cons = _random_lp(PATH_RNG, 8, 16)
+        want = []
+        pivots.clear()
+        assert lp_optimize(obj, cons) == _reference_lp(obj, cons, pivots=want)
+        assert pivots == want
+    assert cases == {
+        "w enters",
+        "w leaves",
+        "stale pivot row",
+        "den == p != 1",
+        "artificial pivoted out",
+    }
+
+
+@pytest.mark.parametrize("name", [*SMALL_NAMES, "lens(7,2)", "gsph(3)", "grid(3)", "grid(4)"])
+def test_lp_pivots_match_reference_on_diagrams(monkeypatch, name):
+    """Every LP that ``homology`` and ``admissible --strong`` make on a
+    diagram pivots as the rational tableau does."""
+    from hfhat import admissibility, domains
+    from hfhat import (
+        NotAdmissible,
+        UnboundedEnumeration,
+        area_certificate,
+        build,
+        homology,
+        spinc_partition,
+        strong_admissible,
+    )
+
+    from conftest import grid_diagram
+
+    pivots, _ = _record_pivots(monkeypatch)
+    lps = []
+
+    def recorded(objective, constraints):
+        pivots.clear()
+        res = lp_optimize(objective, constraints)
+        lps.append((list(objective), constraints, res, list(pivots)))
+        return res
+
+    monkeypatch.setattr(domains, "lp_optimize", recorded)
+    monkeypatch.setattr(admissibility, "lp_optimize", recorded)
+    d = grid_diagram(int(name[5])) if name.startswith("grid") else build(name)
+    try:
+        homology(d)
+    except (NotAdmissible, UnboundedEnumeration):
+        pass
+    for c in spinc_partition(d):
+        if strong_admissible(d, c).verdict:
+            area_certificate(d, "strong", c)
+    assert lps
+    for obj, cons, res, got in lps:
+        want = []
+        assert res == _reference_lp(obj, cons, pivots=want)
+        assert got == want
