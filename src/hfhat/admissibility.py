@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 from .diagram import HeegaardDiagram, derived
 from .domains import _integer_direction, _weak_witness, periodic_lattice, recession_direction
 from .exactla import EQ, GE, LE, InternalError, _scaled, lp_optimize, vanishing_sublattice
-from .spinc import SpincClass, _pairing_vector
+from .spinc import SpincClass, _check_class, _pairing_vector
 
 
 class NotAdmissible(Exception):
@@ -53,8 +53,12 @@ def _pairings(
 ) -> Optional[tuple[int, ...]]:
     """What the admissibility questions see of a class: its Chern
     pairings on the periodic basis (``None`` for the class-free weak
-    question)."""
-    return None if c is None else _pairing_vector(d, c.members[0])
+    question).  A class that is not one of d's is refused with
+    ValueError first."""
+    if c is None:
+        return None
+    _check_class(d, c)
+    return _pairing_vector(d, c.members[0])
 
 
 @derived

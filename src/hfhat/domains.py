@@ -425,14 +425,19 @@ def positive_domains(
     a box read off the rows once the free vectors split) with
     depth-first re-tightening sweep every integer point.  Raises
     UnboundedEnumeration otherwise.  The sweep runs once per diagram
-    object and starting domain ``D0 + n_z [Sigma]``.
+    object and starting domain ``D0 + n_z [Sigma]``.  Each point's index
+    is the exported, checked ``maslov_index``, imported at call time
+    since ``measures`` imports this module.  A target index or n_z that
+    is not an int is refused with ValueError.
     """
-    from .measures import _maslov_index
+    from .measures import maslov_index
 
+    if type(target_index) is not int or type(nz) is not int:
+        raise ValueError(f"target index {target_index!r} and n_z {nz!r} must be ints")
     results = []
     for coeffs in _positive_solutions(d, x, y, nz):
         dom = Domain(coeffs, x, y)
-        if _maslov_index(d, dom) == target_index:
+        if maslov_index(d, dom) == target_index:
             _assert_mirror(d, dom)
             results.append(dom)
     return results

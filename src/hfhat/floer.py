@@ -25,8 +25,8 @@ from .diagram import HeegaardDiagram, _arc_walk, _one_piece, derived, quadrants,
 from .domains import Domain, UnboundedEnumeration, _weak_witness, positive_domains
 from .exactla import InternalError
 from .generators import Generator
-from .measures import _checked, _embedded_euler_char, _maslov_index, _quarter_euler
-from .spinc import SpincClass, spinc_partition
+from .measures import _quarter_euler, embedded_euler_char, maslov_index
+from .spinc import SpincClass, _check_class, spinc_partition
 
 BIGON = "Bigon"
 RECTANGLE = "Rectangle"
@@ -98,8 +98,9 @@ def classify_rigid(d: HeegaardDiagram, D: Domain) -> RigidShape:
     basepoint or does not have index 1.  A domain whose ends are not
     generators of d is refused with ValueError.
     """
-    coeffs = _checked(d, D).coefficients
-    if any(c < 0 for c in coeffs) or coeffs[d.basepoint] != 0 or _maslov_index(d, D) != 1:
+    index = maslov_index(d, D)  # refuses, with ValueError, a D of the wrong shape first
+    coeffs = D.coefficients
+    if any(c < 0 for c in coeffs) or coeffs[d.basepoint] != 0 or index != 1:
         raise InternalError(f"classify_rigid needs an index-1 positive n_z = 0 domain, got {coeffs}")
     return _classify_rigid(d, D)
 
@@ -148,8 +149,9 @@ def _classify_rigid(d: HeegaardDiagram, D: Domain) -> RigidShape:
         return RigidShape(OTHER, sup, tuple(corner_pts))
     # The embedded surface of a disk is the disk plus one trivial strip
     # per fixed point: g - 1 strips for a bigon, g - 2 for a rectangle.
-    if _embedded_euler_char(d, D) != chi:
-        raise InternalError(f"{tag} {coeffs} has embedded chi {_embedded_euler_char(d, D)}, expected {chi}")
+    embedded = embedded_euler_char(d, D)
+    if embedded != chi:
+        raise InternalError(f"{tag} {coeffs} has embedded chi {embedded}, expected {chi}")
     return RigidShape(tag, sup, tuple(sorted(corner_pts)))
 
 
@@ -169,10 +171,14 @@ def differential(
     the bucket at gr(x) - 1 only.  Raises NotCombinatorial when any
     such domain is not rigid.  A class with two or more generators on a
     diagram that is not weakly admissible raises UnboundedEnumeration
-    with the periodic witness, before any pair is enumerated.
+    with the periodic witness, before any pair is enumerated.  A class
+    that is not one of d's (no members, a member that is not a
+    generator of d, members of two classes, or gradings that do not
+    give each member once an int) is refused with ValueError before that.
     ``threads`` is accepted for compatibility and ignored: the work is
     pure Python, so worker threads only added contention.
     """
+    _check_class(d, c)
     order = c.members
     idx = {g: i for i, g in enumerate(order)}
     gradings = dict(c.gradings)

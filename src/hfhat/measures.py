@@ -17,14 +17,15 @@ as a ``Fraction``; for the integer-valued ones (index, embedded chi,
 Chern pairing) integrality is checked, never rounded: a sum that 4
 does not divide raises ``NonIntegralMeasure``.  The ``Fraction`` point
 measures live in the tests as the reference.  Every measure refuses,
-with ``ValueError`` and before reading a coefficient, a vector that
-does not have one coefficient per region; the index and embedded chi
+with ``ValueError`` and before reading a coefficient, a vector that is
+not a tuple or list of one int per region; the index and embedded chi
 also refuse a domain whose ends are not generators of the diagram.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Union
 
 from .diagram import HeegaardDiagram, derived, quadrants
@@ -41,20 +42,26 @@ CoeffsLike = Union[Domain, Sequence[int]]
 
 
 def _coefficients(d: HeegaardDiagram, D: CoeffsLike) -> Sequence[int]:
-    """D's coefficients, refused with ValueError unless there is one
-    per region of d.  Callers refuse an invalid d first."""
+    """D's coefficients, refused with ValueError on an invalid d, or unless they are a tuple or
+    list of one int per region; the entries are ints (or bools) exactly when their sum is an int."""
+    quadrants(d)  # refuses an invalid diagram before reading d.regions
     coeffs = D.coefficients if isinstance(D, Domain) else D
+    try:
+        whole = isinstance(coeffs, (tuple, list)) and type(sum(coeffs)) is int
+    except TypeError:  # a str, None or sequence entry
+        whole = False
+    if not whole:
+        raise ValueError(f"coefficients must be a tuple or list of ints, not {coeffs!r}")
     if len(coeffs) != len(d.regions):
         raise ValueError(f"{len(coeffs)} coefficients given for the {len(d.regions)} regions of the diagram")
     return coeffs
 
 
 def euler_measure(d: HeegaardDiagram, D: CoeffsLike) -> Fraction:
-    return Fraction(_quarters(d, D, ()), 4)
+    return Fraction(_quarters(d, _coefficients(d, D), ())[0], 4)
 
 
 def basepoint_multiplicity(d: HeegaardDiagram, D: CoeffsLike) -> int:
-    quadrants(d)  # refuses an invalid diagram before reading d.basepoint
     return _coefficients(d, D)[d.basepoint]
 
 
@@ -64,15 +71,15 @@ def _quarter_euler(d: HeegaardDiagram) -> tuple[int, ...]:
     return tuple(4 * r.euler_char - r.corner_count for r in d.regions)
 
 
-def _quarters(d: HeegaardDiagram, D: CoeffsLike, points: Sequence[str]) -> int:
-    """``4 (e(D) + sum of n_p(D) over points)``, a point listed twice counting twice."""
+def _quarters(d: HeegaardDiagram, coeffs: Sequence[int], points: Sequence[str]) -> tuple[int, int]:
+    """``4 e(D)`` and ``4 n_p(D)`` summed over points (a point listed twice
+    counting twice), for coefficients that ``_coefficients`` passed."""
     corners = quadrants(d).corners
-    coeffs = _coefficients(d, D)
-    total = sum(n * w for n, w in zip(coeffs, _quarter_euler(d)))
+    at_points = 0
     for p in points:
         q0, q1, q2, q3 = corners[p]
-        total += coeffs[q0] + coeffs[q1] + coeffs[q2] + coeffs[q3]
-    return total
+        at_points += coeffs[q0] + coeffs[q1] + coeffs[q2] + coeffs[q3]
+    return sum(map(mul, coeffs, _quarter_euler(d))), at_points
 
 
 def _whole(quarters: int, what: str) -> int:
@@ -81,37 +88,22 @@ def _whole(quarters: int, what: str) -> int:
     return quarters // 4
 
 
-def _checked(d: HeegaardDiagram, D: Domain) -> Domain:
-    """D, refused with ValueError on an invalid d, a wrong length, or an end
-    that is not a generator of d (checked once per generator, by ``_reduction``)."""
-    quadrants(d)
-    _coefficients(d, D)
-    _reduction(d, D.from_gen)
-    _reduction(d, D.to_gen)
-    return D
-
-
 def maslov_index(d: HeegaardDiagram, D: Domain) -> int:
     """e + n_from + n_to; raises NonIntegralMeasure on corrupt data."""
-    return _maslov_index(d, _checked(d, D))
-
-
-def _maslov_index(d: HeegaardDiagram, D: Domain) -> int:
-    """``maslov_index`` of a D whose ends are known generators of d."""
-    return _whole(_quarters(d, D, D.from_gen.points + D.to_gen.points), "maslov index")
+    coeffs = _coefficients(d, D)
+    _reduction(d, D.from_gen)  # refuses an end that is not a generator of d
+    _reduction(d, D.to_gen)
+    return _whole(sum(_quarters(d, coeffs, D.from_gen.points + D.to_gen.points)), "maslov index")
 
 
 def embedded_euler_char(d: HeegaardDiagram, D: Domain) -> int:
     """Euler characteristic of the embedded surface representative,
     g + e - n_from - n_to, that is g + 2e - ind."""
-    return _embedded_euler_char(d, _checked(d, D))
-
-
-def _embedded_euler_char(d: HeegaardDiagram, D: Domain) -> int:
-    """``embedded_euler_char`` of a D whose ends are known generators of d."""
-    points = D.from_gen.points + D.to_gen.points
-    quarters = 4 * d.genus + 2 * _quarters(d, D, ()) - _quarters(d, D, points)
-    return _whole(quarters, "embedded euler characteristic")
+    coeffs = _coefficients(d, D)
+    _reduction(d, D.from_gen)  # refuses an end that is not a generator of d
+    _reduction(d, D.to_gen)
+    e, n = _quarters(d, coeffs, D.from_gen.points + D.to_gen.points)
+    return _whole(4 * d.genus + e - n, "embedded euler characteristic")
 
 
 def chern_pairing(d: HeegaardDiagram, x: Generator, P: CoeffsLike) -> int:
@@ -125,14 +117,15 @@ def chern_pairing(d: HeegaardDiagram, x: Generator, P: CoeffsLike) -> int:
     nz = basepoint_multiplicity(d, P)
     p0 = [c - nz for c in _coefficients(d, P)]
     _reduction(d, x)  # refuses x unless it is a generator of d
-    return _whole(_quarters(d, p0, x.points + x.points), "chern pairing")
+    e, n = _quarters(d, p0, x.points)
+    return _whole(e + 2 * n, "chern pairing")
 
 
 def periodic_index(d: HeegaardDiagram, x: Generator, P: CoeffsLike) -> int:
     """ind(P) = <c_1, P> + 2 n_z(P); agrees with the Maslov index of P
     viewed as a domain from x to itself."""
     value = chern_pairing(d, x, P) + 2 * basepoint_multiplicity(d, P)
-    index = _maslov_index(d, Domain(tuple(_coefficients(d, P)), x, x))
+    index = maslov_index(d, Domain(tuple(_coefficients(d, P)), x, x))
     if value != index:
         raise InternalError(f"periodic index {value} differs from the Maslov index {index}")
     return value

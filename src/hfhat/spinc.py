@@ -27,7 +27,7 @@ from .diagram import HeegaardDiagram, derived
 from .domains import _reduction, connecting_domain, periodic_lattice
 from .exactla import InternalError
 from .generators import Generator, enumerate_generators
-from .measures import _maslov_index, chern_pairing
+from .measures import chern_pairing, maslov_index
 
 
 class SpincClass(NamedTuple):
@@ -55,6 +55,19 @@ def spinc_partition(d: HeegaardDiagram) -> tuple[SpincClass, ...]:
     return tuple(classes)
 
 
+def _check_class(d: HeegaardDiagram, c: SpincClass) -> None:
+    """Raise ValueError unless c has members, each a generator of d (the
+    stored check of ``_reduction``) and all of one Spin^c structure, and
+    gradings that give each member once, in member order, an int."""
+    if not c.members:
+        raise ValueError("a Spin^c class needs at least one member")
+    if len({_reduction(d, g)[0] for g in c.members}) != 1:
+        raise ValueError("the members of a Spin^c class lie in more than one Spin^c structure")
+    graded = tuple(g for g, k in c.gradings if isinstance(k, int))
+    if graded != c.members or len(set(graded)) != len(graded):
+        raise ValueError("the gradings of a Spin^c class must give each member once, in member order, an int")
+
+
 @derived
 def _pairing_vector(d: HeegaardDiagram, x: Generator) -> tuple[int, ...]:
     """``<c_1(s), P>`` for each periodic basis vector P, s the class of x.
@@ -74,7 +87,7 @@ def _gradings(
         dom = connecting_domain(d, x, base)
         if dom is None:
             raise InternalError(f"no connecting domain inside a Spin^c class, from {x} to {base}")
-        raw[x] = _maslov_index(d, dom)
+        raw[x] = maslov_index(d, dom)
     low = min(raw.values())
     out = []
     for x in members:

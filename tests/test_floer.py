@@ -180,7 +180,7 @@ def test_classify_rigid_disk_test_matches_glue_walk(monkeypatch):
 
     monkeypatch.setattr(
         hfhat.floer,
-        "_embedded_euler_char",
+        "embedded_euler_char",
         lambda d, D: d.genus - len(D.from_gen.points) + 1,
     )
     checked, disks, obtuse_seen = 0, 0, 0
@@ -248,7 +248,7 @@ def _classify_all_points(d, D):
         tag, chi = RECTANGLE, d.genus - 1
     else:
         return RigidShape(OTHER, sup, tuple(corner_pts))
-    assert hfhat.floer._embedded_euler_char(d, D) == chi
+    assert hfhat.floer.embedded_euler_char(d, D) == chi
     return RigidShape(tag, sup, tuple(sorted(corner_pts)))
 
 
@@ -262,7 +262,7 @@ def test_support_census_matches_all_points_census(monkeypatch):
 
     monkeypatch.setattr(
         hfhat.floer,
-        "_embedded_euler_char",
+        "embedded_euler_char",
         lambda d, D: d.genus - len(D.from_gen.points) + 1,
     )
     diagrams = [build(n) for n in SMALL_NAMES + ["lens(8,3)", "gsph(3)"]] + [rectangle_diagram()]
@@ -299,8 +299,8 @@ def test_differential_does_not_recompute_the_index_it_enumerated(monkeypatch):
     x, y = enumerate_generators(d)
     dom = positive_domains(d, x, y, 1, 0)[0]
     indices = []
-    real = hfhat.floer._maslov_index
-    monkeypatch.setattr(hfhat.floer, "_maslov_index", lambda d, D: indices.append(D) or real(d, D))
+    real = hfhat.floer.maslov_index
+    monkeypatch.setattr(hfhat.floer, "maslov_index", lambda d, D: indices.append(D) or real(d, D))
     (c,) = spinc_partition(d)
     assert [tag for *_, tag in differential(d, c).audit] == [RECTANGLE, RECTANGLE]
     assert indices == []
@@ -323,8 +323,8 @@ def test_classify_rigid_checks_embedded_euler_char(monkeypatch):
     ]
     for d, dom, tag in cases:
         assert classify_rigid(d, dom).tag == tag
-    true_chi = hfhat.floer._embedded_euler_char
-    monkeypatch.setattr(hfhat.floer, "_embedded_euler_char", lambda d, D: true_chi(d, D) + 1)
+    true_chi = hfhat.floer.embedded_euler_char
+    monkeypatch.setattr(hfhat.floer, "embedded_euler_char", lambda d, D: true_chi(d, D) + 1)
     for d, dom, _ in cases:
         with pytest.raises(InternalError):
             classify_rigid(d, dom)

@@ -2,11 +2,12 @@
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
-import hfhat.floer
 import hfhat.measures
+import hfhat.spinc
 from hfhat import (
     Domain,
     Generator,
@@ -23,6 +24,7 @@ from hfhat import (
     periodic_index,
     periodic_lattice,
     positive_domains,
+    spinc_partition,
 )
 from hfhat.corpus import build
 from hfhat.domains import _positive_solutions
@@ -199,20 +201,44 @@ def test_index_measures_refuse_a_domain_between_non_generators(points):
                 measure(d, dom)
 
 
-@pytest.mark.parametrize("name", ["gsph(2)", "s1s2_g1"])
-def test_internal_index_calls_skip_the_end_check(name, monkeypatch):
-    """homology and the Spin^c gradings hold checked generators, so
-    their index and embedded chi skip the exported functions' check."""
-    checks = []
-    for module in (hfhat.measures, hfhat.floer):
-        monkeypatch.setattr(module, "_checked", lambda d, D: checks.append(D) or D)
-    d = build(name)
+def test_homology_and_gradings_reach_the_exported_index(monkeypatch):
+    """The Spin^c gradings and the positive-domain filter of homology
+    compute the index through the exported, checked maslov_index, the
+    name a tracer rebinds: there is no unchecked copy beside it."""
+    calls = []
+    real = hfhat.measures.maslov_index
+    for module in (hfhat.measures, hfhat.spinc):
+        monkeypatch.setattr(module, "maslov_index", lambda d, D: calls.append(D) or real(d, D))
+    d = build("gsph(2)")
+    spinc_partition(d)
+    graded = len(calls)
     homology(d)
-    assert checks == []
+    assert 0 < graded < len(calls)
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, Fraction(1), "1", None], ids=["half", "float", "fraction", "str", "none"])
+def test_measures_refuse_non_integer_coefficients(value):
+    """On gsph(2) every measure refuses, with ValueError, coefficients
+    that are not ints, and a dict, whose keys zip would read as the
+    coefficients.  The index used to return the float 1.0 on halves."""
+    d = build("gsph(2)")
+    n = len(d.regions)
     x = enumerate_generators(d)[0]
-    dom = Domain((0,) * len(d.regions), x, x)
-    assert maslov_index(d, dom) == 0
-    assert checks == [dom]
+    coeffs = [value] * n
+    dom = Domain(tuple(coeffs), x, x)
+    calls = [
+        lambda: euler_measure(d, coeffs),
+        lambda: euler_measure(d, {i: 0 for i in range(n)}),
+        lambda: basepoint_multiplicity(d, coeffs),
+        lambda: maslov_index(d, dom),
+        lambda: embedded_euler_char(d, dom),
+        lambda: chern_pairing(d, x, coeffs),
+        lambda: periodic_index(d, x, coeffs),
+        lambda: classify_rigid(d, dom),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="coefficients"):
+            call()
 
 
 def measure_index(d, dom):

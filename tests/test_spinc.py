@@ -1,15 +1,23 @@
 """Spin^c partition and grading divisors, against a Smith-form oracle."""
 
+import re
+
 import pytest
 
 import hfhat.domains
 import hfhat.measures
 import hfhat.spinc
 from hfhat import (
+    Generator,
+    SpincClass,
+    area_certificate,
     boundary_system,
     connecting_domain,
+    differential,
     enumerate_generators,
     spinc_partition,
+    strong_admissible,
+    weak_admissible,
 )
 from hfhat.corpus import build
 
@@ -128,7 +136,7 @@ def test_lens_partition_builds_no_domain(name, monkeypatch):
     for module in (hfhat.spinc, hfhat.domains):
         monkeypatch.setattr(module, "connecting_domain", refuse)
     for module in (hfhat.spinc, hfhat.measures):
-        monkeypatch.setattr(module, "_maslov_index", refuse)
+        monkeypatch.setattr(module, "maslov_index", refuse)
     d = build(name)
     classes = spinc_partition(d)
     assert calls == []
@@ -136,3 +144,46 @@ def test_lens_partition_builds_no_domain(name, monkeypatch):
     for c in classes:
         assert c.gradings == ((c.members[0], 0),)
         assert c.divisor == 0
+
+
+def _mixed(d, c):
+    """One member from each of d's first two classes."""
+    a, b = (k.members[0] for k in spinc_partition(d)[:2])
+    return SpincClass((a, b), 0, ((a, 0), (b, 0)))
+
+
+FORGED = {
+    "no members": ("gsph(2)", lambda d, c: c._replace(members=()), "at least one member"),
+    "foreign member": (
+        "gsph(2)",
+        lambda d, c: c._replace(members=(Generator(("zz", "yy")),)),
+        re.escape("{zz,yy} is not a generator of the diagram"),
+    ),
+    "gradings miss a member": (
+        "gsph(2)",
+        lambda d, c: c._replace(gradings=c.gradings[1:]),
+        "gradings of a Spin.c class must give each member once",
+    ),
+    "two structures": ("lens(5,2)", _mixed, "more than one Spin.c structure"),
+}
+
+
+@pytest.mark.parametrize("kind", FORGED)
+def test_forged_class_is_refused_by_differential_and_admissibility(kind):
+    """differential and every admissibility question refuse, with
+    ValueError, a class that is not one of the diagram's, where
+    differential used to raise KeyError or answer for it and the
+    admissibility questions raised IndexError on a class of no members."""
+    name, forge, message = FORGED[kind]
+    d = build(name)
+    forged = forge(d, spinc_partition(d)[0])
+    calls = [
+        lambda: differential(d, forged),
+        lambda: weak_admissible(d, forged),
+        lambda: strong_admissible(d, forged),
+        lambda: area_certificate(d, "weak", forged),
+        lambda: area_certificate(d, "strong", forged),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
