@@ -43,7 +43,7 @@ from .diagram import (
     stabilize,
     validate,
 )
-from .domains import UnboundedEnumeration, _lattice_points, positive_domains
+from .domains import UnboundedEnumeration, _lattice_points, _positive_solutions, positive_domains
 from .floer import NotCombinatorial, homology
 from .generators import Generator, _check_generator, enumerate_generators
 from .spinc import spinc_partition
@@ -214,10 +214,11 @@ def _cmd_domains(args) -> int:
         _emit(doc, args.json, lambda: [f"unbounded enumeration; periodic witness {doc['witness']}"])
         return EXIT_NOT_ADMISSIBLE
     finally:
-        # The lattice points of this query's starting domain go with the
-        # command, so the held diagram's store stays bounded by the diagram.
+        # The lattice points of this query's starting domain, and its
+        # point difference's slot, go with the command, so the held
+        # diagram's store stays bounded by the diagram.
         for slot in d._derived.keys() - stored:
-            if type(slot) is tuple and slot[0] is _lattice_points.__wrapped__:
+            if type(slot) is tuple and slot[0] in (_lattice_points.__wrapped__, _positive_solutions):
                 del d._derived[slot]
     doc = {"count": len(found), "domains": [list(dom.coefficients) for dom in found]}
     _emit(doc, args.json, lambda: [f"{len(found)} domains"] + [f"  {c}" for c in doc["domains"]])

@@ -146,6 +146,11 @@ def derived(build: Callable[..., T]) -> Callable[..., T]:
     partition are kept, and, keyed, the reduction and the domain phi_g
     per generator, the positive lattice points per starting domain and
     the admissibility verdicts and certificates per Chern pairing vector.
+    Two stores put their slots in ``_derived`` directly, since they are
+    built from a pair of generators but keyed on less: the positive
+    lattice points per point difference and n_z
+    (``domains._positive_solutions``) and the differential's rigid
+    shapes per coefficients and point difference (``floer.differential``).
     """
 
     @wraps(build)

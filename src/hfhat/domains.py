@@ -44,6 +44,12 @@ coordinate is read off its own vector's rows with no LP; on a sum of
 S^1 x S^2 summands that is every coordinate.  An unbounded polytope is
 reported as an error naming a recession direction, which is precisely
 a failure of weak admissibility.
+A pair reaches its points through its point difference: the from-only
+points, the to-only points and n_z decide ``chi_y - chi_x``, whether a
+connecting domain exists, D0 and each point's mirror check, so the
+checked points are kept per diagram object and difference.  Each pair
+still compares its own two remainders, and each point's index, which
+reads the fixed points too, is computed per pair.
 """
 
 from __future__ import annotations
@@ -281,14 +287,40 @@ def _weak_witness(d: HeegaardDiagram) -> Optional[tuple[int, ...]]:
     return recession_direction(periodic_lattice(d).basis)
 
 
+def _moving(x: Generator, y: Generator) -> tuple[frozenset[str], frozenset[str]]:
+    """``(from-only, to-only)``: the points of x not in y and of y not in x."""
+    points = frozenset(x.points)
+    return points.difference(y.points), frozenset(y.points).difference(points)
+
+
 def _positive_solutions(
     d: HeegaardDiagram, x: Generator, y: Generator, nz: int
 ) -> tuple[tuple[int, ...], ...]:
-    """All nonnegative coefficient vectors connecting x to y at n_z."""
-    dom = connecting_domain(d, x, y)
-    if dom is None:
+    """All nonnegative coefficient vectors connecting x to y at n_z.
+
+    Per pair only the two remainders are compared, which also refuses
+    an end that is not a generator of d.  The rest depends on the pair
+    only through its moving points: ``chi_y - chi_x`` is the chain of
+    the to-only points less that of the from-only ones, so it fixes
+    ``D0`` and the lattice points, and ``_assert_mirror`` reads nothing
+    else.  So they are stored once per diagram object under ``(from-only
+    points, to-only points, n_z)``, built from the first pair asked:
+    ``connecting_domain``, ``_lattice_points`` and ``_assert_mirror`` on
+    each point.
+    """
+    if _reduction(d, x)[0] != _reduction(d, y)[0]:
         return ()
-    return _lattice_points(d, tuple(c + nz for c in dom.coefficients))
+    slot = (_positive_solutions, *_moving(x, y), nz)
+    try:
+        return d._derived[slot]
+    except KeyError:
+        pass
+    dom = connecting_domain(d, x, y)
+    points = _lattice_points(d, tuple(c + nz for c in dom.coefficients))
+    for coeffs in points:
+        _assert_mirror(d, Domain(coeffs, x, y))
+    d._derived[slot] = points
+    return points
 
 
 @derived
@@ -425,10 +457,13 @@ def positive_domains(
     a box read off the rows once the free vectors split) with
     depth-first re-tightening sweep every integer point.  Raises
     UnboundedEnumeration otherwise.  The sweep runs once per diagram
-    object and starting domain ``D0 + n_z [Sigma]``.  Each point's index
-    is the exported, checked ``maslov_index``, imported at call time
-    since ``measures`` imports this module.  A target index or n_z that
-    is not an int is refused with ValueError.
+    object and starting domain ``D0 + n_z [Sigma]``, and the points,
+    with their boundaries checked, are kept per point difference (see
+    ``_positive_solutions``).  Each point's index reads the fixed points
+    too, so it is computed for every pair, by the exported, checked
+    ``maslov_index``, imported at call time since ``measures`` imports
+    this module.  A target index or n_z that is not an int is refused
+    with ValueError.
     """
     from .measures import maslov_index
 
@@ -438,6 +473,5 @@ def positive_domains(
     for coeffs in _positive_solutions(d, x, y, nz):
         dom = Domain(coeffs, x, y)
         if maslov_index(d, dom) == target_index:
-            _assert_mirror(d, dom)
             results.append(dom)
     return results

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .diagram import HeegaardDiagram, _arc_walk, _one_piece, derived, quadrants, validate
-from .domains import Domain, UnboundedEnumeration, _weak_witness, positive_domains
+from .domains import Domain, UnboundedEnumeration, _moving, _weak_witness, positive_domains
 from .exactla import InternalError
 from .generators import Generator
 from .measures import _quarter_euler, embedded_euler_char, maslov_index
@@ -106,10 +106,8 @@ def classify_rigid(d: HeegaardDiagram, D: Domain) -> RigidShape:
 
 
 def _classify_rigid(d: HeegaardDiagram, D: Domain) -> RigidShape:
-    """``classify_rigid`` without its precondition checks, for
-    ``differential``: ``positive_domains`` kept each domain it passes
-    because the domain is nonnegative, misses the basepoint and has
-    index 1."""
+    """``classify_rigid`` past its precondition checks.  It reads the
+    pair only through its moving points, except for embedded chi."""
     qs = quadrants(d)
     coeffs = D.coefficients
     if any(c not in (0, 1) for c in coeffs):
@@ -177,6 +175,15 @@ def differential(
     give each member once an int) is refused with ValueError before that.
     ``threads`` is accepted for compatibility and ignored: the work is
     pure Python, so worker threads only added contention.
+
+    Each shape is kept per diagram object under ``(coefficients,
+    from-only points, to-only points)`` and built on first use by the
+    exported ``classify_rigid``.  A shape reads the pair only through
+    its moving points, except for the embedded chi that it checks,
+    g + e - n_x - n_y.  ``positive_domains`` checked the index e + n_x
+    + n_y = 1 for this pair, so that chi is g + 2e - 1 for every pair
+    sharing the key: a function of the coefficients alone, checked on
+    the first pair for all of them.
     """
     _check_class(d, c)
     order = c.members
@@ -194,10 +201,14 @@ def differential(
         witness = _weak_witness(d)
         if witness is not None:
             raise UnboundedEnumeration(witness)
+    shapes = d._derived
     pairs = ((x, y) for x in order for y in by_level.get(level(gradings[x] - 1), ()) if y is not x)
     for x, y in pairs:
         for dom in positive_domains(d, x, y, 1, 0):
-            shape = _classify_rigid(d, dom)
+            slot = (RigidShape, dom.coefficients, *_moving(x, y))
+            shape = shapes.get(slot)
+            if shape is None:
+                shape = shapes[slot] = classify_rigid(d, dom)
             if shape.tag in counted_tags:
                 columns[idx[x]] ^= 1 << idx[y]
                 audit.append((x, y, dom, shape.tag))

@@ -595,6 +595,29 @@ def test_shared_object_enumerates_like_fresh_objects(name):
                 assert positive_domains(d, x, y, index, nz) == want, (x, y, index, nz)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_points_are_shared_only_by_pairs_with_one_point_difference(n):
+    """The points stored per point difference are those swept afresh for
+    each ordered pair of grid(n), at n_z 0 and 1.  From one generator,
+    the two 3-cycles of the same three points share their from-only
+    points but not their to-only ones, and their points differ."""
+    from hfhat.domains import _lattice_points, _moving, _positive_solutions
+
+    d = grid_diagram(n)
+    fresh = d._replace()
+    gens = enumerate_generators(d)
+    by_from = {}
+    for x in gens:
+        for y in gens:
+            for nz in (0, 1):
+                d0 = connecting_domain(fresh, x, y).coefficients
+                want = _lattice_points.__wrapped__(fresh, tuple(c + nz for c in d0))
+                assert _positive_solutions(d, x, y, nz) == want, (x, y, nz)
+                from_only, to_only = _moving(x, y)
+                by_from.setdefault((x, from_only, nz), {})[to_only] = want
+    assert any(len(set(points.values())) > 1 for points in by_from.values())
+
+
 def test_positive_domains_sorted():
     d = build("s1s2_g1")
     x, y = enumerate_generators(d)

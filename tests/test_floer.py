@@ -21,6 +21,7 @@ from hfhat import (
     UnboundedEnumeration,
     classify_rigid,
     connected_sum,
+    connecting_domain,
     differential,
     enumerate_generators,
     homology,
@@ -288,24 +289,27 @@ def test_support_census_matches_all_points_census(monkeypatch):
     assert tags == {BIGON, RECTANGLE, OTHER} and pinched and listed
 
 
-def test_differential_does_not_recompute_the_index_it_enumerated(monkeypatch):
-    """differential classifies the domains positive_domains kept at
-    index 1 without computing their index again; exported
-    classify_rigid computes it, and refuses a domain whose index is
-    not 1."""
+def test_differential_computes_the_index_again_once_per_distinct_shape(monkeypatch):
+    """differential classifies each distinct (coefficients, moving
+    points) once, by the exported classify_rigid, which computes the
+    index again and refuses a domain whose index is not 1; a shape
+    already stored on the diagram is not classified again."""
     import hfhat.floer
 
     d = rectangle_diagram()
     x, y = enumerate_generators(d)
-    dom = positive_domains(d, x, y, 1, 0)[0]
+    doms = positive_domains(d, x, y, 1, 0)
     indices = []
     real = hfhat.floer.maslov_index
     monkeypatch.setattr(hfhat.floer, "maslov_index", lambda d, D: indices.append(D) or real(d, D))
     (c,) = spinc_partition(d)
     assert [tag for *_, tag in differential(d, c).audit] == [RECTANGLE, RECTANGLE]
-    assert indices == []
+    assert indices == doms and len(set(doms)) == 2
+    assert [tag for *_, tag in differential(d, c).audit] == [RECTANGLE, RECTANGLE]
+    assert indices == doms
+    dom = doms[0]
     assert classify_rigid(d, dom).tag == RECTANGLE
-    assert indices == [dom]
+    assert indices == doms + [dom]
     shifted = Domain(tuple(n + 1 if i != d.basepoint else n for i, n in enumerate(dom.coefficients)), x, y)
     with pytest.raises(InternalError, match="index-1"):
         classify_rigid(d, shifted)
@@ -727,3 +731,144 @@ def test_grid_strict_rectangles_refuses():
         differential(d, c, strict_rectangles=True)
     assert len(exc.value.offenders) == 12
     assert {shape.tag for *_, shape in exc.value.offenders} == {RECTANGLE}
+
+
+def _oracle_diagram(name):
+    """A corpus diagram, ``grid(n)``, or a connected sum of them by ``#``."""
+    parts = [grid_diagram(int(p[5:-1])) if p.startswith("grid(") else build(p) for p in name.split("#")]
+    d = parts[0]
+    for part in parts[1:]:
+        d = connected_sum(d, part)
+    return d
+
+
+def _seeded_lens_gsph_sums():
+    """Four sums of a seeded lens(p, q) and gsph(k), in a seeded order."""
+    rng = random.Random("differential oracle sums")
+    out = []
+    for _ in range(4):
+        p = rng.randrange(2, 8)
+        q = rng.choice([q for q in range(1, p) if gcd(p, q) == 1])
+        parts = [f"lens({p},{q})", f"gsph({rng.randrange(1, 4)})"]
+        rng.shuffle(parts)
+        out.append("#".join(parts))
+    return out
+
+
+def _reference_differential(d, c, strict_rectangles):
+    """``(columns, audit)`` of one class with no stores: per pair,
+    connecting_domain, the lattice points swept afresh, the index, and
+    the shape from ``_classify_rigid`` per domain.  Refusals come back
+    as values: the witness, or the offenders."""
+    from hfhat.domains import _lattice_points
+    from hfhat.floer import _classify_rigid
+    from hfhat.measures import maslov_index
+
+    gradings = dict(c.gradings)
+    level = (lambda k: k % c.divisor) if c.divisor > 0 else (lambda k: k)
+    counted = (BIGON,) if strict_rectangles else (BIGON, RECTANGLE)
+    columns = [0] * len(c.members)
+    audit, offenders = [], []
+    try:
+        for ix, x in enumerate(c.members):
+            for iy, y in enumerate(c.members):
+                if y is x or level(gradings[x] - 1) != level(gradings[y]):
+                    continue
+                dom = connecting_domain(d, x, y)
+                if dom is None:
+                    continue
+                for coeffs in _lattice_points.__wrapped__(d, dom.coefficients):
+                    found = Domain(coeffs, x, y)
+                    if maslov_index(d, found) != 1:
+                        continue
+                    shape = _classify_rigid(d, found)
+                    if shape.tag in counted:
+                        columns[ix] ^= 1 << iy
+                        audit.append((x, y, found, shape.tag))
+                    else:
+                        offenders.append((x, y, found, shape))
+    except UnboundedEnumeration as exc:
+        return "unbounded", exc.witness
+    if offenders:
+        return "offenders", offenders
+    return tuple(columns), tuple(audit)
+
+
+def _stored_differential(d, c, strict_rectangles):
+    try:
+        cx = differential(d, c, strict_rectangles)
+    except UnboundedEnumeration as exc:
+        return "unbounded", exc.witness
+    except NotCombinatorial as exc:
+        return "offenders", exc.offenders
+    return cx.columns, cx.audit
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize(
+    "name", SMALL_NAMES + ["gsph(4)#gsph(4)", "grid(3)", "grid(4)"] + _seeded_lens_gsph_sums()
+)
+def test_differential_matches_a_reference_with_no_stores(name, strict):
+    """The stored enumeration per point difference and the stored shapes
+    give the columns, audit trail and refusals of a per-pair reference
+    that stores nothing, run on a separate copy of the diagram."""
+    d = _oracle_diagram(name)
+    fresh = d._replace()
+    for c in spinc_partition(d):
+        assert _stored_differential(d, c, strict) == _reference_differential(fresh, c, strict)
+
+
+def test_embedded_chi_fault_is_caught_on_a_fresh_diagram(monkeypatch):
+    """The shape store does not hide the embedded-chi check: with
+    ``embedded_euler_char`` off by one, homology of a fresh diagram
+    raises InternalError on bigons and on rectangles."""
+    import hfhat.floer
+
+    true_chi = hfhat.floer.embedded_euler_char
+    monkeypatch.setattr(hfhat.floer, "embedded_euler_char", lambda d, D: true_chi(d, D) + 1)
+    for d in (build("s1s2_g1"), _oracle_diagram("gsph(2)#gsph(2)"), rectangle_diagram(), grid_diagram(3)):
+        with pytest.raises(InternalError, match="embedded chi"):
+            homology(d)
+
+
+def test_each_check_runs_once_per_input_that_decides_it(monkeypatch):
+    """On gsph(3)#gsph(2), where the same bigons recur for many pairs,
+    differential computes the index for every (pair, lattice point), the
+    mirror check once per distinct (point difference, coefficients), and
+    the shape once per distinct (coefficients, moving points)."""
+    import hfhat.domains
+    import hfhat.floer
+    import hfhat.measures
+    from hfhat.domains import _moving, _positive_solutions
+
+    d = _oracle_diagram("gsph(3)#gsph(2)")
+    (c,) = spinc_partition(d)
+    gradings = dict(c.gradings)
+    pairs = [(x, y) for x in c.members for y in c.members if gradings[x] - gradings[y] == 1]
+    fresh = d._replace()
+    points = {pair: _positive_solutions(fresh, *pair, 0) for pair in pairs}
+    differences = {_moving(*pair): points[pair] for pair in pairs}
+
+    calls = {"connecting": [], "mirror": [], "index": [], "shape": []}
+
+    def record(module, name, key):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda d, *args: calls[key].append(args) or real(d, *args))
+
+    record(hfhat.domains, "connecting_domain", "connecting")
+    record(hfhat.domains, "_assert_mirror", "mirror")
+    record(hfhat.measures, "maslov_index", "index")
+    record(hfhat.floer, "classify_rigid", "shape")
+    audit = differential(d, c).audit
+
+    assert sorted((dom.from_gen, dom.to_gen, dom.coefficients) for (dom,) in calls["index"]) == sorted(
+        (x, y, coeffs) for (x, y), found in points.items() for coeffs in found
+    )
+    assert len(calls["connecting"]) == len(differences)
+    assert len(calls["mirror"]) == len(differences) + sum(map(len, differences.values()))
+    assert {(_moving(dom.from_gen, dom.to_gen), dom.coefficients) for (dom,) in calls["mirror"]} >= {
+        (moving, coeffs) for moving, found in differences.items() for coeffs in found
+    }
+    shapes = [(dom.coefficients, *_moving(x, y)) for x, y, dom, _ in audit]
+    assert sorted(dom.coefficients for (dom,) in calls["shape"]) == sorted(s[0] for s in set(shapes))
+    assert len(set(shapes)) < len(audit)

@@ -232,3 +232,23 @@ def test_cli_domains_sweep_frees_its_points_without_the_cyclic_collector(tmp_pat
         tracemalloc.stop()
         gc.enable()
     assert left - collected < 500_000, (left, collected)
+
+
+def test_cli_homology_keeps_the_difference_and_shape_slots(tmp_path, capsys):
+    """``hf homology`` leaves its points per point difference and its
+    rigid shapes on the held diagram, for the next command to reuse;
+    ``hf domains`` adds no slot per point difference to it."""
+    import hfhat.cli
+    from hfhat.floer import RigidShape
+
+    d = build("gsph(3)")
+    path = tmp_path / "gsph3.hfd"
+    path.write_text(serialize_hfd(d), encoding="utf-8")
+    x, y = (",".join(g.points) for g in enumerate_generators(d)[:2])
+    assert hfhat.cli.run(["domains", str(path), "--from", x, "--to", y, "--index", "1", "--nz", "0"]) == 0
+    assert not any(type(slot) is tuple and slot[0] is _positive_solutions
+                   for slot in hfhat.cli._held[1]._derived)
+    assert hfhat.cli.run(["homology", str(path)]) == 0
+    capsys.readouterr()
+    kinds = [slot[0] for slot in hfhat.cli._held[1]._derived if type(slot) is tuple]
+    assert kinds.count(_positive_solutions) > 0 and kinds.count(RigidShape) > 0
