@@ -311,10 +311,9 @@ def _positive_solutions(
     if _reduction(d, x)[0] != _reduction(d, y)[0]:
         return ()
     slot = (_positive_solutions, *_moving(x, y), nz)
-    try:
-        return d._derived[slot]
-    except KeyError:
-        pass
+    points = d._derived.get(slot)
+    if points is not None:
+        return points
     dom = connecting_domain(d, x, y)
     points = _lattice_points(d, tuple(c + nz for c in dom.coefficients))
     for coeffs in points:

@@ -201,14 +201,13 @@ def differential(
         witness = _weak_witness(d)
         if witness is not None:
             raise UnboundedEnumeration(witness)
-    shapes = d._derived
     pairs = ((x, y) for x in order for y in by_level.get(level(gradings[x] - 1), ()) if y is not x)
     for x, y in pairs:
         for dom in positive_domains(d, x, y, 1, 0):
             slot = (RigidShape, dom.coefficients, *_moving(x, y))
-            shape = shapes.get(slot)
+            shape = d._derived.get(slot)
             if shape is None:
-                shape = shapes[slot] = classify_rigid(d, dom)
+                shape = d._derived[slot] = classify_rigid(d, dom)
             if shape.tag in counted_tags:
                 columns[idx[x]] ^= 1 << idx[y]
                 audit.append((x, y, dom, shape.tag))
