@@ -287,10 +287,18 @@ def _weak_witness(d: HeegaardDiagram) -> Optional[tuple[int, ...]]:
     return recession_direction(periodic_lattice(d).basis)
 
 
-def _moving(x: Generator, y: Generator) -> tuple[frozenset[str], frozenset[str]]:
-    """``(from-only, to-only)``: the points of x not in y and of y not in x."""
-    points = frozenset(x.points)
-    return points.difference(y.points), frozenset(y.points).difference(points)
+@derived
+def _point_mask(d: HeegaardDiagram, g: Generator) -> int:
+    """``chi_g`` as a bit mask: bit i is set when g has the point of row i."""
+    index = _factored(d)[0]
+    return sum(1 << index[p] for p in g.points)
+
+
+def _moving(d: HeegaardDiagram, x: Generator, y: Generator) -> tuple[int, int]:
+    """``(from-only, to-only)``: the points of x not in y and of y not in
+    x, as bit masks, for generators that ``_reduction`` accepted."""
+    mx, my = _point_mask(d, x), _point_mask(d, y)
+    return mx & ~my, my & ~mx
 
 
 def _positive_solutions(
@@ -310,7 +318,7 @@ def _positive_solutions(
     """
     if _reduction(d, x)[0] != _reduction(d, y)[0]:
         return ()
-    slot = (_positive_solutions, *_moving(x, y), nz)
+    slot = (_positive_solutions, *_moving(d, x, y), nz)
     points = d._derived.get(slot)
     if points is not None:
         return points

@@ -204,7 +204,7 @@ def differential(
     pairs = ((x, y) for x in order for y in by_level.get(level(gradings[x] - 1), ()) if y is not x)
     for x, y in pairs:
         for dom in positive_domains(d, x, y, 1, 0):
-            slot = (RigidShape, dom.coefficients, *_moving(x, y))
+            slot = (RigidShape, dom.coefficients, *_moving(d, x, y))
             shape = d._derived.get(slot)
             if shape is None:
                 shape = d._derived[slot] = classify_rigid(d, dom)

@@ -613,7 +613,7 @@ def test_points_are_shared_only_by_pairs_with_one_point_difference(n):
                 d0 = connecting_domain(fresh, x, y).coefficients
                 want = _lattice_points.__wrapped__(fresh, tuple(c + nz for c in d0))
                 assert _positive_solutions(d, x, y, nz) == want, (x, y, nz)
-                from_only, to_only = _moving(x, y)
+                from_only, to_only = _moving(d, x, y)
                 by_from.setdefault((x, from_only, nz), {})[to_only] = want
     assert any(len(set(points.values())) > 1 for points in by_from.values())
 

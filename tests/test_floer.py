@@ -847,7 +847,7 @@ def test_each_check_runs_once_per_input_that_decides_it(monkeypatch):
     pairs = [(x, y) for x in c.members for y in c.members if gradings[x] - gradings[y] == 1]
     fresh = d._replace()
     points = {pair: _positive_solutions(fresh, *pair, 0) for pair in pairs}
-    differences = {_moving(*pair): points[pair] for pair in pairs}
+    differences = {_moving(fresh, *pair): points[pair] for pair in pairs}
 
     calls = {"connecting": [], "mirror": [], "index": [], "shape": []}
 
@@ -866,9 +866,9 @@ def test_each_check_runs_once_per_input_that_decides_it(monkeypatch):
     )
     assert len(calls["connecting"]) == len(differences)
     assert len(calls["mirror"]) == len(differences) + sum(map(len, differences.values()))
-    assert {(_moving(dom.from_gen, dom.to_gen), dom.coefficients) for (dom,) in calls["mirror"]} >= {
+    assert {(_moving(d, dom.from_gen, dom.to_gen), dom.coefficients) for (dom,) in calls["mirror"]} >= {
         (moving, coeffs) for moving, found in differences.items() for coeffs in found
     }
-    shapes = [(dom.coefficients, *_moving(x, y)) for x, y, dom, _ in audit]
+    shapes = [(dom.coefficients, *_moving(d, x, y)) for x, y, dom, _ in audit]
     assert sorted(dom.coefficients for (dom,) in calls["shape"]) == sorted(s[0] for s in set(shapes))
     assert len(set(shapes)) < len(audit)
