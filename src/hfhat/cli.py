@@ -5,8 +5,8 @@ aligned text report or, with ``--json``, a stable JSON document, and
 exits with 0 on success, 1 for an invalid diagram or unreadable file,
 2 when a computation is blocked by non-admissibility or an unbounded
 enumeration, 3 when a counted domain is not a certified rigid shape,
-and 4 for usage errors, an output path that cannot be written
-included.  Every nonzero exit names its cause, but not always in the
+and 4 for usage errors, an output path or a stdout that cannot be
+written included.  Every nonzero exit names its cause, but not always in the
 document: ``hf validate`` lists the violations, and ``hf domains`` and
 ``hf admissible`` give their witness, in the report on stdout (JSON
 with ``--json``).  Every other refusal (an unreadable or invalid
@@ -28,8 +28,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -43,7 +43,7 @@ from .diagram import (
     stabilize,
     validate,
 )
-from .domains import UnboundedEnumeration, _lattice_points, _positive_solutions, positive_domains
+from .domains import UnboundedEnumeration, _positive_solutions, positive_domains
 from .floer import NotCombinatorial, homology
 from .generators import Generator, _check_generator, enumerate_generators
 from .spinc import spinc_partition
@@ -74,10 +74,6 @@ def _fmt_gen(g: Generator) -> str:
 def _parse_gen(text: str) -> Generator:
     """Generators are the sorted tuple of their points, in any given order."""
     return Generator(tuple(sorted(text.split(","))))
-
-
-def _fmt_frac(x: Fraction) -> str:
-    return str(x)
 
 
 def _emit(report: dict, as_json: bool, text: Callable[[], Iterable[str]]) -> None:
@@ -129,17 +125,22 @@ _held: Optional[tuple[str, HeegaardDiagram]] = None
 
 
 def _load(path: str) -> HeegaardDiagram:
-    """Parse and validate; an invalid diagram prints why and exits 1.
+    """Parse and validate; a file that cannot be read as a diagram, or
+    an invalid diagram, prints why and exits 1.
 
     The file is read every time.  Text equal to the held text returns
     the held diagram, which passed validation when it was parsed."""
     global _held
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if _held is not None and _held[0] == text:
-        return _held[1]
-    _held = None
-    d = parse_hfd(text)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if _held is not None and _held[0] == text:
+            return _held[1]
+        _held = None
+        d = parse_hfd(text)
+    except _UNREADABLE as exc:
+        print(f"invalid diagram file: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_INVALID)
     report = validate(d)
     if not report.ok:
         print(f"invalid diagram: {report}", file=sys.stderr)
@@ -214,11 +215,10 @@ def _cmd_domains(args) -> int:
         _emit(doc, args.json, lambda: [f"unbounded enumeration; periodic witness {doc['witness']}"])
         return EXIT_NOT_ADMISSIBLE
     finally:
-        # The lattice points of this query's starting domain, and its
-        # point difference's slot, go with the command, so the held
-        # diagram's store stays bounded by the diagram.
+        # The points of this query's point difference go with the
+        # command, so the held diagram's store stays bounded by the diagram.
         for slot in d._derived.keys() - stored:
-            if type(slot) is tuple and slot[0] in (_lattice_points.__wrapped__, _positive_solutions):
+            if type(slot) is tuple and slot[0] is _positive_solutions:
                 del d._derived[slot]
     doc = {"count": len(found), "domains": [list(dom.coefficients) for dom in found]}
     _emit(doc, args.json, lambda: [f"{len(found)} domains"] + [f"  {c}" for c in doc["domains"]])
@@ -253,7 +253,7 @@ def _cmd_admissible(args) -> int:
         if rep.witness is not None:
             entry["witness"] = list(rep.witness)
         if cert is not None:
-            entry["areas"] = [_fmt_frac(a) for a in cert]
+            entry["areas"] = [str(a) for a in cert]
         doc["reports"].append(entry)
 
     def text():
@@ -264,7 +264,7 @@ def _cmd_admissible(args) -> int:
                 continue
             yield f"{rep.kind} admissible ({label})"
             if cert is not None:
-                yield "  areas " + " ".join(_fmt_frac(a) for a in cert)
+                yield "  areas " + " ".join(map(str, cert))
 
     _emit(doc, args.json, text)
     return EXIT_OK if all(rep.verdict for _, rep, _ in reports) else EXIT_NOT_ADMISSIBLE
@@ -403,14 +403,16 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _parse(sys.argv[1:] if argv is None else list(argv))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.fn(args)
-    except _UNREADABLE as exc:
-        print(f"invalid diagram file: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        try:
+            args = _parse(sys.argv[1:] if argv is None else list(argv))
+            return args.fn(args)
+        finally:
+            sys.stdout.flush()
+    except OSError as exc:
+        # Inputs and ``-o`` paths have their own handlers, so this is
+        # stdout, closed before the report or help was written.
+        print(f"error: cannot write the report: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
     except UnboundedEnumeration as exc:
         print(f"unbounded enumeration; periodic witness {list(exc.witness)}", file=sys.stderr)
         return EXIT_NOT_ADMISSIBLE
@@ -422,7 +424,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # ``run`` reported the failed write; send what stdout still holds
+        # to the null device, so the flush at shutdown cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -144,11 +144,10 @@ def derived(build: Callable[..., T]) -> Callable[..., T]:
     report, the arc walk (corner slots and arc sides), quadrant map,
     factored boundary system, periodic lattice, weak witness and Spin^c
     partition are kept, and, keyed, the reduction and the domain phi_g
-    per generator, the positive lattice points per starting domain and
-    the admissibility verdicts and certificates per Chern pairing vector.
-    Two stores put their slots in ``_derived`` directly, since they are
-    built from a pair of generators but keyed on less: the positive
-    lattice points per point difference and n_z
+    per generator and the admissibility verdicts and certificates per
+    Chern pairing vector.  Two stores put their slots in ``_derived``
+    directly, since they are built from a pair of generators but keyed
+    on less: the positive lattice points per point difference and n_z
     (``domains._positive_solutions``) and the differential's rigid
     shapes per coefficients and point difference (``floer.differential``).
     """

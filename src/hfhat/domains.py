@@ -34,10 +34,10 @@ The columns of ``u`` past the pivots span the kernel of ``l_alpha``:
 the periodic lattice (n_z = 0) plus [Sigma] (all coefficients 1).
 Less n_z [Sigma] each, as for phi_g, they span the lattice.  Positive
 domains of a prescribed index and n_z are enumerated by walking the
-integer points of the polytope D0 + lattice >= 0 (once per diagram
-object and D0), one lattice coordinate at a time: the walk carries the
-residual of the coordinates already fixed, and exact LPs over the free
-ones bound the next, which certifies completeness.  From the first
+integer points of the polytope D0 + lattice >= 0, one lattice
+coordinate at a time: the walk carries the residual of the coordinates
+already fixed, and exact LPs over the free ones bound the next, which
+certifies completeness.  From the first
 coordinate whose free basis vectors have pairwise disjoint supports
 (found once per diagram object) the fiber is a box, and each remaining
 coordinate is read off its own vector's rows with no LP; on a sum of
@@ -47,9 +47,10 @@ a failure of weak admissibility.
 A pair reaches its points through its point difference: the from-only
 points, the to-only points and n_z decide ``chi_y - chi_x``, whether a
 connecting domain exists, D0 and each point's mirror check, so the
-checked points are kept per diagram object and difference.  Each pair
-still compares its own two remainders, and each point's index, which
-reads the fixed points too, is computed per pair.
+walk runs, and its checked points are kept, once per diagram object
+and difference: the one store of positive points.  Each pair still
+compares its own two remainders, and each point's index, which reads
+the fixed points too, is computed per pair.
 """
 
 from __future__ import annotations
@@ -313,8 +314,8 @@ def _positive_solutions(
     ``D0`` and the lattice points, and ``_assert_mirror`` reads nothing
     else.  So they are stored once per diagram object under ``(from-only
     points, to-only points, n_z)``, built from the first pair asked:
-    ``connecting_domain``, ``_lattice_points`` and ``_assert_mirror`` on
-    each point.
+    ``connecting_domain``, ``_lattice_points`` (which keeps nothing) and
+    ``_assert_mirror`` on each point.
     """
     if _reduction(d, x)[0] != _reduction(d, y)[0]:
         return ()
@@ -323,7 +324,7 @@ def _positive_solutions(
     if points is not None:
         return points
     dom = connecting_domain(d, x, y)
-    points = _lattice_points(d, tuple(c + nz for c in dom.coefficients))
+    points = _lattice_points(d, [c + nz for c in dom.coefficients])
     for coeffs in points:
         _assert_mirror(d, Domain(coeffs, x, y))
     d._derived[slot] = points
@@ -351,10 +352,7 @@ def _box_split(d: HeegaardDiagram) -> tuple:
     return split, columns, outside
 
 
-@derived
-def _lattice_points(
-    d: HeegaardDiagram, d0: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
+def _lattice_points(d: HeegaardDiagram, d0: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """All nonnegative points of ``d0 + span(periodic basis)``, sorted.
 
     The sweep fixes ``t_0, t_1, ...`` in turn and carries the residual
@@ -366,9 +364,8 @@ def _lattice_points(
     the rows of P_j's support, and a row outside every free support
     needs ``base[i] >= 0``; this is exactly what those LPs would give.
     Each point of the box gives the leaf ``base + sum_{j >= k*} t_j
-    P_j``, kept when nonnegative.  The points depend on the pair
-    (x, y) only through ``d0``, so pairs whose connecting domains
-    coincide share one sweep.
+    P_j``, kept when nonnegative.  Each call sweeps afresh;
+    ``_positive_solutions`` keeps the result per point difference.
     """
     basis = periodic_lattice(d).basis
     witness = _weak_witness(d)
@@ -463,14 +460,13 @@ def positive_domains(
     positive polytope compact, and per-coordinate bounds (exact LPs, or
     a box read off the rows once the free vectors split) with
     depth-first re-tightening sweep every integer point.  Raises
-    UnboundedEnumeration otherwise.  The sweep runs once per diagram
-    object and starting domain ``D0 + n_z [Sigma]``, and the points,
-    with their boundaries checked, are kept per point difference (see
-    ``_positive_solutions``).  Each point's index reads the fixed points
-    too, so it is computed for every pair, by the exported, checked
-    ``maslov_index``, imported at call time since ``measures`` imports
-    this module.  A target index or n_z that is not an int is refused
-    with ValueError.
+    UnboundedEnumeration otherwise.  The sweep of ``D0 + n_z [Sigma]``
+    runs, and its points are kept with their boundaries checked, once
+    per diagram object and point difference (``_positive_solutions``).
+    Each point's index reads the fixed points too, so it is computed
+    for every pair, by the exported, checked ``maslov_index``, imported
+    at call time since ``measures`` imports this module.  A target
+    index or n_z that is not an int is refused with ValueError.
     """
     from .measures import maslov_index
 

@@ -323,6 +323,51 @@ def test_unwritable_output_is_a_usage_error(write_corpus, tmp_path, capsys, comm
     assert not out.exists()
 
 
+def test_unwritable_stdout_is_a_usage_error(write_corpus, capsys, monkeypatch):
+    """A report that cannot be written to stdout exits 4 and says so; it
+    is not reported as an invalid diagram."""
+    import io
+
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    f = write_corpus("s1s2_g1")
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert run(["generators", str(f), "--json"]) == 4
+    assert capsys.readouterr().err == "error: cannot write the report: Broken pipe\n"
+
+
+@pytest.mark.parametrize("name, large", [("s1s2_g1", False), ("gsph(4)#gsph(3)", True)])
+def test_closed_pipe_exits_4(name, large, tmp_path, capsys):
+    """``hf`` writing to a pipe whose reader is gone exits 4 with one
+    message, for an answer that fits stdout's 8 KiB buffer and for one
+    that does not, and shutdown adds no error of its own.  Stdout is
+    left block-buffered, as it is by default on a pipe."""
+    d = connected_sum(*map(build, name.split("#"))) if "#" in name else build(name)
+    path = tmp_path / "diagram.hfd"
+    path.write_text(serialize_hfd(d))
+    argv = ["generators", str(path), "--json"]
+    assert run(argv) == 0
+    assert (len(capsys.readouterr().out) > 8192) == large
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "hfhat.cli", *argv],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    err = done.stderr.decode()
+    assert (done.returncode, err) == (4, "error: cannot write the report: Broken pipe\n")
+
+
 def test_later_runs_answer_like_the_first(write_corpus, capsys):
     """The parser is built once per process: after a successful run,
     flags do not carry over, usage errors still exit 4, and the same

@@ -777,7 +777,7 @@ def _reference_differential(d, c, strict_rectangles):
                 dom = connecting_domain(d, x, y)
                 if dom is None:
                     continue
-                for coeffs in _lattice_points.__wrapped__(d, dom.coefficients):
+                for coeffs in _lattice_points(d, dom.coefficients):
                     found = Domain(coeffs, x, y)
                     if maslov_index(d, found) != 1:
                         continue
@@ -834,8 +834,9 @@ def test_embedded_chi_fault_is_caught_on_a_fresh_diagram(monkeypatch):
 def test_each_check_runs_once_per_input_that_decides_it(monkeypatch):
     """On gsph(3)#gsph(2), where the same bigons recur for many pairs,
     differential computes the index for every (pair, lattice point), the
-    mirror check once per distinct (point difference, coefficients), and
-    the shape once per distinct (coefficients, moving points)."""
+    lattice-point sweep once per distinct point difference, the mirror
+    check once per distinct (point difference, coefficients), and the
+    shape once per distinct (coefficients, moving points)."""
     import hfhat.domains
     import hfhat.floer
     import hfhat.measures
@@ -849,13 +850,14 @@ def test_each_check_runs_once_per_input_that_decides_it(monkeypatch):
     points = {pair: _positive_solutions(fresh, *pair, 0) for pair in pairs}
     differences = {_moving(fresh, *pair): points[pair] for pair in pairs}
 
-    calls = {"connecting": [], "mirror": [], "index": [], "shape": []}
+    calls = {"connecting": [], "sweep": [], "mirror": [], "index": [], "shape": []}
 
     def record(module, name, key):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda d, *args: calls[key].append(args) or real(d, *args))
 
     record(hfhat.domains, "connecting_domain", "connecting")
+    record(hfhat.domains, "_lattice_points", "sweep")
     record(hfhat.domains, "_assert_mirror", "mirror")
     record(hfhat.measures, "maslov_index", "index")
     record(hfhat.floer, "classify_rigid", "shape")
@@ -864,7 +866,7 @@ def test_each_check_runs_once_per_input_that_decides_it(monkeypatch):
     assert sorted((dom.from_gen, dom.to_gen, dom.coefficients) for (dom,) in calls["index"]) == sorted(
         (x, y, coeffs) for (x, y), found in points.items() for coeffs in found
     )
-    assert len(calls["connecting"]) == len(differences)
+    assert len(calls["connecting"]) == len(calls["sweep"]) == len(differences)
     assert len(calls["mirror"]) == len(differences) + sum(map(len, differences.values()))
     assert {(_moving(d, dom.from_gen, dom.to_gen), dom.coefficients) for (dom,) in calls["mirror"]} >= {
         (moving, coeffs) for moving, found in differences.items() for coeffs in found
@@ -872,3 +874,26 @@ def test_each_check_runs_once_per_input_that_decides_it(monkeypatch):
     shapes = [(dom.coefficients, *_moving(d, x, y)) for x, y, dom, _ in audit]
     assert sorted(dom.coefficients for (dom,) in calls["shape"]) == sorted(s[0] for s in set(shapes))
     assert len(set(shapes)) < len(audit)
+
+
+@pytest.mark.parametrize("name", ["grid(4)", "gsph(3)#gsph(2)"])
+def test_homology_stores_points_once_per_examined_difference(name, monkeypatch):
+    """After homology, the diagram holds one point slot per distinct
+    (from-only, to-only, n_z) of the pairs the differential examined,
+    and no other store of positive points."""
+    import hfhat.floer
+    from hfhat.domains import _moving, _positive_solutions
+
+    d = _oracle_diagram(name)
+    examined = set()
+    real = hfhat.floer.positive_domains
+
+    def record(d, x, y, index, nz):
+        examined.add((_positive_solutions, *_moving(d, x, y), nz))
+        return real(d, x, y, index, nz)
+
+    monkeypatch.setattr(hfhat.floer, "positive_domains", record)
+    homology(d)
+    slots = [slot for slot in d._derived if type(slot) is tuple]
+    assert not any(getattr(slot[0], "__name__", None) == "_lattice_points" for slot in slots)
+    assert examined and {slot for slot in slots if slot[0] is _positive_solutions} == examined

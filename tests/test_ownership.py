@@ -27,7 +27,7 @@ from hfhat import (
     validate,
 )
 from hfhat.diagram import _arc_walk
-from hfhat.domains import _lattice_points, _positive_solutions
+from hfhat.domains import _positive_solutions
 
 from conftest import SMALL_NAMES
 
@@ -182,7 +182,9 @@ def test_cli_holds_at_most_one_diagram(tmp_path, capsys, monkeypatch):
 
 def test_cli_domains_sweep_keeps_the_held_store_bounded(tmp_path, capsys):
     """``hf domains`` leaves no per-query lattice points on the held
-    diagram: sweeping ``--nz`` on one file keeps its store's size."""
+    diagram: sweeping ``--nz`` on one file keeps its store's size.
+    ``hf homology`` then keeps its points per point difference only,
+    with no slot per starting domain."""
     import hfhat.cli
 
     d = build("gsph(3)")
@@ -197,8 +199,9 @@ def test_cli_domains_sweep_keeps_the_held_store_bounded(tmp_path, capsys):
     capsys.readouterr()
     assert sizes == sizes[:1] * 12, sizes
     assert hfhat.cli.run(["homology", str(path)]) == 0
-    assert any(isinstance(slot, tuple) and slot[0] is _lattice_points.__wrapped__
-               for slot in hfhat.cli._held[1]._derived)
+    kinds = [slot[0] for slot in hfhat.cli._held[1]._derived if type(slot) is tuple]
+    assert "_lattice_points" not in [getattr(kind, "__name__", None) for kind in kinds]
+    assert _positive_solutions in kinds
 
 
 def test_cli_domains_sweep_frees_its_points_without_the_cyclic_collector(tmp_path, capsys):
